@@ -11,7 +11,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .perm import PermGroup, Permutation, build_bsgs, compose, orbit, point_stabilizer
+from .perm import PermGroup, Permutation, build_bsgs, orbit, point_stabilizer
 from .ffield import Field, FieldElement, make_field, primitive_element
 from .zoo import (
     alt,

@@ -28,22 +28,13 @@ from pathlib import Path
 from .cosets import (
     Caps,
     DEFAULT_CAPS,
-    build_coset_action,
     fixity,
     marks_row,
     profile,
     report_json,
 )
 from .enumeration import as_context, subgroup_closure
-from .errors import (
-    CapExceededError,
-    FalsificationError,
-    FixityError,
-    GroupDataError,
-    MembershipError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import FalsificationError, FixityError, GroupDataError, PreconditionError
 from .perm import PermGroup, Subgroup
 from .verifier import (
     StabView,
@@ -59,6 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fixitylab")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
+    def add_outputs(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="write JSON here instead of stdout")
+        p.add_argument("--element-cap", type=int, default=DEFAULT_CAPS.elements)
+        p.add_argument("--subgroup-cap", type=int, default=DEFAULT_CAPS.subgroups)
+        p.add_argument("--coset-cap", type=int, default=DEFAULT_CAPS.cosets)
+
     def add_common(p: argparse.ArgumentParser, stab: bool) -> None:
         p.add_argument("--group", required=True, help="group selector, see `zoo`")
         if stab:
@@ -68,10 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="narrow --stab-order matches to one structure, e.g. D10",
             )
             p.add_argument("--stab-file", help="generator file for the stabilizer")
-        p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--element-cap", type=int, default=DEFAULT_CAPS.elements)
-        p.add_argument("--subgroup-cap", type=int, default=DEFAULT_CAPS.subgroups)
-        p.add_argument("--coset-cap", type=int, default=DEFAULT_CAPS.cosets)
+        add_outputs(p)
 
     for name in ("fixity", "profile", "marks", "sylow"):
         add_common(sub.add_parser(name), stab=True)
@@ -79,16 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search")
     add_common(p, stab=False)
     p.add_argument("--k", type=int, default=4, help="target fixity (default 4)")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; search is serial")
 
     p = sub.add_parser("verify")
     p.add_argument("--catalog", required=True, help="claim catalog JSON file")
     p.add_argument("--only", help="comma-separated claim ids to run")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.add_argument("--element-cap", type=int, default=DEFAULT_CAPS.elements)
-    p.add_argument("--subgroup-cap", type=int, default=DEFAULT_CAPS.subgroups)
-    p.add_argument("--coset-cap", type=int, default=DEFAULT_CAPS.cosets)
+    add_outputs(p)
 
     p = sub.add_parser("zoo")
     p.add_argument("--out", help="write JSON here instead of stdout")
@@ -154,40 +144,21 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
         if args.subcommand == "fixity":
             rep = fixity(g, u, caps)
             prof = profile(g, u, caps)
-            action = build_coset_action(g, u, caps.cosets, caps.elements)
-            chunks.append(report_json(name, action, rep, prof))
-        elif args.subcommand == "profile":
-            prof = profile(g, u, caps)
-            obj = {
-                "group": name,
-                "stabilizer_order": u.order,
-                "degree": g.order // u.order,
-                "profile": [list(r) for r in prof.rows],
-            }
-            chunks.append(json.dumps(obj, indent=2))
+            chunks.append(report_json(name, rep.action, rep, prof))
+            continue
+        obj = {"group": name, "stabilizer_order": u.order, "degree": g.order // u.order}
+        if args.subcommand == "profile":
+            obj["profile"] = [list(r) for r in profile(g, u, caps).rows]
         elif args.subcommand == "marks":
-            ctx = as_context(g, caps.elements)
-            classes = ctx.subgroup_classes(caps.subgroups)
-            row = marks_row(g, u, classes, caps)
-            obj = {
-                "group": name,
-                "stabilizer_order": u.order,
-                "degree": g.order // u.order,
-                "marks": row,
-            }
-            chunks.append(json.dumps(obj, indent=2))
+            classes = as_context(g, caps.elements).subgroup_classes(caps.subgroups)
+            obj["marks"] = marks_row(g, u, classes, caps)
         else:
-            cls = classify_sylow3_orbits(g, u, caps)
-            obj = {
-                "group": name,
-                "stabilizer_order": u.order,
-                "degree": g.order // u.order,
-                "case": cls.case,
-                "sylow3_order": cls.p_order,
-                "delta_size": cls.delta_size,
-                "orbit_sizes": [list(p) for p in cls.orbit_sizes],
-            }
-            chunks.append(json.dumps(obj, indent=2))
+            cls = classify_sylow3_orbits(g, u, caps=caps)
+            obj["case"] = cls.case
+            obj["sylow3_order"] = cls.p_order
+            obj["delta_size"] = cls.delta_size
+            obj["orbit_sizes"] = [list(p) for p in cls.orbit_sizes]
+        chunks.append(json.dumps(obj, indent=2))
     _one_or_many(chunks, args.out)
     return 0
 
@@ -259,17 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except FalsificationError as e:
         print(f"falsified: {e}", file=sys.stderr)
         return 1
-    except (
-        CapExceededError,
-        GroupDataError,
-        MembershipError,
-        ParseError,
-        PreconditionError,
-        FileNotFoundError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FixityError as e:
+    except (FixityError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

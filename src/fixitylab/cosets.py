@@ -31,8 +31,9 @@ from .enumeration import (
     SUBGROUP_CAP,
     ConjClass,
     GroupContext,
+    _cyclic_tables,
     as_context,
-    euler_phi,
+    canonical_form,
     structure_predicates,
 )
 from .errors import (
@@ -41,6 +42,7 @@ from .errors import (
     MembershipError,
     PreconditionError,
 )
+from .ffield import euler_phi
 from .perm import (
     _IDENT256,
     ImageTable,
@@ -99,12 +101,14 @@ class CosetAction:
 
 @dataclass(eq=False)
 class FixityReport:
-    """Fixity of one coset action with its witness class."""
+    """Fixity of one coset action with its witness class, and the action it
+    was counted on (None on the slow path, which builds none)."""
 
     fixity: int
     witness_class: ConjClass | None
     per_class_fix: list[int]
     slow_path: bool = False
+    action: CosetAction | None = None
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,10 @@ def build_coset_action(
     ident = identity_table(g.degree)
     reps: list[ImageTable] = [ident]
     index: dict[ImageTable, int] = {ident: 0}
-    assert canon(ident) == ident
+    if canon(ident) != ident:
+        raise FalsificationError(
+            f"canonical representative of U is {canon(ident)!r}, not the identity"
+        )
     gen_tables = g.gen_tables
     image_cols: list[list[int]] = [[] for _ in gen_tables]
     i = 0
@@ -218,30 +225,22 @@ def coset_stabilizer_tables(action: CosetAction, i: int) -> list[ImageTable]:
 # the four counting routes
 # ---------------------------------------------------------------------------
 
+def fixed_cosets(action: CosetAction, t: ImageTable) -> list[int]:
+    """Indices of the cosets U r with r t r^-1 in U, for a member t of G."""
+    u_set = action.u_set
+    pairs = enumerate(zip(action.canonical_reps, action.inv_reps))
+    if isinstance(t, bytes):
+        tp = t + _IDENT256[len(t) :]
+        return [i for i, (r, rip) in pairs if r.translate(tp).translate(rip) in u_set]
+    return [i for i, (r, ri) in pairs if compose_tables(compose_tables(r, t), ri) in u_set]
+
+
 def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
     """Number of cosets U r with r x r^-1 in U."""
     t = x.images if isinstance(x, Permutation) else x
     if not action.group.contains_table(t):
         raise MembershipError("element is not a member of the acting group")
-    u_set = action.u_set
-    count = 0
-    if isinstance(t, bytes):
-        tp = t + _IDENT256[len(t) :]
-        for r, rip in zip(action.canonical_reps, action.inv_reps):
-            if r.translate(tp).translate(rip) in u_set:
-                count += 1
-    else:
-        for r, ri in zip(action.canonical_reps, action.inv_reps):
-            if compose_tables(compose_tables(r, t), ri) in u_set:
-                count += 1
-    return count
-
-
-def _u_indices(ctx: GroupContext, u: Subgroup) -> list[int]:
-    try:
-        return [ctx.index[t] for t in u.group.element_tables()]
-    except KeyError:
-        raise MembershipError("stabilizer is not a subgroup of the group") from None
+    return len(fixed_cosets(action, t))
 
 
 def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
@@ -250,7 +249,7 @@ def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
     boc = ctx.bundle_of_class
     class_of = ctx.class_of
     counts = [0] * len(ctx.bundles)
-    for i in _u_indices(ctx, u):
+    for i in ctx.indices_of(u.group):
         b = boc[class_of[i]]
         if b >= 0:
             counts[b] += 1
@@ -275,26 +274,15 @@ def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
 def fix_by_normalizer_formula(
     g: PermGroup | GroupContext, u: Subgroup, x: Permutation
 ) -> int:
-    """|{<x>^g <= U}| * |N_G(<x>)| / |U|, scanning U once."""
+    """|{<x>^g <= U}| * |N_G(<x>)| / |U|: the screen's count for the class
+    of cyclic subgroups that <x> lies in."""
     ctx = as_context(g)
-    t = x.images
-    ix = ctx.index.get(t)
+    ix = ctx.index.get(x.images)
     if ix is None:
         raise MembershipError("element is not a member of the group")
     if ix == 0:
         return ctx.n // u.order
-    bid = ctx.bundle_of_class[ctx.class_of[ix]]
-    bundle = ctx.bundles[bid]
-    fused = set(bundle.class_ids)
-    class_of = ctx.class_of
-    cnt = sum(1 for i in _u_indices(ctx, u) if class_of[i] in fused)
-    phi = euler_phi(bundle.element_order)
-    if cnt % phi:
-        raise FalsificationError(f"generator count {cnt} not a multiple of {phi}")
-    val = (cnt // phi) * bundle.normalizer_order
-    if val % u.order:
-        raise FalsificationError(f"{val} not divisible by |U| = {u.order}")
-    return val // u.order
+    return stabilizer_bundle_fixes(ctx, u)[ctx.bundle_of_class[ctx.class_of[ix]]]
 
 
 def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
@@ -310,13 +298,13 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
     cx = ctx.class_of[ix]
     ng_order = ctx.bundles[ctx.bundle_of_class[cx]].normalizer_order
     u_gens = u.group.gen_tables
-    members = [i for i in _u_indices(ctx, u) if ctx.class_of[i] == cx]
+    members = [i for i in ctx.indices_of(u.group) if ctx.class_of[i] == cx]
     elements = ctx.elements
     seen: set[frozenset[int]] = set()
     total = 0
     for i in members:
         fsy = frozenset(
-            ctx.index[tab] for tab in _powers(elements[i], ctx.group.degree)
+            ctx.index[tab] for tab in _cyclic_tables(elements[i], ctx.group.degree)
         )
         if fsy in seen:
             continue
@@ -339,16 +327,6 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
             )
         total += val // u.order
     return total
-
-
-def _powers(t: ImageTable, degree: int) -> list[ImageTable]:
-    ident = identity_table(degree)
-    out = [ident]
-    cur = t
-    while cur != ident:
-        out.append(cur)
-        cur = compose_tables(cur, t)
-    return out
 
 
 def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
@@ -389,7 +367,10 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
     ctx = as_context(g, caps.elements)
     action = build_coset_action(g, u, caps.cosets, caps.elements)
     per = [fix_direct(action, c.representative) for c in ctx.classes]
-    assert per[0] == action.degree
+    if per[0] != action.degree:
+        raise FalsificationError(
+            f"the identity fixes {per[0]} of {action.degree} cosets"
+        )
     best = -1
     witness = None
     for cid, c in enumerate(ctx.classes):
@@ -400,7 +381,9 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
             witness = c
     if best < 0:
         best = 0
-    return FixityReport(fixity=best, witness_class=witness, per_class_fix=per)
+    return FixityReport(
+        fixity=best, witness_class=witness, per_class_fix=per, action=action
+    )
 
 
 def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
@@ -475,21 +458,13 @@ def mark_on_action(action: CosetAction, v_gen_tables: list[ImageTable]) -> int:
     """Cosets fixed simultaneously by every element of V = <v_gen_tables>."""
     if not v_gen_tables:
         return action.degree
-    u_set = action.u_set
-    count = 0
-    for r in action.canonical_reps:
-        ri = invert_table(r)
-        if all(
-            compose_tables(compose_tables(r, t), ri) in u_set for t in v_gen_tables
-        ):
-            count += 1
-    return count
+    fixed = [set(fixed_cosets(action, t)) for t in v_gen_tables]
+    return len(set.intersection(*fixed))
 
 
 def mark(g: PermGroup, u: Subgroup, v: Subgroup, caps: Caps = DEFAULT_CAPS) -> int:
     action = build_coset_action(g, u, caps.cosets, caps.elements)
-    gens = [t for t in v.group.gen_tables if any(x != i for i, x in enumerate(t))]
-    return mark_on_action(action, gens)
+    return mark_on_action(action, v.group.gen_tables)
 
 
 def marks_row(
@@ -502,8 +477,8 @@ def marks_row(
     up to and including U's own class in the given (order, canonical) order."""
     ctx = as_context(g, caps.elements)
     action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
-    fs_u = frozenset(_u_indices(ctx, u))
-    _, canon_u, _, _ = ctx._subgroup_orbit(fs_u, u.group)
+    orbit_u, _ = ctx._subgroup_orbit(frozenset(ctx.indices_of(u.group)), u.group)
+    canon_u = canonical_form(orbit_u)
     pos = None
     for i, c in enumerate(classes):
         if c.order == u.order and c.canonical == canon_u:
@@ -511,15 +486,10 @@ def marks_row(
             break
     if pos is None:
         raise MembershipError("stabilizer class not present in the given class list")
-    row = []
-    for c in classes[: pos + 1]:
-        gens = [
-            t
-            for t in c.representative.group.gen_tables
-            if any(x != i for i, x in enumerate(t))
-        ]
-        row.append(mark_on_action(action, gens))
-    return row
+    return [
+        mark_on_action(action, c.representative.group.gen_tables)
+        for c in classes[: pos + 1]
+    ]
 
 
 # ---------------------------------------------------------------------------

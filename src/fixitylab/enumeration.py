@@ -13,63 +13,27 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
-from .errors import CapExceededError, MembershipError, PreconditionError
-from .ffield import is_prime
+from .errors import CapExceededError, FalsificationError, MembershipError, PreconditionError
+from .ffield import euler_phi, is_prime, is_prime_power, p_part, prime_divisors
 from .perm import (
     ImageTable,
     PermGroup,
     Permutation,
     Subgroup,
+    _greedy_chain,
     build_bsgs,
     compose_tables,
     conjugate_table,
     identity_table,
     invert_table,
+    orbit_stabilizer,
     table_order,
     table_power,
 )
 
 ELEMENT_CAP = 200_000
 SUBGROUP_CAP = 10_000
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def is_prime_power(n: int) -> int | None:
-    """The prime p with n = p^k (k >= 1), or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n
-
-
-def p_part(n: int, p: int) -> int:
-    pp = 1
-    while n % p == 0:
-        n //= p
-        pp *= p
-    return pp
 
 
 @dataclass(eq=False)
@@ -156,7 +120,10 @@ class GroupContext:
         self.index: dict[ImageTable, int] = {t: i for i, t in enumerate(self.elements)}
         # the identity is lexicographically least: the first moved point of
         # any other element maps strictly upward
-        assert self.elements[0] == identity_table(group.degree)
+        if self.elements[0] != identity_table(group.degree):
+            raise FalsificationError(
+                f"least element {self.elements[0]!r} is not the identity"
+            )
         self._conj_tables: list[list[int]] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
@@ -179,6 +146,13 @@ class GroupContext:
 
     def conj_index(self, i: int, g: ImageTable) -> int:
         return self.index[conjugate_table(self.elements[i], g)]
+
+    def indices_of(self, sub: PermGroup) -> list[int]:
+        """Element indices of a subgroup, in its sorted element order."""
+        try:
+            return [self.index[t] for t in sub.element_tables()]
+        except KeyError:
+            raise MembershipError("subgroup element is not a member of the group") from None
 
     # -- conjugacy classes -----------------------------------------------------
 
@@ -220,7 +194,10 @@ class GroupContext:
                     indices=tuple(members),
                 )
             )
-        assert sum(c.size for c in classes) == n
+        if sum(c.size for c in classes) != n:
+            raise FalsificationError(
+                f"class sizes {[c.size for c in classes]} do not sum to |G| = {n}"
+            )
         self._classes = classes
         self._class_of = class_of
         self._element_orders = orders
@@ -276,8 +253,11 @@ class GroupContext:
             cids = sorted(fused[root])
             c0 = classes[cids[0]]
             o = c0.element_order
-            assert all(classes[c].element_order == o for c in cids)
-            assert all(classes[c].centralizer_order == c0.centralizer_order for c in cids)
+            pairs = {(classes[c].element_order, classes[c].centralizer_order) for c in cids}
+            if len(pairs) != 1:
+                raise FalsificationError(
+                    f"fused classes {cids} have (element order, centralizer order) {sorted(pairs)}"
+                )
             n_gen = sum(classes[c].size for c in cids)
             phi = euler_phi(o)
             # the generators of the conjugates of <x> are exactly the fused
@@ -314,101 +294,20 @@ class GroupContext:
             self._bundle_of_class = boc
         return self._bundle_of_class
 
-    # -- stabilizers of the conjugation action ---------------------------------
-
-    def _conjugation_stabilizer(
-        self, start, apply_index, seed_tables: list[ImageTable] = ()
-    ) -> tuple[int, PermGroup]:
-        """Orbit of ``start`` under conjugation by the generators, plus its
-        stabilizer built from Schreier generators.
-
-        ``apply_index(state, j)`` advances a state by generator j.  Returns
-        (orbit size, stabilizer chain).  ``seed_tables`` are known stabilizer
-        members used to prime the generating set.
-        """
-        ident = identity_table(self.group.degree)
-        gen_tables = self.group.gen_tables
-        trans = {start: ident}
-        members = [start]
-        schreier: list[ImageTable] = []
-        seen_sgens = set()
-        qi = 0
-        while qi < len(members):
-            cur = members[qi]
-            qi += 1
-            t_cur = trans[cur]
-            for j, gt in enumerate(gen_tables):
-                nxt = apply_index(cur, j)
-                if nxt not in trans:
-                    trans[nxt] = compose_tables(t_cur, gt)
-                    members.append(nxt)
-                else:
-                    s = compose_tables(compose_tables(t_cur, gt), invert_table(trans[nxt]))
-                    if s != ident and s not in seen_sgens:
-                        seen_sgens.add(s)
-                        schreier.append(s)
-        orbit_size = len(members)
-        if self.n % orbit_size:
-            raise MembershipError("orbit size does not divide the group order")
-        target = self.n // orbit_size
-        chain = _greedy_chain(
-            self.group.degree, list(seed_tables) + schreier, target_order=target
-        )
-        if chain.order != target:
-            raise MembershipError(
-                f"stabilizer order {chain.order} != |G|/orbit = {target}"
-            )
-        return orbit_size, chain
-
     # -- subgroup lattice -------------------------------------------------------
 
     def _subgroup_orbit(
         self, fs: frozenset[int], chain: PermGroup
-    ) -> tuple[int, tuple[int, ...], PermGroup, list[frozenset[int]]]:
-        """Conjugation orbit of a subgroup given as an element-index set.
-
-        Returns (class size, canonical form, normalizer chain, orbit).
-        """
+    ) -> tuple[list[frozenset[int]], PermGroup]:
+        """Conjugation orbit of a subgroup given as an element-index set and
+        by its chain, with the normalizer chain; the orbit's length is the
+        class size."""
         conj = self.conj_tables
 
         def apply_fs(state: frozenset[int], j: int) -> frozenset[int]:
-            ct = conj[j]
-            return frozenset(ct[i] for i in state)
+            return frozenset(map(conj[j].__getitem__, state))
 
-        ident = identity_table(self.group.degree)
-        gen_tables = self.group.gen_tables
-        trans = {fs: ident}
-        members = [fs]
-        schreier: list[ImageTable] = []
-        seen_sgens = set()
-        qi = 0
-        while qi < len(members):
-            cur = members[qi]
-            qi += 1
-            t_cur = trans[cur]
-            for j, gt in enumerate(gen_tables):
-                nxt = apply_fs(cur, j)
-                if nxt not in trans:
-                    trans[nxt] = compose_tables(t_cur, gt)
-                    members.append(nxt)
-                else:
-                    s = compose_tables(compose_tables(t_cur, gt), invert_table(trans[nxt]))
-                    if s != ident and s not in seen_sgens:
-                        seen_sgens.add(s)
-                        schreier.append(s)
-        class_size = len(members)
-        if self.n % class_size:
-            raise MembershipError("subgroup class size does not divide |G|")
-        target = self.n // class_size
-        norm_chain = _greedy_chain(
-            self.group.degree, list(chain.gen_tables) + schreier, target_order=target
-        )
-        if norm_chain.order != target:
-            raise MembershipError(
-                f"normalizer order {norm_chain.order} != |G|/class size = {target}"
-            )
-        canonical = min(tuple(sorted(m)) for m in members)
-        return class_size, canonical, norm_chain, members
+        return orbit_stabilizer(self.group, fs, apply_fs, chain.gen_tables)
 
     def _compute_subgroup_classes(self) -> None:
         n = self.n
@@ -422,14 +321,14 @@ class GroupContext:
         queue: deque[int] = deque()
 
         def add_class(fs: frozenset[int], chain: PermGroup) -> None:
-            class_size, canonical, norm_chain, orbit_sets = self._subgroup_orbit(fs, chain)
+            orbit_sets, norm_chain = self._subgroup_orbit(fs, chain)
             cid = len(records)
             records.append(
                 {
                     "chain": chain,
                     "indices": fs,
-                    "canonical": canonical,
-                    "class_size": class_size,
+                    "canonical": canonical_form(orbit_sets),
+                    "class_size": len(orbit_sets),
                     "normalizer": norm_chain,
                 }
             )
@@ -498,7 +397,12 @@ class GroupContext:
                     normalizer=Subgroup(rec["normalizer"], g),
                 )
             )
-        assert all(c.class_size * c.normalizer_order == n for c in out)
+        for c in out:
+            if c.class_size * c.normalizer_order != n:
+                raise FalsificationError(
+                    f"subgroup class of order {c.order}: class size {c.class_size} "
+                    f"* normalizer order {c.normalizer_order} != |G| = {n}"
+                )
         self._subgroup_classes = out
 
     def subgroup_classes(self, cap: int = SUBGROUP_CAP) -> list[SubgroupClass]:
@@ -511,17 +415,18 @@ class GroupContext:
         return self._subgroup_classes
 
 
-_context_cache: WeakKeyDictionary[PermGroup, GroupContext] = WeakKeyDictionary()
-
-
 def as_context(g: PermGroup | GroupContext, element_cap: int = ELEMENT_CAP) -> GroupContext:
+    """The context of g, built on first use and kept on the group itself."""
     if isinstance(g, GroupContext):
         return g
-    ctx = _context_cache.get(g)
-    if ctx is None:
-        ctx = GroupContext(g, element_cap)
-        _context_cache[g] = ctx
-    return ctx
+    if g._context is None:
+        g._context = GroupContext(g, element_cap)
+    return g._context
+
+
+def canonical_form(orbit: list[frozenset[int]]) -> tuple[int, ...]:
+    """Label of a subgroup class: its least member as a sorted index tuple."""
+    return min(tuple(sorted(m)) for m in orbit)
 
 
 def _cyclic_tables(t: ImageTable, degree: int) -> list[ImageTable]:
@@ -533,23 +438,6 @@ def _cyclic_tables(t: ImageTable, degree: int) -> list[ImageTable]:
         out.append(cur)
         cur = compose_tables(cur, t)
     return out
-
-
-def _greedy_chain(
-    degree: int,
-    tables: list[ImageTable],
-    target_order: int | None = None,
-) -> PermGroup:
-    """BSGS from a redundant table list, keeping only non-member generators."""
-    gens: list[ImageTable] = []
-    chain = build_bsgs([], degree=degree)
-    for t in tables:
-        if target_order is not None and chain.order == target_order:
-            break
-        if not chain.contains_table(t):
-            gens.append(t)
-            chain = build_bsgs(gens, degree=degree)
-    return chain
 
 
 def subgroup_from_tables(
@@ -587,11 +475,7 @@ def centralizer(
     if ix is None:
         raise MembershipError("element is not a member of the group")
     conj = ctx.conj_tables
-
-    def apply_index(i: int, j: int) -> int:
-        return conj[j][i]
-
-    size, chain = ctx._conjugation_stabilizer(ix, apply_index, seed_tables=[t])
+    _, chain = orbit_stabilizer(ctx.group, ix, lambda i, j: conj[j][i], [t])
     return Subgroup(chain, ctx.group)
 
 
@@ -601,11 +485,7 @@ def normalizer(
     """N_G(U), via the conjugation orbit of U's element set."""
     ctx = as_context(g, cap)
     ug = u.group if isinstance(u, Subgroup) else u
-    try:
-        fs = frozenset(ctx.index[t] for t in ug.element_tables())
-    except KeyError:
-        raise MembershipError("subgroup element is not a member of the group") from None
-    _, _, norm_chain, _ = ctx._subgroup_orbit(fs, ug)
+    _, norm_chain = ctx._subgroup_orbit(frozenset(ctx.indices_of(ug)), ug)
     return Subgroup(norm_chain, ctx.group)
 
 
@@ -662,7 +542,7 @@ def subgroup_closure(g: PermGroup, seed: list[Permutation]) -> Subgroup:
     for s in seed:
         if not g.contains(s):
             raise MembershipError(f"seed {s!r} is not a member of the group")
-    return Subgroup(build_bsgs(seed, degree=g.degree) if seed else build_bsgs([], degree=g.degree), g)
+    return Subgroup(build_bsgs(seed, degree=g.degree), g)
 
 
 def subgroups_up_to_conjugacy(
@@ -705,14 +585,6 @@ def structure_predicates(u: Subgroup | PermGroup) -> StructureRecord:
     is_elem_ab = is_abelian and p_prime is not None and exponent == p_prime
     n_invol = counts.get(2, 0)
 
-    is_nilpotent = True
-    for p in _prime_divisors(n):
-        pp = p_part(n, p)
-        cnt = sum(1 for o in orders if p_part(o, p) == o)
-        if cnt != pp:
-            is_nilpotent = False
-            break
-
     is_dihedral = _dihedral_check(tables, orders, gen_tables, n)
     frob, k_ord, j_ord = _frobenius_cyclic_check(tables, orders, gen_tables, n, degree)
 
@@ -723,7 +595,7 @@ def structure_predicates(u: Subgroup | PermGroup) -> StructureRecord:
         is_abelian=is_abelian,
         is_elementary_abelian=is_elem_ab,
         is_dihedral=is_dihedral,
-        is_nilpotent=is_nilpotent,
+        is_nilpotent=_is_nilpotent(orders),
         p_group_prime=p_prime,
         n_involutions=n_invol,
         is_frobenius_cyclic_complement=frob,
@@ -733,18 +605,15 @@ def structure_predicates(u: Subgroup | PermGroup) -> StructureRecord:
     )
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _is_nilpotent(orders: list[int]) -> bool:
+    """Nilpotent iff, for each prime p, the p-elements number exactly the
+    p-part of the order: the Sylow p-subgroup is unique.  ``orders`` holds
+    the element orders of the whole group."""
+    n = len(orders)
+    return all(
+        sum(1 for o in orders if p_part(o, p) == o) == p_part(n, p)
+        for p in prime_divisors(n)
+    )
 
 
 def _dihedral_check(tables, orders, gen_tables, n: int) -> bool:
@@ -794,13 +663,7 @@ def _frobenius_cyclic_check(
             for g in gen_tables
         ):
             continue
-        nilpotent = True
-        k_orders = [table_order(t) for t in kernel]
-        for p in _prime_divisors(a):
-            if sum(1 for o in k_orders if p_part(o, p) == o) != p_part(a, p):
-                nilpotent = False
-                break
-        if not nilpotent:
+        if not _is_nilpotent([o for o in orders if a % o == 0]):
             continue
         y = next((t for t, o in zip(tables, orders) if o == b), None)
         if y is None:
@@ -821,33 +684,12 @@ def _frobenius_cyclic_check(
 def is_simple_group(u: Subgroup | PermGroup) -> bool:
     """No proper nontrivial normal subgroup: every nontrivial class has full
     normal closure."""
-    grp = _group_of(u)
-    tables = grp.element_tables()
-    n = len(tables)
-    if n == 1:
+    ctx = as_context(_group_of(u))
+    if ctx.n == 1:
         return False
-    index = {t: i for i, t in enumerate(tables)}
-    gen_tables = grp.gen_tables
-    conj = [[index[conjugate_table(e, g)] for e in tables] for g in gen_tables]
-    class_of = [-1] * n
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        members = [start]
-        class_of[start] = start
-        qi = 0
-        while qi < len(members):
-            cur = members[qi]
-            qi += 1
-            for ct in conj:
-                nxt = ct[cur]
-                if class_of[nxt] < 0:
-                    class_of[nxt] = start
-                    members.append(nxt)
-        if start == 0 and len(members) == 1:
-            continue
-        if start > 0 or len(members) > 1:
-            closure = _greedy_chain(grp.degree, [tables[m] for m in sorted(members)], target_order=n)
-            if closure.order != n:
-                return False
-    return True
+    return all(
+        _greedy_chain(
+            ctx.group.degree, [ctx.elements[m] for m in c.indices], target_order=ctx.n
+        ).order == ctx.n
+        for c in ctx.classes[1:]
+    )

@@ -18,6 +18,10 @@ MAX_P = 97
 MAX_Q = 4096
 
 
+# ---------------------------------------------------------------------------
+# integer helpers, shared by the whole package
+# ---------------------------------------------------------------------------
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -27,6 +31,56 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, n) with q = p^n and n >= 1, or None."""
+    primes = prime_divisors(q)
+    if len(primes) != 1:
+        return None
+    p = primes[0]
+    n = 0
+    while q > 1:
+        q //= p
+        n += 1
+    return p, n
+
+
+def is_prime_power(n: int) -> int | None:
+    """The prime p with n = p^k (k >= 1), or None."""
+    pp = prime_power(n)
+    return pp[0] if pp else None
+
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    pp = 1
+    while n % p == 0:
+        n //= p
+        pp *= p
+    return pp
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    for p in prime_divisors(n):
+        result -= result // p
+    return result
 
 
 @dataclass(frozen=True)

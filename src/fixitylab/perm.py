@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * points are 0-based indices 0..degree-1;
 * points act on the right and composition reads left to right, so
-  ``w^(g*h) = (w^g)^h`` and ``compose(a, b)[i] = b[a[i]]``;
+  ``w^(g*h) = (w^g)^h`` and ``compose_tables(a, b)[i] = b[a[i]]``;
 * a permutation is stored as its image table.  For degree <= 255 the table
   is a ``bytes`` object (composition then runs through ``bytes.translate``),
   for larger degrees it is a ``tuple`` of ints.  Both compare
@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatchError,
+    FalsificationError,
     MembershipError,
     NotBijectionError,
 )
@@ -191,8 +192,6 @@ class Permutation:
         return Permutation(invert_table(self.images), _trusted=True)
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return Permutation(table_power(invert_table(self.images), -k), _trusted=True)
         return Permutation(table_power(self.images, k), _trusted=True)
 
     def __call__(self, point: int) -> int:
@@ -227,11 +226,6 @@ class Permutation:
         return f"Permutation[{body}]"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """w -> (w^a)^b; the package-wide composition order."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # deterministic Schreier-Sims
 # ---------------------------------------------------------------------------
@@ -241,9 +235,11 @@ class PermGroup:
     """A permutation group with a verified base and strong generating set.
 
     ``transversals[i]`` maps each point of the i-th basic orbit to a raw
-    image table carrying ``base[i]`` to that point.  ``strong_gens[i]`` are
-    the strong generators fixing ``base[:i]`` pointwise.  Construction is
-    through :func:`build_bsgs` only; instances are treated as immutable.
+    image table carrying ``base[i]`` to that point, and ``inverses[i]`` maps
+    it to the inverse of that element as a sifting operand (for bytes, the
+    padded translate table).  ``strong_gens[i]`` are the strong generators
+    fixing ``base[:i]`` pointwise.  Construction is through
+    :func:`build_bsgs` only; instances are treated as immutable.
     """
 
     degree: int
@@ -251,8 +247,12 @@ class PermGroup:
     base: list[int]
     strong_gens: list[list[ImageTable]]
     transversals: list[dict[int, ImageTable]]
+    inverses: list[dict[int, ImageTable]] = field(repr=False, compare=False)
     order: int
     _elements: list[ImageTable] | None = field(default=None, repr=False, compare=False)
+    # the enumeration.GroupContext of this group, built by as_context; held
+    # here so that it lives exactly as long as the group
+    _context: object = field(default=None, repr=False, compare=False)
 
     @property
     def gen_tables(self) -> list[ImageTable]:
@@ -263,20 +263,11 @@ class PermGroup:
 
     def sift(self, table: ImageTable) -> ImageTable:
         """Strip an image table through the transversal chain; identity iff member."""
-        g = table
-        for i, b in enumerate(self.base):
-            pt = g[b]
-            trans = self.transversals[i]
-            if pt not in trans:
-                return g
-            g = compose_tables(g, invert_table(trans[pt]))
-        return g
+        act = bytes.translate if type(table) is bytes else _act_tuple
+        return _strip(table, self.base, self.inverses, act)
 
     def contains_table(self, table: ImageTable) -> bool:
-        if len(table) != self.degree:
-            return False
-        residue = self.sift(table)
-        return all(v == i for i, v in enumerate(residue))
+        return len(table) == self.degree and self.sift(table) == self.identity_table()
 
     def contains(self, p: Permutation) -> bool:
         return self.contains_table(p.images)
@@ -321,6 +312,27 @@ def _least_moved(table: ImageTable) -> int | None:
     return None
 
 
+def _act_tuple(a: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """Image table of a*t for tuple tables of equal degree."""
+    return tuple(map(t.__getitem__, a))
+
+
+def _strip(g: ImageTable, base: Sequence[int], inverses, act, start: int = 0) -> ImageTable:
+    """Residue of g sifted through levels start.. of a chain.
+
+    ``inverses[j]`` maps each point of the j-th basic orbit to the inverse of
+    its transversal element as an operand of ``act``.  The residue fixes
+    every base point before the first level whose orbit misses its image; it
+    is the identity iff g lies in the group of those levels.
+    """
+    for j in range(start, len(base)):
+        inv = inverses[j].get(g[base[j]])
+        if inv is None:
+            return g
+        g = act(g, inv)
+    return g
+
+
 def build_bsgs(
     gens: list[Permutation] | list[ImageTable],
     base_hint: Sequence[int] = (),
@@ -338,7 +350,7 @@ def build_bsgs(
         if degree is None:
             raise ValueError("empty generator list needs an explicit degree")
         ident_perm = Permutation.identity(degree)
-        return PermGroup(degree, [ident_perm], [], [], [], 1, _elements=[ident_perm.images])
+        return PermGroup(degree, [ident_perm], [], [], [], [], 1, _elements=[ident_perm.images])
     perms = [g if isinstance(g, Permutation) else Permutation(g) for g in gens]
     deg = degree if degree is not None else perms[0].degree
     for p in perms:
@@ -367,13 +379,10 @@ def build_bsgs(
             # table[t[i]] = i for i < deg, identity above: the padded inverse
             return bytes.maketrans(t, ident)
     else:
-        def act(a: ImageTable, t: ImageTable) -> ImageTable:
-            return tuple(map(t.__getitem__, a))
+        act, inverse_operand = _act_tuple, invert_table
 
         def as_operand(t: ImageTable) -> ImageTable:
             return t
-
-        inverse_operand = invert_table
 
     def rebuild_orbit(i: int) -> None:
         b = base[i]
@@ -394,7 +403,10 @@ def build_bsgs(
 
     def new_level(g: ImageTable) -> None:
         b = _least_moved(g)
-        assert b is not None
+        if b is None:
+            raise FalsificationError(
+                f"a new base level was requested for the identity {g!r}"
+            )
         base.append(b)
         sgens.append([])
         transversals.append({})
@@ -422,17 +434,7 @@ def build_bsgs(
 
     if not base:
         # trivial group
-        return PermGroup(deg, perms, [], [], [], 1, [ident])
-
-    def strip(g: ImageTable, start: int) -> ImageTable:
-        """Residue of g sifted through levels start.. (it fixes every base
-        point before the first level whose orbit misses its image)."""
-        for j in range(start, len(base)):
-            inv = inverses[j].get(g[base[j]])
-            if inv is None:
-                return g
-            g = act(g, inv)
-        return g
+        return PermGroup(deg, perms, [], [], [], [], 1, _elements=[ident])
 
     # Each level resumes at its cursor: a Schreier generator that sifted to
     # the identity stays a member once the deeper levels have grown and been
@@ -449,7 +451,7 @@ def build_bsgs(
             s = act(x, inv[x[b]])
             if s == ident:
                 continue
-            h = strip(s, i + 1)
+            h = _strip(s, base, inverses, act, i + 1)
             if h == ident:
                 continue
             cursor[i] = k
@@ -461,7 +463,66 @@ def build_bsgs(
     order = 1
     for trans in transversals:
         order *= len(trans)
-    return PermGroup(deg, perms, base, sgens, transversals, order)
+    return PermGroup(deg, perms, base, sgens, transversals, inverses, order)
+
+
+def _greedy_chain(
+    degree: int,
+    tables: list[ImageTable],
+    target_order: int | None = None,
+) -> PermGroup:
+    """BSGS from a redundant table list, keeping only non-member generators."""
+    gens: list[ImageTable] = []
+    chain = build_bsgs([], degree=degree)
+    for t in tables:
+        if target_order is not None and chain.order == target_order:
+            break
+        if not chain.contains_table(t):
+            gens.append(t)
+            chain = build_bsgs(gens, degree=degree)
+    return chain
+
+
+def orbit_stabilizer(
+    g: PermGroup, start, act, seed: Sequence[ImageTable] = ()
+) -> tuple[list, PermGroup]:
+    """Orbit of a state under g, and the chain of its stabilizer.
+
+    ``act(state, j)`` is the image of a hashable state under the j-th
+    generator of g.  The orbit is returned in breadth-first discovery order.
+    The stabilizer is generated by ``seed`` (known members of it) followed
+    by the Schreier generators in discovery order, kept greedily until the
+    order |G| / |orbit| is reached; any other order contradicts the
+    orbit-stabilizer theorem and raises FalsificationError.
+    """
+    gen_tables = g.gen_tables
+    ident = g.identity_table()
+    trans = {start: ident}
+    members = [start]
+    schreier: dict[ImageTable, None] = {}
+    for cur in members:
+        t_cur = trans[cur]
+        for j, gt in enumerate(gen_tables):
+            nxt = act(cur, j)
+            x = compose_tables(t_cur, gt)
+            if nxt not in trans:
+                trans[nxt] = x
+                members.append(nxt)
+                continue
+            s = compose_tables(x, invert_table(trans[nxt]))
+            if s != ident:
+                schreier[s] = None
+    if g.order % len(members):
+        raise FalsificationError(
+            f"orbit length {len(members)} does not divide |G| = {g.order}"
+        )
+    target = g.order // len(members)
+    chain = _greedy_chain(g.degree, [*seed, *schreier], target_order=target)
+    if chain.order != target:
+        raise FalsificationError(
+            f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{len(members)}"
+        )
+    return members, chain
 
 
 @dataclass(eq=False)
@@ -526,10 +587,9 @@ def point_stabilizer(g: PermGroup, point: int) -> Subgroup:
     chain = build_bsgs(g.generators, base_hint=[point])
     stab_tables = chain.strong_gens[1] if len(chain.base) > 1 else []
     orbit_len = len(chain.transversals[0]) if chain.base else 1
-    if not stab_tables:
-        stab = build_bsgs([Permutation.identity(g.degree)])
-    else:
-        stab = build_bsgs([Permutation(t, _trusted=True) for t in stab_tables])
+    stab = build_bsgs(
+        [Permutation(t, _trusted=True) for t in stab_tables], degree=g.degree
+    )
     if stab.order * orbit_len != g.order:
         raise MembershipError(
             f"orbit-stabilizer violated: {orbit_len} * {stab.order} != {g.order}"

@@ -30,7 +30,7 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .cosets import (
@@ -41,18 +41,16 @@ from .cosets import (
     build_coset_action,
     canonical_generator,
     coset_stabilizer_tables,
+    fixed_cosets,
     fixity,
     stabilizer_bundle_fixes,
 )
 from .enumeration import (
     GroupContext,
     SubgroupClass,
-    _greedy_chain,
-    _prime_divisors,
     as_context,
     is_simple_group,
     normalizer,
-    p_part,
     structure_predicates,
     subgroup_closure,
     subgroup_from_tables,
@@ -65,23 +63,25 @@ from .errors import (
     MembershipError,
     PreconditionError,
 )
+from .ffield import p_part, prime_divisors, prime_power
 from .perm import (
-    _IDENT256,
     ImageTable,
     PermGroup,
     Permutation,
     Subgroup,
+    _greedy_chain,
     build_bsgs,
     compose_tables,
     conjugate_table,
     identity_table,
     invert_table,
+    orbit_stabilizer,
     pack_table,
     point_stabilizer,
     table_order,
     table_power,
 )
-from .zoo import prime_power, psl2_spec, resolve_group
+from .zoo import psl2_spec, resolve_group
 
 # ---------------------------------------------------------------------------
 # stabilizer descriptors
@@ -312,20 +312,6 @@ class StructuralChecks:
         return not self.failures
 
 
-def _fixed_cosets(action: CosetAction, t: ImageTable) -> list[int]:
-    out = []
-    if isinstance(t, bytes):
-        tp = t + _IDENT256[len(t):]
-        for i, (r, rip) in enumerate(zip(action.canonical_reps, action.inv_reps)):
-            if r.translate(tp).translate(rip) in action.u_set:
-                out.append(i)
-    else:
-        for i, (r, ri) in enumerate(zip(action.canonical_reps, action.inv_reps)):
-            if compose_tables(compose_tables(r, t), ri) in action.u_set:
-                out.append(i)
-    return out
-
-
 def check_structural_lemmas(
     g: PermGroup | GroupContext,
     u: Subgroup,
@@ -342,11 +328,14 @@ def check_structural_lemmas(
     (iv)  |N_G(H) : N_U(H)| in {2, 4} whenever H != 1.
 
     Failures are collected in the returned record, never silently dropped.
+    The four-point stabilizer is read off the coset action the fixity
+    report was counted on.
     """
     ctx = as_context(g, caps.elements)
     if report is None:
         report = fixity(ctx.group, u, caps)
-    if report.fixity != 4 or report.slow_path or report.witness_class is None:
+    action = report.action
+    if report.fixity != 4 or action is None or report.witness_class is None:
         raise PreconditionError(
             "structural checks apply to a confirmed fixity-4 action with a witness"
         )
@@ -374,7 +363,7 @@ def check_structural_lemmas(
 
     # (iii) for p >= 5 the stabilizer contains a full Sylow p-subgroup
     sylow_primes: list[int] = []
-    for p in _prime_divisors(u.order):
+    for p in prime_divisors(u.order):
         if p >= 5:
             sylow_primes.append(p)
             if p_part(u.order, p) != p_part(ctx.n, p):
@@ -384,9 +373,8 @@ def check_structural_lemmas(
                 )
 
     # the four-point stabilizer cut out by the witness element
-    action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
     x = report.witness_class.representative.images
-    fixed = _fixed_cosets(action, x)
+    fixed = fixed_cosets(action, x)
     if len(fixed) != 4:
         raise FalsificationError(
             f"witness element fixes {len(fixed)} cosets, fixity report says 4"
@@ -400,7 +388,7 @@ def check_structural_lemmas(
     ti_samples = 0
     h_norm_index: int | None = None
     if h_order > 1:
-        for p in _prime_divisors(h_order):
+        for p in prime_divisors(h_order):
             if p >= 5 and p_part(h_order, p) != p_part(ctx.n, p):
                 failures.append(
                     f"four-point stabilizer of order {h_order} misses the "
@@ -505,8 +493,11 @@ def _commutator(a: ImageTable, b: ImageTable) -> ImageTable:
     )
 
 
-def _derived_tables(degree: int, tables: list[ImageTable]) -> list[ImageTable]:
-    comms = sorted({_commutator(a, b) for a in tables for b in tables})
+def _commutator_tables(
+    degree: int, a_tables: list[ImageTable], b_tables: list[ImageTable]
+) -> list[ImageTable]:
+    """Elements of [A, B], given the elements of A and of B."""
+    comms = sorted({_commutator(a, b) for a in a_tables for b in b_tables})
     return _greedy_chain(degree, comms).element_tables()
 
 
@@ -515,8 +506,7 @@ def _nilpotency_class(degree: int, tables: list[ImageTable]) -> int:
     cur = tables
     c = 0
     while len(cur) > 1:
-        comms = sorted({_commutator(a, b) for a in cur for b in tables})
-        nxt = _greedy_chain(degree, comms).element_tables()
+        nxt = _commutator_tables(degree, cur, tables)
         if len(nxt) >= len(cur):
             raise FalsificationError("lower central series failed to descend")
         cur = nxt
@@ -525,30 +515,30 @@ def _nilpotency_class(degree: int, tables: list[ImageTable]) -> int:
 
 
 def _is_maximal_class(degree: int, tables: list[ImageTable], p: int) -> bool:
-    n = len(tables)
-    e = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1 or e < 2:
+    pp = prime_power(len(tables))
+    if pp is None or pp[0] != p or pp[1] < 2:
         return False
-    if e == 2:
-        return True
-    return _nilpotency_class(degree, tables) == e - 1
+    e = pp[1]
+    return e == 2 or _nilpotency_class(degree, tables) == e - 1
 
 
 def classify_sylow3_orbits(
-    g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS
+    g: PermGroup | GroupContext,
+    u: Subgroup,
+    report: FixityReport | None = None,
+    caps: Caps = DEFAULT_CAPS,
 ) -> Sylow3Classification:
     """Orbit shape of a Sylow 3-subgroup P on the coset space G/U.
 
     Delta is the union of P-orbits of length at most 3.  Exactly one of
     five shapes must hold for a fixity-4 action; none matching is reported
-    as a falsification with the orbit data.
+    as a falsification with the orbit data.  The coset action is taken from
+    ``report`` when it carries one, and built otherwise.
     """
     ctx = as_context(g, caps.elements)
-    action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
+    action = report.action if report is not None else None
+    if action is None:
+        action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
     p_order = p_part(ctx.n, 3)
     if p_order == 1:
         p_gens: list[ImageTable] = []
@@ -637,6 +627,76 @@ def classify_sylow3_orbits(
 
 
 # ---------------------------------------------------------------------------
+# the action pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class ActionEvaluation:
+    """One candidate action G/U, judged by its fixity, the descriptor of U,
+    the structural side conditions and the Sylow-3 orbit shape.
+
+    ``sylow3_case`` is None when the last two did not run.
+    """
+
+    report: FixityReport
+    descriptor_ok: bool
+    lemma_failures: list[str]
+    sylow3_case: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.report.fixity == 4 and self.descriptor_ok and not self.lemma_failures
+
+
+def evaluate_action(
+    g: PermGroup,
+    u: Subgroup,
+    descriptor: str | None = None,
+    report: FixityReport | None = None,
+    lemmas: bool = True,
+    caps: Caps = DEFAULT_CAPS,
+) -> ActionEvaluation:
+    """Fixity, descriptor match, structural side conditions and Sylow-3
+    orbit shape of G acting on G/U, with the coset action built once.
+
+    The fixity report is computed unless given (a search hit carries one);
+    ``descriptor`` is checked when given.  With ``lemmas`` set, a fixity-4
+    action whose descriptor matched gets the structural checks and the
+    Sylow-3 case, both on the report's coset action; they need that action,
+    so on the slow path check_structural_lemmas raises PreconditionError.
+    """
+    if report is None:
+        report = fixity(g, u, caps)
+    matches = descriptor is None or descriptor_matches(descriptor, StabView(u.group))
+    ev = ActionEvaluation(report, matches, [], None)
+    if lemmas and matches and report.fixity == 4:
+        ev.lemma_failures = check_structural_lemmas(g, u, report, caps).failures
+        ev.sylow3_case = classify_sylow3_orbits(g, u, report, caps).case
+    return ev
+
+
+def _search_and_assign(
+    g: PermGroup, k: int, expected: list[str], caps: Caps
+) -> tuple[list[FixityHit], list[str], str]:
+    """Fixity-k hits of G, the expected descriptor assigned to each hit, and
+    a failure detail ("" on success) when the orders or the structures
+    cannot be matched one to one."""
+    hits = search_fixity_k(g, k, caps)
+    found_orders = sorted(h.subgroup_class.order for h in hits)
+    want_orders = sorted(descriptor_order(d) for d in expected)
+    if found_orders != want_orders:
+        detail = f"stabilizer orders {found_orders} differ from expected {want_orders}"
+        return hits, [], detail
+    assign = match_descriptors(expected, [StabView.of(h.subgroup_class) for h in hits])
+    if assign is None:
+        return hits, [], "no assignment of descriptors to found classes"
+    descriptors = [""] * len(hits)
+    for i, d in enumerate(expected):
+        descriptors[assign[i]] = d
+    return hits, descriptors, ""
+
+
+# ---------------------------------------------------------------------------
 # the PSL2 family
 # ---------------------------------------------------------------------------
 
@@ -661,14 +721,7 @@ class FamilyRow:
     structural_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "order": self.order,
-            "degree": self.degree,
-            "fixity": self.fixity,
-            "sylow3_case": self.sylow3_case,
-            "structural_ok": self.structural_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -689,73 +742,37 @@ def _family_descriptor_borel_half(q: int) -> str:
     raise PreconditionError(f"no descriptor form for a degree-{n} kernel")
 
 
-def _check_family_row(
-    g: PermGroup, u: Subgroup, descriptor: str, caps: Caps, failures: list[str]
+def _family_row(
+    g: PermGroup, u: Subgroup, descriptor: str, ev: ActionEvaluation, failures: list[str]
 ) -> FamilyRow:
-    rep = fixity(g, u, caps)
-    ok = True
-    if rep.fixity != 4:
+    if ev.report.fixity != 4:
         failures.append(
-            f"constructed stabilizer of order {u.order} has fixity {rep.fixity}"
+            f"constructed stabilizer of order {u.order} has fixity {ev.report.fixity}"
         )
-        ok = False
-    if not descriptor_matches(descriptor, StabView(u.group)):
+    if not ev.descriptor_ok:
         failures.append(
             f"constructed stabilizer of order {u.order} does not match {descriptor}"
         )
-        ok = False
-    case = "-"
-    if ok:
-        checks = check_structural_lemmas(g, u, rep, caps)
-        if not checks.ok:
-            failures.extend(checks.failures)
-            ok = False
-        case = classify_sylow3_orbits(g, u, caps).case
+    failures.extend(ev.lemma_failures)
     return FamilyRow(
         descriptor=descriptor,
         order=u.order,
         degree=g.order // u.order,
-        fixity=rep.fixity,
-        sylow3_case=case,
-        structural_ok=ok,
+        fixity=ev.report.fixity,
+        sylow3_case=ev.sylow3_case or "-",
+        structural_ok=ev.ok,
     )
 
 
 def _family_small(q: int, caps: Caps) -> FamilyResult:
     g = psl2_spec(q).build()
-    expected = _SMALL_Q_ROWS[q]
-    failures: list[str] = []
-    hits = search_fixity_k(g, 4, caps)
+    hits, descriptors, detail = _search_and_assign(g, 4, _SMALL_Q_ROWS[q], caps)
+    failures = [detail] if detail else []
     rows: list[FamilyRow] = []
-    found_orders = sorted(h.subgroup_class.order for h in hits)
-    want_orders = sorted(descriptor_order(d) for d in expected)
-    if found_orders != want_orders:
-        failures.append(
-            f"stabilizer orders {found_orders} differ from expected {want_orders}"
-        )
-    else:
-        views = [StabView.of(h.subgroup_class) for h in hits]
-        assign = match_descriptors(expected, views)
-        if assign is None:
-            failures.append("no assignment of descriptors to found classes")
-        else:
-            desc_of = {assign[i]: expected[i] for i in range(len(expected))}
-            for j, h in enumerate(hits):
-                u = h.subgroup_class.representative
-                checks = check_structural_lemmas(g, u, h.report, caps)
-                if not checks.ok:
-                    failures.extend(checks.failures)
-                case = classify_sylow3_orbits(g, u, caps).case
-                rows.append(
-                    FamilyRow(
-                        descriptor=desc_of[j],
-                        order=h.subgroup_class.order,
-                        degree=h.degree,
-                        fixity=h.report.fixity,
-                        sylow3_case=case,
-                        structural_ok=checks.ok,
-                    )
-                )
+    for h, d in zip(hits, descriptors):
+        u = h.subgroup_class.representative
+        ev = evaluate_action(g, u, report=h.report, caps=caps)
+        rows.append(_family_row(g, u, d, ev, failures))
     verdict = "PASS" if not failures else "FAIL"
     return FamilyResult(q=q, verdict=verdict, rows=rows, failures=failures)
 
@@ -779,10 +796,8 @@ def _family_generic(q: int, caps: Caps) -> FamilyResult:
         u2 = subgroup_closure(g, list(g.generators[:n]) + [t2])
         if u2.order != q * (q - 1) // 4:
             raise GroupDataError(f"half-Borel subgroup has order {u2.order}")
-        rows.append(_check_family_row(g, u1, f"C{(q - 1) // 4}", caps, failures))
-        rows.append(
-            _check_family_row(g, u2, _family_descriptor_borel_half(q), caps, failures)
-        )
+        for u, d in ((u1, f"C{(q - 1) // 4}"), (u2, _family_descriptor_borel_half(q))):
+            rows.append(_family_row(g, u, d, evaluate_action(g, u, d, caps=caps), failures))
     elif q % 4 == 3:
         ctx = as_context(g, caps.elements)
         target = (q + 1) // 2
@@ -795,7 +810,8 @@ def _family_generic(q: int, caps: Caps) -> FamilyResult:
         u1 = subgroup_closure(g, [y2])
         if u1.order != (q + 1) // 4:
             raise GroupDataError(f"torus half has order {u1.order}")
-        rows.append(_check_family_row(g, u1, f"C{(q + 1) // 4}", caps, failures))
+        d = f"C{(q + 1) // 4}"
+        rows.append(_family_row(g, u1, d, evaluate_action(g, u1, d, caps=caps), failures))
     else:
         raise PreconditionError(f"q = {q} is even; only the small table covers it")
     verdict = "PASS" if not failures else "FAIL"
@@ -899,7 +915,7 @@ def check_order27_lemma() -> Order27Result:
                 f"{name}: expected 4 normal index-3 subgroups, found "
                 f"{[(sc.order, sc.class_size) for sc in index3]}"
             )
-        derived = _derived_tables(g.degree, tables)
+        derived = _commutator_tables(g.degree, tables, tables)
         if len(derived) != 3:
             raise GroupDataError(f"{name}: derived subgroup has order {len(derived)}")
         for si, sc in enumerate(index3):
@@ -961,12 +977,8 @@ def _find_element_of_order(g: PermGroup, n: int, limit: int = 200_000) -> ImageT
     """First element (in breadth-first word order over the generators) whose
     order is divisible by n, raised to the cofactor; deterministic."""
     gen_tables = g.gen_tables
-    seen: set[ImageTable] = {identity_table(g.degree)}
-    queue: list[ImageTable] = []
-    for t in gen_tables:
-        if t not in seen:
-            seen.add(t)
-            queue.append(t)
+    queue: list[ImageTable] = [identity_table(g.degree)]
+    seen: set[ImageTable] = set(queue)
     qi = 0
     while qi < len(queue):
         t = queue[qi]
@@ -987,36 +999,12 @@ def _normalizer_of_cyclic(g: PermGroup, y: ImageTable) -> Subgroup:
     """N_G(<y>) without enumerating G: conjugation orbit of the canonical
     generator of <y> with Schreier generators for the stabilizer."""
     degree = g.degree
-    start = canonical_generator(y, degree)
-    ident = identity_table(degree)
-    gen_tables = g.gen_tables
-    trans = {start: ident}
-    members = [start]
-    schreier: list[ImageTable] = []
-    seen_sgens: set[ImageTable] = set()
-    qi = 0
-    while qi < len(members):
-        cur = members[qi]
-        qi += 1
-        t_cur = trans[cur]
-        for gt in gen_tables:
-            nxt = canonical_generator(conjugate_table(cur, gt), degree)
-            if nxt not in trans:
-                trans[nxt] = compose_tables(t_cur, gt)
-                members.append(nxt)
-            else:
-                s = compose_tables(compose_tables(t_cur, gt), invert_table(trans[nxt]))
-                if s != ident and s not in seen_sgens:
-                    seen_sgens.add(s)
-                    schreier.append(s)
-    if g.order % len(members):
-        raise FalsificationError("conjugation orbit length does not divide |G|")
-    target = g.order // len(members)
-    chain = _greedy_chain(degree, [y] + schreier, target_order=target)
-    if chain.order != target:
-        raise FalsificationError(
-            f"normalizer order {chain.order} != |G|/orbit = {target}"
-        )
+    gens = g.gen_tables
+
+    def conjugate(c: ImageTable, j: int) -> ImageTable:
+        return canonical_generator(conjugate_table(c, gens[j]), degree)
+
+    _, chain = orbit_stabilizer(g, canonical_generator(y, degree), conjugate, [y])
     return Subgroup(chain, g)
 
 
@@ -1046,7 +1034,9 @@ def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
 def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
     k = claim.get("k", 4)
     expected = claim["expected"]
-    hits = search_fixity_k(g, k, caps)
+    hits, descriptors, detail = _search_and_assign(
+        g, k, [] if expected == "none" else expected, caps
+    )
     rows = [
         {
             "order": h.subgroup_class.order,
@@ -1062,43 +1052,31 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
                 cid, "FAIL", f"expected no fixity-{k} action, found orders {found}", rows
             )
         return ClaimResult(cid, "PASS", "", rows)
-
-    found_orders = sorted(h.subgroup_class.order for h in hits)
-    want_orders = sorted(descriptor_order(d) for d in expected)
-    if found_orders != want_orders:
-        return ClaimResult(
-            cid,
-            "FAIL",
-            f"stabilizer orders {found_orders} differ from expected {want_orders}",
-            rows,
-        )
-    views = [StabView.of(h.subgroup_class) for h in hits]
-    assign = match_descriptors(expected, views)
-    if assign is None:
-        return ClaimResult(
-            cid, "FAIL", "no assignment of descriptors to found classes", rows
-        )
-    for i, d in enumerate(expected):
-        rows[assign[i]]["descriptor"] = d
+    if detail:
+        return ClaimResult(cid, "FAIL", detail, rows)
+    for row, d in zip(rows, descriptors):
+        row["descriptor"] = d
     if k == 4 and claim.get("check_lemmas", True):
-        for j, h in enumerate(hits):
+        for row, h in zip(rows, hits):
             u = h.subgroup_class.representative
-            checks = check_structural_lemmas(g, u, h.report, caps)
-            if not checks.ok:
-                return ClaimResult(
-                    cid, "FAIL", "; ".join(checks.failures), rows
-                )
-            rows[j]["sylow3_case"] = classify_sylow3_orbits(g, u, caps).case
+            ev = evaluate_action(g, u, report=h.report, caps=caps)
+            if ev.lemma_failures:
+                return ClaimResult(cid, "FAIL", "; ".join(ev.lemma_failures), rows)
+            row["sylow3_case"] = ev.sylow3_case
     return ClaimResult(cid, "PASS", "", rows)
 
 
 def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
     k = claim.get("k", 4)
+    lemmas = k == 4 and claim.get("check_lemmas", True)
     rows: list[dict] = []
     for entry in claim["stabilizers"]:
         u = _build_stabilizer(g, entry["source"], caps)
         descriptor = entry["descriptor"]
         rep = fixity(g, u, caps)
+        # the slow path (G too large to enumerate) builds no coset action for
+        # the lemmas to work on; such claims check fixity and descriptor only
+        ev = evaluate_action(g, u, descriptor, rep, lemmas and not rep.slow_path, caps)
         row = {
             "order": u.order,
             "degree": g.order // u.order,
@@ -1114,18 +1092,17 @@ def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> Cl
                 f"stabilizer from {entry['source']} has fixity {rep.fixity}, wanted {k}",
                 rows,
             )
-        if not descriptor_matches(descriptor, StabView(u.group)):
+        if not ev.descriptor_ok:
             return ClaimResult(
                 cid,
                 "FAIL",
                 f"stabilizer from {entry['source']} does not match {descriptor}",
                 rows,
             )
-        if k == 4 and claim.get("check_lemmas", True) and not rep.slow_path:
-            checks = check_structural_lemmas(g, u, rep, caps)
-            if not checks.ok:
-                return ClaimResult(cid, "FAIL", "; ".join(checks.failures), rows)
-            row["sylow3_case"] = classify_sylow3_orbits(g, u, caps).case
+        if ev.lemma_failures:
+            return ClaimResult(cid, "FAIL", "; ".join(ev.lemma_failures), rows)
+        if ev.sylow3_case is not None:
+            row["sylow3_case"] = ev.sylow3_case
     return ClaimResult(cid, "PASS", "", rows)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import GroupDataError, NotBijectionError, ParseError, PreconditionError
-from .ffield import Field, FieldElement, is_prime, make_field, primitive_element
+from .ffield import Field, FieldElement, make_field, prime_power, primitive_element
 from .perm import PermGroup, Permutation, build_bsgs, pack_table
 
 
@@ -117,23 +117,6 @@ def dihedral(n: int) -> PermGroup:
 # ---------------------------------------------------------------------------
 # projective-line groups
 # ---------------------------------------------------------------------------
-
-def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, n) with q = p^n, or None."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                return None
-            n = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                n += 1
-            return (p, n) if t == 1 else None
-    return None
-
 
 def _projective_line(field: Field) -> tuple[list[FieldElement | None], dict]:
     """Points of PG(1, q): None encodes infinity, index 0; then field elements."""

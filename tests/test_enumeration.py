@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
@@ -246,3 +248,13 @@ def test_lagrange_over_lattice(group_cache):
     assert len(lattice) == 15
     for sc in lattice:
         assert math.gcd(sc.order, g.order) == sc.order
+
+
+def test_context_freed_with_group():
+    # the context lives on its group, so it must not keep the group alive
+    g = resolve_group("psl2_7")[1]
+    assert len(as_context(g).classes) == 6
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixitylab.errors import DegreeMismatchError, MembershipError, NotBijectionError
+from fixitylab.errors import (
+    DegreeMismatchError,
+    FalsificationError,
+    MembershipError,
+    NotBijectionError,
+)
 from fixitylab.perm import (
     PermGroup,
     Permutation,
@@ -16,6 +21,7 @@ from fixitylab.perm import (
     identity_table,
     invert_table,
     orbit,
+    orbit_stabilizer,
     pack_table,
     point_stabilizer,
     table_order,
@@ -199,3 +205,22 @@ def test_bsgs_order_equals_closure_size(n, seed):
                 elems.add(nxt)
                 frontier.append(nxt)
     assert len(elems) == g.order
+
+
+def test_orbit_stabilizer_point_action():
+    g = build_bsgs(
+        [Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]), Permutation.from_cycles(5, [(0, 1)])]
+    )
+    points, chain = orbit_stabilizer(g, 3, lambda p, j: g.gen_tables[j][p])
+    assert sorted(points) == [0, 1, 2, 3, 4] and points[0] == 3
+    assert chain.order == 24
+    assert all(t[3] == 3 for t in chain.element_tables())
+
+
+def test_orbit_stabilizer_cross_check():
+    # an "action" with an orbit of length 5 cannot be one of a group of order 24
+    g = build_bsgs(
+        [Permutation.from_cycles(4, [(0, 1, 2, 3)]), Permutation.from_cycles(4, [(0, 1)])]
+    )
+    with pytest.raises(FalsificationError):
+        orbit_stabilizer(g, 0, lambda s, j: (s + 1) % 5)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import fixitylab.cosets
+import fixitylab.verifier
 from fixitylab.cosets import Caps
 from fixitylab.enumeration import (
     as_context,
@@ -33,6 +35,7 @@ from fixitylab.verifier import (
     classify_sylow3_orbits,
     descriptor_matches,
     descriptor_order,
+    evaluate_action,
     load_claims,
     match_descriptors,
     run_claim,
@@ -435,3 +438,27 @@ def test_catalog_report_json(tmp_path):
     obj = json.loads(text)
     assert obj["counts"] == {"PASS": 2, "FAIL": 0, "SKIPPED": 1}
     assert [c["id"] for c in obj["claims"]] == ["s7", "doc", "o27"]
+
+
+def test_evaluate_action_builds_one_action(psl2_9, monkeypatch):
+    built = []
+    original = fixitylab.cosets.build_coset_action
+
+    def counting(*args, **kwargs):
+        built.append(args[1].order)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fixitylab.cosets, "build_coset_action", counting)
+    monkeypatch.setattr(fixitylab.verifier, "build_coset_action", counting)
+    by_order = {h.subgroup_class.order: h for h in search_fixity_k(psl2_9, 4)}
+    u = by_order[18].subgroup_class.representative
+    built.clear()
+    ev = evaluate_action(psl2_9, u, "(C3xC3):C2")
+    assert built == [18]
+    assert ev.report.fixity == 4 and ev.descriptor_ok and ev.ok
+    assert ev.lemma_failures == [] and ev.sylow3_case == "e"
+
+    built.clear()
+    wrong = evaluate_action(psl2_9, u, "D18")
+    assert built == [18]
+    assert not wrong.descriptor_ok and not wrong.ok and wrong.sylow3_case is None
