@@ -6,6 +6,7 @@ from .errors import (
     FalsificationError,
     FixityError,
     GroupDataError,
+    GroupNotFoundError,
     MembershipError,
     NotBijectionError,
     ParseError,

@@ -53,6 +53,7 @@ from .perm import (
     conjugate_table,
     identity_table,
     invert_table,
+    orbit_walk,
     pack_table,
     table_order,
 )
@@ -277,9 +278,7 @@ def fix_by_normalizer_formula(
     """|{<x>^g <= U}| * |N_G(<x>)| / |U|: the screen's count for the class
     of cyclic subgroups that <x> lies in."""
     ctx = as_context(g)
-    ix = ctx.index.get(x.images)
-    if ix is None:
-        raise MembershipError("element is not a member of the group")
+    ix = ctx.index_of(x.images)
     if ix == 0:
         return ctx.n // u.order
     return stabilizer_bundle_fixes(ctx, u)[ctx.bundle_of_class[ctx.class_of[ix]]]
@@ -290,34 +289,27 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
     normalizer index |N_G(<y>) : N_U(<y>)|."""
     ctx = as_context(g)
     t = x.images
-    ix = ctx.index.get(t)
-    if ix is None:
-        raise MembershipError("element is not a member of the group")
+    ix = ctx.index_of(t)
     if ix == 0:
         return ctx.n // u.order
     cx = ctx.class_of[ix]
     ng_order = ctx.bundles[ctx.bundle_of_class[cx]].normalizer_order
     u_gens = u.group.gen_tables
     members = [i for i in ctx.indices_of(u.group) if ctx.class_of[i] == cx]
-    elements = ctx.elements
+
+    def conj_by_u(fs: frozenset[int], j: int) -> frozenset[int]:
+        return frozenset(ctx.conj_index(k, u_gens[j]) for k in fs)
+
     seen: set[frozenset[int]] = set()
     total = 0
     for i in members:
         fsy = frozenset(
-            ctx.index[tab] for tab in _cyclic_tables(elements[i], ctx.group.degree)
+            ctx.index[tab] for tab in _cyclic_tables(ctx.elements[i], ctx.group.degree)
         )
         if fsy in seen:
             continue
-        orbit = {fsy}
-        stack = [fsy]
-        while stack:
-            cur = stack.pop()
-            for gt in u_gens:
-                nxt = frozenset(ctx.index[conjugate_table(elements[j], gt)] for j in cur)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    stack.append(nxt)
-        seen |= orbit
+        orbit = orbit_walk(fsy, conj_by_u, len(u_gens))
+        seen.update(orbit)
         # |N_U(<y>)| = |U| / (U-orbit length), so the index is
         # |N_G| * orbit / |U|
         val = ng_order * len(orbit)
@@ -344,9 +336,7 @@ def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> i
     if a % table_order(t) == 0:
         raise PreconditionError("element lies in the Frobenius kernel")
     ctx = as_context(g)
-    ix = ctx.index.get(t)
-    if ix is None:
-        raise MembershipError("element is not a member of the group")
+    ix = ctx.index_of(t)
     ng_order = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ix]]].normalizer_order
     if ng_order % b:
         raise FalsificationError(
@@ -392,14 +382,15 @@ def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
     Conjugation commutes with taking powers, so this is a stable label for
     the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
     """
-    o = table_order(t)
-    best = t
-    cur = t
-    for k in range(2, o):
-        cur = compose_tables(cur, t)
-        if math.gcd(k, o) == 1 and cur < best:
-            best = cur
-    return best
+    powers = _cyclic_tables(t, degree)
+    return min(p for k, p in enumerate(powers) if math.gcd(k, len(powers)) == 1)
+
+
+def cyclic_conjugation(g: PermGroup):
+    """G acting on its cyclic subgroups by conjugation, each labelled by its
+    canonical generator: ``act(c, j)`` is the label of <c>^(g_j)."""
+    gens = g.gen_tables
+    return lambda c, j: canonical_generator(conjugate_table(c, gens[j]), g.degree)
 
 
 def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
@@ -408,29 +399,17 @@ def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
     u_ctx = GroupContext(u.group, caps.elements)
     u_set = frozenset(u_ctx.elements)
     uo = u.group.order
-    degree = g.degree
-    gen_tables = g.gen_tables
+    act = cyclic_conjugation(g)
     best = 0
     seen: set[ImageTable] = set()
     for b in u_ctx.bundles:
-        y = u_ctx.elements[b.rep_index]
-        start = canonical_generator(y, degree)
+        start = canonical_generator(u_ctx.elements[b.rep_index], g.degree)
         if start in seen:
             continue
-        orbit = {start}
-        stack = [start]
-        in_u = 0
-        while stack:
-            cur = stack.pop()
-            # <cur> lies inside U exactly when its generator does
-            if cur in u_set:
-                in_u += 1
-            for gt in gen_tables:
-                nxt = canonical_generator(conjugate_table(cur, gt), degree)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    stack.append(nxt)
-        seen |= orbit
+        orbit = orbit_walk(start, act, len(g.generators))
+        seen.update(orbit)
+        # <c> lies inside U exactly when its generator does
+        in_u = sum(1 for c in orbit if c in u_set)
         if g.order % len(orbit):
             raise FalsificationError("subgroup orbit length does not divide |G|")
         val = in_u * (g.order // len(orbit))

@@ -11,7 +11,7 @@ with Schreier generators supplying the stabilizers.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import CapExceededError, FalsificationError, MembershipError, PreconditionError
@@ -25,9 +25,12 @@ from .perm import (
     build_bsgs,
     compose_tables,
     conjugate_table,
+    extend_chain,
     identity_table,
     invert_table,
+    orbit_partition,
     orbit_stabilizer,
+    orbit_walk,
     table_order,
     table_power,
 )
@@ -147,6 +150,13 @@ class GroupContext:
     def conj_index(self, i: int, g: ImageTable) -> int:
         return self.index[conjugate_table(self.elements[i], g)]
 
+    def index_of(self, t: ImageTable) -> int:
+        """Index of a member of the group."""
+        i = self.index.get(t)
+        if i is None:
+            raise MembershipError("element is not a member of the group")
+        return i
+
     def indices_of(self, sub: PermGroup) -> list[int]:
         """Element indices of a subgroup, in its sorted element order."""
         try:
@@ -158,32 +168,17 @@ class GroupContext:
 
     def _compute_classes(self) -> None:
         n = self.n
-        class_of = [-1] * n
+        class_of, orbits = orbit_partition(n, self.conj_tables)
         orders = [0] * n
         classes: list[ConjClass] = []
-        tabs = self.conj_tables
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(classes)
-            members = [start]
-            class_of[start] = cid
-            qi = 0
-            while qi < len(members):
-                cur = members[qi]
-                qi += 1
-                for ct in tabs:
-                    nxt = ct[cur]
-                    if class_of[nxt] < 0:
-                        class_of[nxt] = cid
-                        members.append(nxt)
+        for members in orbits:
+            start = members[0]
             o = table_order(self.elements[start])
             for m in members:
                 orders[m] = o
             size = len(members)
             if self.n % size:
                 raise MembershipError("class size does not divide the group order")
-            members.sort()
             classes.append(
                 ConjClass(
                     representative=Permutation(self.elements[start], _trusted=True),
@@ -191,7 +186,7 @@ class GroupContext:
                     element_order=o,
                     centralizer_order=self.n // size,
                     rep_index=start,
-                    indices=tuple(members),
+                    indices=tuple(sorted(members)),
                 )
             )
         if sum(c.size for c in classes) != n:
@@ -224,35 +219,20 @@ class GroupContext:
 
     def _compute_bundles(self) -> None:
         classes = self.classes
-        parent = list(range(len(classes)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for cid, c in enumerate(classes):
-            o = c.element_order
-            if o == 1:
-                continue
-            t = self.elements[c.rep_index]
-            for k in range(2, o):
-                if math.gcd(k, o) == 1:
-                    other = find(self.class_of[self.index[table_power(t, k)]])
-                    root = find(cid)
-                    if other != root:
-                        parent[max(root, other)] = min(root, other)
-        fused: dict[int, list[int]] = {}
-        for cid, c in enumerate(classes):
-            if c.element_order == 1:
-                continue
-            fused.setdefault(find(cid), []).append(cid)
+        bundle_of_class = [-1] * len(classes)
         bundles = []
-        for root in sorted(fused):
-            cids = sorted(fused[root])
-            c0 = classes[cids[0]]
+        for cid, c0 in enumerate(classes):
             o = c0.element_order
+            if o == 1 or bundle_of_class[cid] >= 0:
+                continue
+            # the generators of the conjugates of <x> are the conjugates of
+            # the generators x^k of <x>: their classes fuse into one bundle,
+            # phi(o) generators per subgroup
+            x = self.elements[c0.rep_index]
+            powers = (table_power(x, k) for k in range(1, o) if math.gcd(k, o) == 1)
+            cids = sorted({self.class_of[self.index[t]] for t in powers})
+            for c in cids:
+                bundle_of_class[c] = len(bundles)
             pairs = {(classes[c].element_order, classes[c].centralizer_order) for c in cids}
             if len(pairs) != 1:
                 raise FalsificationError(
@@ -260,8 +240,6 @@ class GroupContext:
                 )
             n_gen = sum(classes[c].size for c in cids)
             phi = euler_phi(o)
-            # the generators of the conjugates of <x> are exactly the fused
-            # classes, phi(o) generators per subgroup
             if n_gen % phi or (self.n * phi) % n_gen:
                 raise MembershipError("generator count inconsistent with phi(order)")
             bundles.append(
@@ -276,6 +254,7 @@ class GroupContext:
                 )
             )
         self._bundles = bundles
+        self._bundle_of_class = bundle_of_class
 
     @property
     def bundles(self) -> list[CyclicBundle]:
@@ -287,11 +266,7 @@ class GroupContext:
     def bundle_of_class(self) -> list[int]:
         """Class id -> bundle id; -1 for the identity class."""
         if self._bundle_of_class is None:
-            boc = [-1] * len(self.classes)
-            for bid, b in enumerate(self.bundles):
-                for cid in b.class_ids:
-                    boc[cid] = bid
-            self._bundle_of_class = boc
+            self._compute_bundles()
         return self._bundle_of_class
 
     # -- subgroup lattice -------------------------------------------------------
@@ -358,23 +333,18 @@ class GroupContext:
                 continue
             fs = rec["indices"]
             norm_gens = rec["normalizer"].gen_tables
+
+            def conj_by_normalizer(i: int, j: int) -> int:
+                return self.conj_index(i, norm_gens[j])
+
             visited = bytearray(n)
             for i in range(n):
                 if visited[i] or i in fs or not pp_order[i]:
                     continue
                 # i is the least index in its normalizer-orbit; mark the orbit
-                stack = [i]
-                visited[i] = 1
-                while stack:
-                    cur = stack.pop()
-                    for ng in norm_gens:
-                        nxt = self.conj_index(cur, ng)
-                        if not visited[nxt]:
-                            visited[nxt] = 1
-                            stack.append(nxt)
-                ext = build_bsgs(
-                    list(rec["chain"].gen_tables) + [self.elements[i]], degree=g.degree
-                )
+                for m in orbit_walk(i, conj_by_normalizer, len(norm_gens)):
+                    visited[m] = 1
+                ext = extend_chain(rec["chain"], [self.elements[i]])
                 if ext.order == n:
                     continue
                 fs2 = frozenset(self.index[t] for t in ext.element_tables())
@@ -471,9 +441,7 @@ def centralizer(
     """C_G(x), via the conjugation orbit of x and its Schreier generators."""
     ctx = as_context(g, cap)
     t = x.images if isinstance(x, Permutation) else x
-    ix = ctx.index.get(t)
-    if ix is None:
-        raise MembershipError("element is not a member of the group")
+    ix = ctx.index_of(t)
     conj = ctx.conj_tables
     _, chain = orbit_stabilizer(ctx.group, ix, lambda i, j: conj[j][i], [t])
     return Subgroup(chain, ctx.group)
@@ -527,7 +495,7 @@ def sylow(g: PermGroup | GroupContext, p: int, cap: int = ELEMENT_CAP) -> Subgro
         for t in norm.group.element_tables():
             o = table_order(t)
             if o > 1 and o == p_part(o, p) and not chain.contains_table(t):
-                chain = build_bsgs(list(chain.gen_tables) + [t], degree=ctx.group.degree)
+                chain = extend_chain(chain, [t])
                 grown = True
                 break
         if not grown:
@@ -568,9 +536,7 @@ def structure_predicates(u: Subgroup | PermGroup) -> StructureRecord:
     n = len(tables)
     degree = grp.degree
     orders = [table_order(t) for t in tables]
-    counts: dict[int, int] = {}
-    for o in orders:
-        counts[o] = counts.get(o, 0) + 1
+    counts = Counter(orders)
     exponent = math.lcm(*counts.keys())
     max_order = max(orders)
     gen_tables = grp.gen_tables

@@ -25,6 +25,10 @@ class GroupDataError(FixityError):
     """A group file or a zoo construction failed an integrity check."""
 
 
+class GroupNotFoundError(GroupDataError):
+    """A group selector names no constructor, packaged file or data file."""
+
+
 class ParseError(GroupDataError):
     """A group file could not be parsed.
 

@@ -239,7 +239,8 @@ class PermGroup:
     it to the inverse of that element as a sifting operand (for bytes, the
     padded translate table).  ``strong_gens[i]`` are the strong generators
     fixing ``base[:i]`` pointwise.  Construction is through
-    :func:`build_bsgs` only; instances are treated as immutable.
+    :func:`build_bsgs` and :func:`extend_chain`, or by taking levels 1.. of
+    such a chain (:func:`point_stabilizer`); instances are immutable.
     """
 
     degree: int
@@ -338,35 +339,55 @@ def build_bsgs(
     base_hint: Sequence[int] = (),
     degree: int | None = None,
 ) -> PermGroup:
-    """Deterministic (non-randomized) Schreier-Sims.
+    """Deterministic (non-randomized) Schreier-Sims: :func:`extend_chain`
+    on the trivial chain whose base is ``base_hint``.
 
     Base points are chosen as the first moved point of the offending
     generator whenever the chain must grow, after consuming ``base_hint``
     verbatim; the result depends only on the generator order, never on
-    randomness.  Verification is bottom-up with the classic pointer walk:
-    every Schreier generator of a verified level sifts to the identity.
+    randomness.  The trivial group's generator list is the identity.
     """
-    if not gens:
-        if degree is None:
-            raise ValueError("empty generator list needs an explicit degree")
-        ident_perm = Permutation.identity(degree)
-        return PermGroup(degree, [ident_perm], [], [], [], [], 1, _elements=[ident_perm.images])
+    if not gens and degree is None:
+        raise ValueError("empty generator list needs an explicit degree")
     perms = [g if isinstance(g, Permutation) else Permutation(g) for g in gens]
     deg = degree if degree is not None else perms[0].degree
-    for p in perms:
-        if p.degree != deg:
-            raise DegreeMismatchError(f"mixed degrees {deg} and {p.degree}")
+    tables = [p.images for p in perms] or [identity_table(deg)]
+    return extend_chain(_trivial_chain(deg, base_hint), tables)
 
+
+def _trivial_chain(degree: int, base: Sequence[int] = ()) -> PermGroup:
+    """The trivial group with no generators, as a chain on the given base."""
+    ident = identity_table(degree)
+    inv = padded(ident) if type(ident) is bytes else ident
+    return PermGroup(
+        degree, [], list(base), [[] for _ in base], [{b: ident} for b in base],
+        [{b: inv} for b in base], 1,
+    )
+
+
+def extend_chain(chain: PermGroup, tables: Sequence[ImageTable]) -> PermGroup:
+    """The chain of <chain, tables>; the input chain is left unchanged.
+
+    The tables are inserted as strong generators at level 0 and verified
+    bottom-up with the classic pointer walk: every Schreier generator of a
+    verified level sifts to the identity.  The result's generators are the
+    chain's followed by the tables.
+    """
+    deg = chain.degree
+    for t in tables:
+        if len(t) != deg:
+            raise DegreeMismatchError(f"mixed degrees {deg} and {len(t)}")
     ident = identity_table(deg)
-    base: list[int] = [b for b in base_hint]
-    sgens: list[list[ImageTable]] = [[] for _ in base]
-    transversals: list[dict[int, ImageTable]] = [{} for _ in base]
-    # Per level, rebuilt with its orbit: the strong generators and the
-    # inverse of each transversal element as operands of ``act``, and the
-    # verification cursor (index of the next Schreier generator to sift).
+    base = list(chain.base)
+    sgens = [list(lvl) for lvl in chain.strong_gens]
+    transversals = list(chain.transversals)
+    inverses = list(chain.inverses)
+    # Per level, rebuilt with its orbit: the strong generators as operands of
+    # ``act`` and the verification cursor (index of the next Schreier
+    # generator to sift).  A level of the input chain has no operands until
+    # it is rebuilt, so its scan is empty: it is verified already.
     gen_acts: list[list[ImageTable]] = [[] for _ in base]
-    inverses: list[dict[int, ImageTable]] = [{} for _ in base]
-    cursor: list[int] = [0 for _ in base]
+    cursor = [0 for _ in base]
 
     # act(a, t) is the image table of a*t, for t prepared once per table as a
     # translate table (bytes) or left as it is (tuple).  Every table here has
@@ -401,40 +422,33 @@ def build_bsgs(
         inverses[i] = {pt: inverse_operand(u) for pt, u in trans.items()}
         cursor[i] = 0
 
-    def new_level(g: ImageTable) -> None:
-        b = _least_moved(g)
-        if b is None:
-            raise FalsificationError(
-                f"a new base level was requested for the identity {g!r}"
-            )
-        base.append(b)
-        sgens.append([])
-        transversals.append({})
-        gen_acts.append([])
-        inverses.append({})
-        cursor.append(0)
-
     def insert_gen(g: ImageTable, from_level: int) -> int:
-        """Record g as a strong generator at levels from_level..j; return j."""
+        """Record g as a strong generator at levels from_level..j, with a
+        new level if g fixes every base point from from_level on; return j."""
         j = from_level
         while j < len(base) and g[base[j]] == base[j]:
             j += 1
         if j == len(base):
-            new_level(g)
+            b = _least_moved(g)
+            if b is None:
+                raise FalsificationError(
+                    f"a new base level was requested for the identity {g!r}"
+                )
+            base.append(b)
+            sgens.append([])
+            transversals.append({})
+            gen_acts.append([])
+            inverses.append({})
+            cursor.append(0)
         for lvl in range(from_level, j + 1):
             sgens[lvl].append(g)
             rebuild_orbit(lvl)
         return j
 
-    # seed with the input generators (identities dropped)
-    for p in perms:
-        t = p.images
+    # seed with the new tables (identities dropped)
+    for t in tables:
         if t != ident:
             insert_gen(t, 0)
-
-    if not base:
-        # trivial group
-        return PermGroup(deg, perms, [], [], [], [], 1, _elements=[ident])
 
     # Each level resumes at its cursor: a Schreier generator that sifted to
     # the identity stays a member once the deeper levels have grown and been
@@ -463,7 +477,8 @@ def build_bsgs(
     order = 1
     for trans in transversals:
         order *= len(trans)
-    return PermGroup(deg, perms, base, sgens, transversals, inverses, order)
+    generators = chain.generators + [Permutation(t, _trusted=True) for t in tables]
+    return PermGroup(deg, generators, base, sgens, transversals, inverses, order)
 
 
 def _greedy_chain(
@@ -471,16 +486,51 @@ def _greedy_chain(
     tables: list[ImageTable],
     target_order: int | None = None,
 ) -> PermGroup:
-    """BSGS from a redundant table list, keeping only non-member generators."""
-    gens: list[ImageTable] = []
-    chain = build_bsgs([], degree=degree)
+    """BSGS from a redundant table list, keeping only non-member generators;
+    the kept tables are the generators of the result."""
+    chain = _trivial_chain(degree)
     for t in tables:
         if target_order is not None and chain.order == target_order:
             break
         if not chain.contains_table(t):
-            gens.append(t)
-            chain = build_bsgs(gens, degree=degree)
+            chain = extend_chain(chain, [t])
     return chain
+
+
+def orbit_walk(start, act, n_gens: int) -> list:
+    """Orbit of a hashable state in breadth-first discovery order, where
+    ``act(state, j)`` is its image under the j-th of ``n_gens`` generators."""
+    seen = {start}
+    members = [start]
+    for cur in members:
+        for j in range(n_gens):
+            nxt = act(cur, j)
+            if nxt not in seen:
+                seen.add(nxt)
+                members.append(nxt)
+    return members
+
+
+def orbit_partition(n: int, tables: Sequence) -> tuple[list[int], list[list[int]]]:
+    """Orbits of the points 0..n-1 under index maps, ``tables[j][p]`` being
+    the image of p under the j-th generator: ``(orbit_of, orbits)``, the
+    orbits numbered by least point and listed in breadth-first order."""
+    orbit_of = [-1] * n
+    orbits: list[list[int]] = []
+    for start in range(n):
+        if orbit_of[start] >= 0:
+            continue
+        oid = len(orbits)
+        orbit_of[start] = oid
+        members = [start]
+        for cur in members:
+            for t in tables:
+                nxt = t[cur]
+                if orbit_of[nxt] < 0:
+                    orbit_of[nxt] = oid
+                    members.append(nxt)
+        orbits.append(members)
+    return orbit_of, orbits
 
 
 def orbit_stabilizer(
@@ -581,17 +631,20 @@ def orbit(g: PermGroup, point: int) -> OrbitTransversal:
 
 
 def point_stabilizer(g: PermGroup, point: int) -> Subgroup:
-    """Stabilizer of a point, through a BSGS rebuilt with that point first."""
+    """Stabilizer of a point: levels 1.. of a chain of g with that point
+    first, generated by the strong generators of level 1 (the identity when
+    it is trivial)."""
     if not 0 <= point < g.degree:
         raise ValueError(f"point {point} out of range for degree {g.degree}")
-    chain = build_bsgs(g.generators, base_hint=[point])
-    stab_tables = chain.strong_gens[1] if len(chain.base) > 1 else []
-    orbit_len = len(chain.transversals[0]) if chain.base else 1
-    stab = build_bsgs(
-        [Permutation(t, _trusted=True) for t in stab_tables], degree=g.degree
-    )
-    if stab.order * orbit_len != g.order:
+    chain = build_bsgs(g.generators, base_hint=[point], degree=g.degree)
+    if chain.order != g.order:
         raise MembershipError(
-            f"orbit-stabilizer violated: {orbit_len} * {stab.order} != {g.order}"
+            f"chain based at {point} has order {chain.order}, the group {g.order}"
         )
+    stab_gens = chain.strong_gens[1] if len(chain.base) > 1 else [identity_table(g.degree)]
+    stab = PermGroup(
+        g.degree, [Permutation(t, _trusted=True) for t in stab_gens], chain.base[1:],
+        chain.strong_gens[1:], chain.transversals[1:], chain.inverses[1:],
+        g.order // len(chain.transversals[0]),
+    )
     return Subgroup(stab, g)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -41,6 +42,7 @@ from .cosets import (
     build_coset_action,
     canonical_generator,
     coset_stabilizer_tables,
+    cyclic_conjugation,
     fixed_cosets,
     fixity,
     stabilizer_bundle_fixes,
@@ -60,6 +62,7 @@ from .errors import (
     CapExceededError,
     FalsificationError,
     GroupDataError,
+    GroupNotFoundError,
     MembershipError,
     PreconditionError,
 )
@@ -70,28 +73,37 @@ from .perm import (
     Permutation,
     Subgroup,
     _greedy_chain,
-    build_bsgs,
     compose_tables,
     conjugate_table,
     identity_table,
     invert_table,
+    orbit_partition,
     orbit_stabilizer,
     pack_table,
     point_stabilizer,
     table_order,
     table_power,
 )
-from .zoo import psl2_spec, resolve_group
+from .zoo import GroupSpec, psl2_spec, resolve_group
 
 # ---------------------------------------------------------------------------
 # stabilizer descriptors
 # ---------------------------------------------------------------------------
 
-_CYCLIC_RE = re.compile(r"^C(\d+)$")
-_DIHEDRAL_RE = re.compile(r"^D(\d+)$")
-_ELAB_RE = re.compile(r"^C(\d+)xC(\d+)$")
-_FROB_RE = re.compile(r"^C(\d+):C(\d+)$")
-_FROB_ELAB_RE = re.compile(r"^\(C(\d+)xC(\d+)\):C(\d+)$")
+# descriptor forms with integer parameters; the order of each is the
+# product of its parameters
+_DESCRIPTOR_FORMS = (
+    ("cyclic", re.compile(r"^C(\d+)$")),
+    ("dihedral", re.compile(r"^D(\d+)$")),
+    ("elementary_abelian", re.compile(r"^C(\d+)xC(\d+)$")),
+    ("frobenius", re.compile(r"^C(\d+):C(\d+)$")),
+    ("frobenius_elab", re.compile(r"^\(C(\d+)xC(\d+)\):C(\d+)$")),
+)
+# descriptors that name one group, with its order
+_NAMED_ORDERS = {
+    "S3": 6, "A4": 12, "A5": 60, "A6": 360, "PSL2(11)": 660, "M11": 7920,
+    "((C3xC3):C3):C8": 216,
+}
 
 
 class StabView:
@@ -135,59 +147,46 @@ class StabView:
         return norm, StabView(syl.group)
 
 
+def parse_descriptor(name: str) -> tuple[str, tuple[int, ...]]:
+    """(form, params) of a descriptor string: a named group is its own form
+    with no params."""
+    if name in _NAMED_ORDERS:
+        return name, ()
+    for form, regex in _DESCRIPTOR_FORMS:
+        m = regex.match(name)
+        if m:
+            return form, tuple(int(x) for x in m.groups())
+    raise GroupDataError(f"unknown stabilizer descriptor {name!r}")
+
+
 def descriptor_order(name: str) -> int:
     """Group order implied by a descriptor string."""
-    if name == "((C3xC3):C3):C8":
-        return 216
-    m = _CYCLIC_RE.match(name)
-    if m:
-        return int(m.group(1))
-    m = _DIHEDRAL_RE.match(name)
-    if m:
-        return int(m.group(1))
-    m = _ELAB_RE.match(name)
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
-        return a * b
-    m = _FROB_RE.match(name)
-    if m:
-        return int(m.group(1)) * int(m.group(2))
-    m = _FROB_ELAB_RE.match(name)
-    if m:
-        a, b, c = (int(x) for x in m.groups())
-        return a * b * c
-    fixed = {"S3": 6, "A4": 12, "A5": 60, "A6": 360, "PSL2(11)": 660, "M11": 7920}
-    if name in fixed:
-        return fixed[name]
-    raise GroupDataError(f"unknown stabilizer descriptor {name!r}")
+    form, params = parse_descriptor(name)
+    return _NAMED_ORDERS[form] if form in _NAMED_ORDERS else math.prod(params)
 
 
 def descriptor_matches(name: str, view: StabView) -> bool:
     """Does the subgroup behind ``view`` satisfy the descriptor?"""
     if view.order != descriptor_order(name):
         return False
+    form, params = parse_descriptor(name)
     rec = view.record
-    m = _CYCLIC_RE.match(name)
-    if m:
+    if form == "cyclic":
         return rec.is_cyclic
-    m = _DIHEDRAL_RE.match(name)
-    if m:
+    if form in ("dihedral", "S3"):
         return rec.is_dihedral
-    m = _ELAB_RE.match(name)
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
+    if form == "elementary_abelian":
+        a, b = params
         return a == b and rec.is_elementary_abelian
-    m = _FROB_RE.match(name)
-    if m:
-        k, j = int(m.group(1)), int(m.group(2))
+    if form == "frobenius":
+        k, j = params
         return (
             rec.is_frobenius_cyclic_complement
             and rec.frobenius_kernel_order == k
             and rec.frobenius_complement_order == j
         )
-    m = _FROB_ELAB_RE.match(name)
-    if m:
-        a, b, c = (int(x) for x in m.groups())
+    if form == "frobenius_elab":
+        a, b, c = params
         # elementary abelian kernel is pinned by the exponent: lcm(a, c)
         # rather than lcm(a*b, c) for the cyclic-kernel group of equal order
         return (
@@ -197,14 +196,9 @@ def descriptor_matches(name: str, view: StabView) -> bool:
             and rec.frobenius_complement_order == c
             and rec.exponent == math.lcm(a, c)
         )
-    if name == "S3":
-        return rec.is_dihedral
-    if name == "A4":
+    if form == "A4":
         return not rec.is_abelian and rec.n_involutions == 3
-    if name in ("A5", "A6", "PSL2(11)", "M11"):
-        # among the orders involved, the simple group is unique
-        return view.is_simple
-    if name == "((C3xC3):C3):C8":
+    if form == "((C3xC3):C3):C8":
         if rec.count_of_order(8) == 0:
             return False
         norm, syl_view = view.normal_sylow(3)
@@ -215,7 +209,8 @@ def descriptor_matches(name: str, view: StabView) -> bool:
             and not srec.is_abelian
             and srec.exponent == 3
         )
-    raise GroupDataError(f"unknown stabilizer descriptor {name!r}")
+    # A5, A6, PSL2(11), M11: among these orders the simple group is unique
+    return view.is_simple
 
 
 def match_descriptors(expected: list[str], views: list[StabView]) -> list[int] | None:
@@ -346,10 +341,7 @@ def check_structural_lemmas(
     cyclic_indices: list[tuple[int, int]] = []
     for b in u_ctx.bundles:
         y = u_ctx.elements[b.rep_index]
-        gi = ctx.index.get(y)
-        if gi is None:
-            raise MembershipError("stabilizer element missing from the group")
-        gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[gi]]]
+        gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ctx.index_of(y)]]]
         if gb.normalizer_order % b.normalizer_order:
             raise FalsificationError(
                 "N_U(Y) order does not divide N_G(Y) order; index computation broken"
@@ -548,34 +540,12 @@ def classify_sylow3_orbits(
         p_gens = p_sub.group.gen_tables
         p_tables = p_sub.group.element_tables()
     rows = _coset_images(action, p_gens)
-    gen_rows = [rows[gt] for gt in p_gens]
-
-    orbit_of = [-1] * action.degree
-    orbits: list[list[int]] = []
-    for start in range(action.degree):
-        if orbit_of[start] >= 0:
-            continue
-        oid = len(orbits)
-        members = [start]
-        orbit_of[start] = oid
-        qi = 0
-        while qi < len(members):
-            cur = members[qi]
-            qi += 1
-            for grow in gen_rows:
-                nxt = grow[cur]
-                if orbit_of[nxt] < 0:
-                    orbit_of[nxt] = oid
-                    members.append(nxt)
-        orbits.append(members)
+    _, orbits = orbit_partition(action.degree, [rows[gt] for gt in p_gens])
 
     delta_orbits = [o for o in orbits if len(o) <= 3]
     delta_size = sum(len(o) for o in delta_orbits)
     outside = [o for o in orbits if len(o) > 3]
-    sizes: dict[int, int] = {}
-    for o in orbits:
-        sizes[len(o)] = sizes.get(len(o), 0) + 1
-    size_pairs = tuple(sorted(sizes.items()))
+    size_pairs = tuple(sorted(Counter(len(o) for o in orbits).items()))
 
     def result(case: str) -> Sylow3Classification:
         return Sylow3Classification(
@@ -858,20 +828,14 @@ def _unitriangular27() -> PermGroup:
 
     a = mat_perm(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     b = mat_perm(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
-    g = build_bsgs([a, b])
-    if g.order != 27:
-        raise GroupDataError(f"unitriangular construction has order {g.order}")
-    return g
+    return GroupSpec("exponent3", 27, [a, b], 27).build()
 
 
 def _affine27() -> PermGroup:
     """Exponent-9 group: x -> x+1 and x -> 4x on Z/9."""
     a = Permutation(pack_table([(i + 1) % 9 for i in range(9)]), _trusted=True)
     b = Permutation(pack_table([(4 * i) % 9 for i in range(9)]), _trusted=True)
-    g = build_bsgs([a, b])
-    if g.order != 27:
-        raise GroupDataError(f"affine construction has order {g.order}")
-    return g
+    return GroupSpec("exponent9", 9, [a, b], 27).build()
 
 
 @dataclass(frozen=True)
@@ -998,13 +962,8 @@ def _find_element_of_order(g: PermGroup, n: int, limit: int = 200_000) -> ImageT
 def _normalizer_of_cyclic(g: PermGroup, y: ImageTable) -> Subgroup:
     """N_G(<y>) without enumerating G: conjugation orbit of the canonical
     generator of <y> with Schreier generators for the stabilizer."""
-    degree = g.degree
-    gens = g.gen_tables
-
-    def conjugate(c: ImageTable, j: int) -> ImageTable:
-        return canonical_generator(conjugate_table(c, gens[j]), degree)
-
-    _, chain = orbit_stabilizer(g, canonical_generator(y, degree), conjugate, [y])
+    start = canonical_generator(y, g.degree)
+    _, chain = orbit_stabilizer(g, start, cyclic_conjugation(g), [y])
     return Subgroup(chain, g)
 
 
@@ -1106,25 +1065,33 @@ def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> Cl
     return ClaimResult(cid, "PASS", "", rows)
 
 
+# the keys each decidable claim mode reads
+_REQUIRED_KEYS = {
+    "search": ("group", "expected"),
+    "stabilizers": ("group", "stabilizers"),
+    "psl2_family": ("q",),
+    "order27": (),
+}
+
+
 def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
-    """Execute one claim; missing data degrades to SKIPPED, never to PASS."""
+    """Execute one claim.
+
+    SKIPPED means the claim was not decided: it is documented only, its
+    mode is unknown, its group cannot be resolved, or a cap was exceeded.
+    Every other failure, bad group data included, is FAIL.
+    """
     cid = claim["id"]
-    mode = claim.get("mode", "search")
+    mode = claim.get("mode")
+    if mode == "documented":
+        return ClaimResult(cid, "SKIPPED", claim.get("note", "documented only"), [])
+    if mode not in _REQUIRED_KEYS:
+        return ClaimResult(cid, "SKIPPED", f"unknown claim mode {mode!r}", [])
     try:
-        if mode == "documented":
-            return ClaimResult(cid, "SKIPPED", claim.get("note", "documented only"), [])
         ccaps = _merge_caps(caps, claim.get("caps"))
         if mode == "order27":
             res = check_order27_lemma()
-            rows = [
-                {
-                    "group": p.group,
-                    "subgroup_index": p.subgroup_index,
-                    "elements_checked": p.elements_checked,
-                    "ok": p.ok,
-                }
-                for p in res.pairs
-            ]
+            rows = [asdict(p) for p in res.pairs]
             if res.all_ok and len(res.pairs) == 8:
                 return ClaimResult(cid, "PASS", "", rows)
             return ClaimResult(cid, "FAIL", "a pair failed the coset identity", rows)
@@ -1133,20 +1100,15 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
             return ClaimResult(
                 cid, fam.verdict, "; ".join(fam.failures), [r.to_dict() for r in fam.rows]
             )
-        if mode not in ("search", "stabilizers"):
-            raise GroupDataError(f"unknown claim mode {mode!r}")
         name, g = resolve_group(claim["group"])
         if mode == "search":
             return _run_search_claim(cid, claim, g, ccaps)
         return _run_stabilizer_claim(cid, claim, g, ccaps)
-    except KeyError as e:
-        # malformed entry; one bad claim must not abort the catalog
-        return ClaimResult(cid, "SKIPPED", f"claim is missing key {e}", [])
-    except GroupDataError as e:
+    except GroupNotFoundError as e:
         return ClaimResult(cid, "SKIPPED", str(e), [])
     except CapExceededError as e:
         return ClaimResult(cid, "SKIPPED", f"cap exceeded: {e}", [])
-    except (FalsificationError, PreconditionError, MembershipError) as e:
+    except (GroupDataError, FalsificationError, PreconditionError, MembershipError) as e:
         return ClaimResult(cid, "FAIL", str(e), [])
 
 
@@ -1156,6 +1118,8 @@ def _claim_worker(payload: tuple[dict, Caps]) -> ClaimResult:
 
 
 def load_claims(path: str | Path) -> list[dict]:
+    """The claims of a catalog file, each checked for an id unique in the
+    file and for the keys its mode reads."""
     data = json.loads(Path(path).read_text())
     claims = data["claims"] if isinstance(data, dict) else data
     seen: set[str] = set()
@@ -1165,6 +1129,13 @@ def load_claims(path: str | Path) -> list[dict]:
         if c["id"] in seen:
             raise GroupDataError(f"duplicate claim id {c['id']!r}")
         seen.add(c["id"])
+        mode = c.get("mode")
+        needed = [(c, k) for k in _REQUIRED_KEYS.get(mode, ())]
+        if mode == "stabilizers":
+            needed += [(e, k) for e in c.get("stabilizers", []) for k in ("source", "descriptor")]
+        for obj, key in needed:
+            if key not in obj:
+                raise GroupDataError(f"{mode} claim {c['id']!r} lacks the key {key!r}")
     return claims
 
 

@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import GroupDataError, NotBijectionError, ParseError, PreconditionError
+from .errors import GroupDataError, GroupNotFoundError, NotBijectionError, ParseError
+from .errors import PreconditionError
 from .ffield import Field, FieldElement, make_field, prime_power, primitive_element
 from .perm import PermGroup, Permutation, build_bsgs, pack_table
 
@@ -34,7 +35,7 @@ class GroupSpec:
     expected_order: int | None = None
 
     def build(self) -> PermGroup:
-        g = build_bsgs(self.generators)
+        g = build_bsgs(self.generators, degree=self.degree)
         if self.expected_order is not None and g.order != self.expected_order:
             raise GroupDataError(
                 f"{self.name}: constructed order {g.order}, expected {self.expected_order}"
@@ -84,8 +85,6 @@ def alt_spec(n: int) -> GroupSpec:
 def cyclic_spec(n: int) -> GroupSpec:
     if n < 1:
         raise PreconditionError("cyclic(n) needs n >= 1")
-    if n == 1:
-        return GroupSpec("cyclic_1", 1, [Permutation.identity(1)], 1)
     return GroupSpec(f"cyclic_{n}", n, [Permutation.from_cycles(n, [tuple(range(n))])], n)
 
 
@@ -266,8 +265,6 @@ def load_spec(path: str | Path, name: str | None = None) -> GroupSpec:
             raise ParseError(str(exc), lineno) from exc
     if degree is None:
         raise ParseError("empty group file", 1)
-    if not gens:
-        gens = [Permutation.identity(degree)]
     return GroupSpec(name or path.stem, degree, gens, expected)
 
 
@@ -328,7 +325,9 @@ def resolve_spec(selector: str) -> GroupSpec:
     literal = Path(selector)
     if literal.is_file():
         return load_spec(literal)
-    raise GroupDataError(f"cannot resolve group {selector!r} (no zoo name, packaged data, or file)")
+    raise GroupNotFoundError(
+        f"cannot resolve group {selector!r} (no zoo name, packaged data, or file)"
+    )
 
 
 def resolve_group(selector: str) -> tuple[str, PermGroup]:

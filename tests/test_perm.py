@@ -18,10 +18,13 @@ from fixitylab.perm import (
     build_bsgs,
     compose_tables,
     conjugate_table,
+    extend_chain,
     identity_table,
     invert_table,
     orbit,
+    orbit_partition,
     orbit_stabilizer,
+    orbit_walk,
     pack_table,
     point_stabilizer,
     table_order,
@@ -179,6 +182,13 @@ def test_point_stabilizer_order_and_fixed_point(sym4):
         point_stabilizer(sym4, 9)
 
 
+def test_point_stabilizer_of_trivial_group():
+    # a hinted base point that no generator reaches still gets its orbit
+    assert build_bsgs([Permutation.identity(4)], base_hint=[0]).order == 1
+    assert build_bsgs([Permutation.from_cycles(5, [(0, 1)])], base_hint=[0, 2]).order == 2
+    assert point_stabilizer(build_bsgs([], degree=4), 0).order == 1
+
+
 @settings(max_examples=25)
 @given(st.integers(3, 30), st.integers(0, 10**6))
 # inputs that once exceeded the deadline, and the slowest degree-30 pair seen
@@ -224,3 +234,47 @@ def test_orbit_stabilizer_cross_check():
     )
     with pytest.raises(FalsificationError):
         orbit_stabilizer(g, 0, lambda s, j: (s + 1) % 5)
+
+
+@settings(max_examples=25)
+@given(st.integers(3, 7), st.integers(0, 10**6))
+def test_extend_chain_matches_rebuild(n, seed):
+    rng = random.Random(seed)
+
+    def element():
+        # small powers too, so that A and <A, B> are often proper subgroups
+        return table_power(random_table(n, rng.randrange(10**6)), rng.randrange(1, 4))
+
+    a = [element() for _ in range(rng.randint(1, 2))]
+    b = [element() for _ in range(rng.randint(1, 2))]
+    chain = build_bsgs(a)
+    before = (list(chain.base), [list(lvl) for lvl in chain.strong_gens], chain.order)
+    ext = extend_chain(chain, b)
+    full = build_bsgs(a + b)
+    assert ext.order == full.order
+    assert ext.element_tables() == full.element_tables()
+    assert [p.images for p in ext.generators] == a + b
+    assert (chain.base, chain.strong_gens, chain.order) == before
+
+
+def _two_orbit_group():
+    return build_bsgs(
+        [Permutation.from_cycles(8, [(0, 1, 2)]), Permutation.from_cycles(8, [(3, 4), (5, 6)])]
+    )
+
+
+def test_orbit_partition_point_action():
+    g = _two_orbit_group()
+    orbit_of, orbits = orbit_partition(g.degree, g.gen_tables)
+    assert [o[0] for o in orbits] == [0, 3, 5, 7]
+    for p in range(g.degree):
+        assert sorted(orbits[orbit_of[p]]) == sorted(orbit(g, p).points)
+
+
+def test_orbit_walk_point_action():
+    g = _two_orbit_group()
+    tables = g.gen_tables
+    for p in range(g.degree):
+        points = orbit_walk(p, lambda q, j: tables[j][q], len(tables))
+        assert points[0] == p
+        assert sorted(points) == sorted(orbit(g, p).points)

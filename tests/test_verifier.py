@@ -309,6 +309,28 @@ def test_run_claim_missing_group_skips():
     assert "resolve" in r.detail
 
 
+def test_run_claim_wrong_order_pledge_fails(tmp_path, monkeypatch):
+    (tmp_path / "swap3.grp").write_text("degree 3\norder 5\n2 1 3\n")
+    monkeypatch.setenv("FIXITYLAB_DATA", str(tmp_path))
+    r = run_claim({"id": "c", "mode": "search", "group": "swap3", "expected": "none"})
+    assert r.verdict == "FAIL"
+    assert "expected 5" in r.detail
+
+
+def test_run_claim_missing_element_fails():
+    # psl2_7 has no element of order 5
+    r = run_claim(
+        {
+            "id": "c",
+            "mode": "stabilizers",
+            "group": "psl2_7",
+            "stabilizers": [{"source": "cyclic_search:5", "descriptor": "C5"}],
+        }
+    )
+    assert r.verdict == "FAIL"
+    assert "order divisible by 5" in r.detail
+
+
 def test_run_claim_documented_skips():
     r = run_claim({"id": "c", "mode": "documented", "note": "out of scope"})
     assert r.verdict == "SKIPPED"
@@ -402,6 +424,15 @@ def test_load_claims_validation(tmp_path):
     assert [c["id"] for c in load_claims(p)] == ["a", "b"]
     p.write_text(json.dumps({"claims": [{"id": "z"}]}))
     assert [c["id"] for c in load_claims(p)] == ["z"]
+    # each mode's keys are checked at load, naming the claim
+    for bad in (
+        {"id": "s", "mode": "search", "group": "psl2_7"},
+        {"id": "s", "mode": "stabilizers", "group": "psl2_7", "stabilizers": [{"source": "x"}]},
+        {"id": "s", "mode": "psl2_family"},
+    ):
+        p.write_text(json.dumps([bad]))
+        with pytest.raises(GroupDataError, match="'s'"):
+            load_claims(p)
 
 
 def _tiny_catalog(tmp_path):
