@@ -30,7 +30,7 @@ from .perm import (
     invert_table,
     orbit_partition,
     orbit_stabilizer,
-    orbit_walk,
+    padded,
     table_order,
     table_power,
 )
@@ -137,14 +137,20 @@ class GroupContext:
 
     # -- conjugation action on element indices --------------------------------
 
+    def conj_map(self, h: ImageTable) -> list[int]:
+        """Index map of conjugation by a member h: i -> index of h^-1 * e_i * h."""
+        index = self.index
+        if type(h) is bytes:
+            # conjugate_table with the translate table of h padded once
+            ph, d = padded(h), len(h)
+            return [index[bytes.maketrans(h, e.translate(ph))[:d]] for e in self.elements]
+        return [index[conjugate_table(e, h)] for e in self.elements]
+
     @property
     def conj_tables(self) -> list[list[int]]:
-        """conj_tables[j][i] = index of g_j^-1 * e_i * g_j."""
+        """conj_tables[j] = conj_map of the j-th generator."""
         if self._conj_tables is None:
-            tabs = []
-            for g in self.group.gen_tables:
-                tabs.append([self.index[conjugate_table(e, g)] for e in self.elements])
-            self._conj_tables = tabs
+            self._conj_tables = [self.conj_map(t) for t in self.group.gen_tables]
         return self._conj_tables
 
     def conj_index(self, i: int, g: ImageTable) -> int:
@@ -332,19 +338,15 @@ class GroupContext:
             if rec["chain"].order == n:
                 continue
             fs = rec["indices"]
-            norm_gens = rec["normalizer"].gen_tables
-
-            def conj_by_normalizer(i: int, j: int) -> int:
-                return self.conj_index(i, norm_gens[j])
-
-            visited = bytearray(n)
-            for i in range(n):
-                if visited[i] or i in fs or not pp_order[i]:
+            maps = [self.conj_map(t) for t in rec["normalizer"].gen_tables]
+            # one y per N(A)-orbit, its least index: N(A) fixes A and element
+            # orders, so an orbit's points all qualify or none does
+            _, orbits = orbit_partition(n, maps)
+            for members in orbits:
+                i = members[0]
+                if i in fs or not pp_order[i]:
                     continue
-                # i is the least index in its normalizer-orbit; mark the orbit
-                for m in orbit_walk(i, conj_by_normalizer, len(norm_gens)):
-                    visited[m] = 1
-                ext = extend_chain(rec["chain"], [self.elements[i]])
+                ext = extend_chain(rec["chain"], [self.elements[i]], ambient=g)
                 if ext.order == n:
                     continue
                 fs2 = frozenset(self.index[t] for t in ext.element_tables())
@@ -610,6 +612,7 @@ def _frobenius_cyclic_check(
     """Split n = a*b coprime, kernel of order a = {x : x^a = 1} a normal
     nilpotent subgroup, cyclic complement of order b acting without fixed
     points on the kernel; definitional Frobenius test."""
+    ident = identity_table(degree)
     for a in range(2, n):
         if n % a:
             continue
@@ -634,13 +637,12 @@ def _frobenius_cyclic_check(
         y = next((t for t, o in zip(tables, orders) if o == b), None)
         if y is None:
             continue
-        comp = _cyclic_tables(y, degree)
         fpf = all(
             conjugate_table(k, j) != k
-            for j in comp
-            if not all(v == i for i, v in enumerate(j))
+            for j in _cyclic_tables(y, degree)
+            if j != ident
             for k in kernel
-            if not all(v == i for i, v in enumerate(k))
+            if k != ident
         )
         if fpf:
             return True, a, b

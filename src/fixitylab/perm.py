@@ -83,12 +83,12 @@ def invert_table(a: ImageTable) -> ImageTable:
 
 
 def conjugate_table(x: ImageTable, g: ImageTable) -> ImageTable:
-    """Image table of g^-1 * x * g, computed in one pass without inverting g."""
+    """Image table of g^-1 * x * g, computed in one pass without inverting g:
+    ``table[g[i]] = g[x[i]]``."""
     if type(x) is bytes:
-        out = bytearray(len(x))
-        for i, v in enumerate(x):
-            out[g[i]] = g[v]
-        return bytes(out)
+        # maketrans(frm, to) sets table[frm[i]] = to[i] and is the identity
+        # elsewhere, so its first len(x) bytes are the conjugate
+        return bytes.maketrans(g, x.translate(padded(g)))[: len(x)]
     out = [0] * len(x)
     for i, v in enumerate(x):
         out[g[i]] = g[v]
@@ -207,7 +207,7 @@ class Permutation:
         return hash(self.images)
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
+        return self.images == identity_table(self.degree)
 
     def order(self) -> int:
         return table_order(self.images)
@@ -365,13 +365,22 @@ def _trivial_chain(degree: int, base: Sequence[int] = ()) -> PermGroup:
     )
 
 
-def extend_chain(chain: PermGroup, tables: Sequence[ImageTable]) -> PermGroup:
+def extend_chain(
+    chain: PermGroup, tables: Sequence[ImageTable], ambient: PermGroup | None = None
+) -> PermGroup:
     """The chain of <chain, tables>; the input chain is left unchanged.
 
     The tables are inserted as strong generators at level 0 and verified
     bottom-up with the classic pointer walk: every Schreier generator of a
     verified level sifts to the identity.  The result's generators are the
     chain's followed by the tables.
+
+    ``ambient``, a group known to contain the chain and the tables, allows a
+    known-order stop: each partial basic orbit lies in its true basic orbit,
+    so the product of their lengths is at most |<chain, tables>|, a divisor
+    of |ambient|.  Once that product exceeds |ambient|/2 the extension is
+    all of ambient, and ambient itself is returned.  A proper extension never
+    gets there, so its chain is the one built without ``ambient``.
     """
     deg = chain.degree
     for t in tables:
@@ -455,6 +464,8 @@ def extend_chain(chain: PermGroup, tables: Sequence[ImageTable]) -> PermGroup:
     # re-verified, so only a rebuilt level starts its scan again.
     i = len(base) - 1
     while i >= 0:
+        if ambient is not None and 2 * math.prod(map(len, transversals)) > ambient.order:
+            return ambient
         b = base[i]
         trans, inv, ops = transversals[i], inverses[i], gen_acts[i]
         # dict preserves BFS insertion order: deterministic scan

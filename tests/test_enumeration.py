@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import weakref
 from itertools import combinations_with_replacement
@@ -24,7 +26,7 @@ from fixitylab.enumeration import (
 )
 from fixitylab.errors import CapExceededError, MembershipError, PreconditionError
 from fixitylab.perm import Permutation, build_bsgs, conjugate_table, pack_table
-from fixitylab.zoo import resolve_group
+from fixitylab.zoo import dihedral, resolve_group
 
 
 def test_euler_phi():
@@ -216,6 +218,38 @@ def test_is_simple(group_cache):
     assert not is_simple_group(group_cache("sym_4"))
     assert not is_simple_group(group_cache("alt_4"))
     assert not is_simple_group(group_cache("cyclic_6"))
+
+
+def test_conj_map_is_conjugation_on_indices(alt5):
+    # every member of alt_5 (bytes tables), and a spread of members of a
+    # degree-300 dihedral group (tuple tables)
+    a5, d300 = as_context(alt5), as_context(dihedral(300))
+    for ctx, hs in ((a5, a5.elements), (d300, d300.elements[::37])):
+        for h in hs:
+            assert ctx.conj_map(h) == [ctx.index[conjugate_table(e, h)] for e in ctx.elements]
+
+
+# sha256 of each lattice's classes in order: (order, canonical, class size,
+# normalizer order, representative generator tables, representative base).
+# The representatives are the first extensions the saturation finds, so this
+# pins its exploration order as well as its result.
+_LATTICE_DIGESTS = {
+    "psl2_7": "6c148f58c724c0e42d0023ac081cf3ec51e636aec822c5f5f446c0b84a960366",
+    "psl2_9": "b9770730f4cd2406fcbba4bbea9dc23f5b9d0a00b6480c4a5c13908d52a0a937",
+}
+
+
+@pytest.mark.parametrize("sel", sorted(_LATTICE_DIGESTS))
+def test_lattice_exploration_order_pinned(group_cache, sel):
+    rows = [
+        [
+            sc.order, list(sc.canonical), sc.class_size, sc.normalizer_order,
+            [list(t) for t in sc.representative.group.gen_tables],
+            list(sc.representative.group.base),
+        ]
+        for sc in subgroups_up_to_conjugacy(group_cache(sel))
+    ]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _LATTICE_DIGESTS[sel]
 
 
 def test_subgroup_closure_membership(alt5):

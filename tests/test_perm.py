@@ -30,6 +30,7 @@ from fixitylab.perm import (
     table_order,
     table_power,
 )
+from fixitylab.zoo import alt, sym
 
 
 def random_table(degree: int, seed: int):
@@ -255,6 +256,48 @@ def test_extend_chain_matches_rebuild(n, seed):
     assert ext.element_tables() == full.element_tables()
     assert [p.images for p in ext.generators] == a + b
     assert (chain.base, chain.strong_gens, chain.order) == before
+
+
+_AMBIENTS = {(name, n): f(n) for name, f in (("alt", alt), ("sym", sym)) for n in range(3, 8)}
+
+
+def _random_member(g, rng):
+    # one transversal element per level, multiplied as in iter_element_tables:
+    # every member of g is hit with the same probability
+    t = g.identity_table()
+    for trans in reversed(g.transversals):
+        t = compose_tables(t, rng.choice(list(trans.values())))
+    return t
+
+
+def _snapshot(chain):
+    return (
+        list(chain.base), [list(lvl) for lvl in chain.strong_gens],
+        [dict(tr) for tr in chain.transversals], chain.order,
+    )
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(_AMBIENTS)), st.integers(0, 10**6))
+def test_extend_chain_known_order_stop(key, seed):
+    g = _AMBIENTS[key]
+    rng = random.Random(seed)
+
+    def element():
+        # small powers too, so that <A, y> is often a proper subgroup
+        return table_power(_random_member(g, rng), rng.randrange(1, 4))
+
+    a = [element() for _ in range(rng.randint(1, 2))]
+    y = element()
+    chain = build_bsgs(a)
+    before = _snapshot(chain)
+    ext = extend_chain(chain, [y], ambient=g)
+    if build_bsgs(a + [y]).order == g.order:
+        assert ext is g
+    else:
+        assert ext is not g
+        assert _snapshot(ext) == _snapshot(extend_chain(chain, [y]))
+    assert _snapshot(chain) == before
 
 
 def _two_orbit_group():
