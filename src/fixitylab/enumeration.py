@@ -328,10 +328,11 @@ class GroupContext:
                 add_class(fs, build_bsgs([t], degree=g.degree))
 
         # saturate: extend each known class representative A by one element y
-        # per N_G(A)-orbit of elements of prime-power order outside A; every
-        # subgroup S arises this way from a maximal chain (some prime-power
-        # power of any element of S - M lands outside a maximal M < S, and
-        # together they generate S)
+        # per N_G(A)-class of cyclic subgroups <y> of prime-power order outside
+        # A; every subgroup S arises this way from a maximal chain (some
+        # prime-power power of any element of S - M lands outside a maximal
+        # M < S, and together they generate S)
+        index = self.index
         while queue:
             cid = queue.popleft()
             rec = records[cid]
@@ -340,16 +341,30 @@ class GroupContext:
             fs = rec["indices"]
             maps = [self.conj_map(t) for t in rec["normalizer"].gen_tables]
             # one y per N(A)-orbit, its least index: N(A) fixes A and element
-            # orders, so an orbit's points all qualify or none does
-            _, orbits = orbit_partition(n, maps)
-            for members in orbits:
+            # orders, so an orbit's points all qualify or none does.  <A, y>
+            # depends only on <y>, and <A, y^n> = <A, y>^n for n in N(A), so
+            # once y is tried the orbits of the other generators of <y> are
+            # skipped: their extensions are G or conjugates already in seen.
+            orbit_of, orbits = orbit_partition(n, maps)
+            tried = bytearray(len(orbits))
+            for oid, members in enumerate(orbits):
                 i = members[0]
-                if i in fs or not pp_order[i]:
+                if tried[oid] or i in fs or not pp_order[i]:
                     continue
-                ext = extend_chain(rec["chain"], [self.elements[i]], ambient=g)
+                y, o = self.elements[i], orders[i]
+                for k, t in enumerate(_cyclic_tables(y, g.degree)):
+                    if math.gcd(k, o) == 1:
+                        tried[orbit_of[index[t]]] = 1
+                ext = extend_chain(rec["chain"], [y], ambient=g)
                 if ext.order == n:
                     continue
-                fs2 = frozenset(self.index[t] for t in ext.element_tables())
+                # the index set needs no sorted, cached element list of a
+                # chain that is usually discarded
+                fs2 = frozenset(map(index.__getitem__, ext.iter_element_tables()))
+                if len(fs2) != ext.order:
+                    raise MembershipError(
+                        f"extension enumerated {len(fs2)} elements, BSGS order is {ext.order}"
+                    )
                 if fs2 not in seen:
                     add_class(fs2, ext)
 

@@ -72,10 +72,8 @@ def compose_tables(a: ImageTable, b: ImageTable) -> ImageTable:
 
 def invert_table(a: ImageTable) -> ImageTable:
     if type(a) is bytes:
-        out = bytearray(len(a))
-        for i, v in enumerate(a):
-            out[v] = i
-        return bytes(out)
+        # maketrans sets table[a[i]] = i
+        return bytes.maketrans(a, _IDENT256[: len(a)])[: len(a)]
     out = [0] * len(a)
     for i, v in enumerate(a):
         out[v] = i
@@ -235,10 +233,13 @@ class PermGroup:
     """A permutation group with a verified base and strong generating set.
 
     ``transversals[i]`` maps each point of the i-th basic orbit to a raw
-    image table carrying ``base[i]`` to that point, and ``inverses[i]`` maps
-    it to the inverse of that element as a sifting operand (for bytes, the
-    padded translate table).  ``strong_gens[i]`` are the strong generators
-    fixing ``base[:i]`` pointwise.  Construction is through
+    image table carrying ``base[i]`` to that point and fixing ``base[:i]``,
+    and ``inverses[i]`` maps it to the inverse of that element as a sifting
+    operand (for bytes, the padded translate table).  ``strong_gens[i]``
+    are the strong generators fixing ``base[:i]`` pointwise; the keys of
+    ``transversals[i]`` are the orbit of ``base[i]`` under them.  The
+    transversal elements depend on the order in which the strong
+    generators were found, not only on the group.  Construction is through
     :func:`build_bsgs` and :func:`extend_chain`, or by taking levels 1.. of
     such a chain (:func:`point_stabilizer`); instances are immutable.
     """
@@ -372,8 +373,11 @@ def extend_chain(
 
     The tables are inserted as strong generators at level 0 and verified
     bottom-up with the classic pointer walk: every Schreier generator of a
-    verified level sifts to the identity.  The result's generators are the
-    chain's followed by the tables.
+    verified level sifts to the identity.  A level that gains a strong
+    generator extends the orbit and transversal it has; existing
+    transversal elements and their inverses are kept, so only new points
+    cost an inversion.  The result's generators are the chain's followed
+    by the tables.
 
     ``ambient``, a group known to contain the chain and the tables, allows a
     known-order stop: each partial basic orbit lies in its true basic orbit,
@@ -391,10 +395,10 @@ def extend_chain(
     sgens = [list(lvl) for lvl in chain.strong_gens]
     transversals = list(chain.transversals)
     inverses = list(chain.inverses)
-    # Per level, rebuilt with its orbit: the strong generators as operands of
-    # ``act`` and the verification cursor (index of the next Schreier
-    # generator to sift).  A level of the input chain has no operands until
-    # it is rebuilt, so its scan is empty: it is verified already.
+    # Per level: the strong generators as operands of ``act`` and the
+    # verification cursor (index of the next Schreier generator to sift).  A
+    # level of the input chain has no operands until it grows, so its scan
+    # is empty: it is verified already.
     gen_acts: list[list[ImageTable]] = [[] for _ in base]
     cursor = [0 for _ in base]
 
@@ -414,21 +418,38 @@ def extend_chain(
         def as_operand(t: ImageTable) -> ImageTable:
             return t
 
-    def rebuild_orbit(i: int) -> None:
-        b = base[i]
-        trans = {b: ident}
-        queue = [b]
-        ops = [as_operand(g) for g in sgens[i]]
-        for pt in queue:
+    # Levels whose dicts belong to this call; a level of the input chain is
+    # copied once, when it first grows, so the input is left unchanged.
+    owned = [False for _ in base]
+
+    def grow_orbit(i: int, g: ImageTable) -> None:
+        """Extend level i's orbit, transversal and inverses by the strong
+        generator g just appended to it: g on the points the level has,
+        then every generator on the new points (Seress, ch. 4)."""
+        if not owned[i]:
+            transversals[i] = dict(transversals[i])
+            inverses[i] = dict(inverses[i])
+            gen_acts[i] = [as_operand(h) for h in sgens[i][:-1]]
+            owned[i] = True
+        trans, ops = transversals[i], gen_acts[i]
+        op = as_operand(g)
+        ops.append(op)
+        new = []
+        for pt in list(trans):
+            img = g[pt]
+            if img not in trans:
+                trans[img] = act(trans[pt], op)
+                new.append(img)
+        for pt in new:
             u = trans[pt]
-            for g, op in zip(sgens[i], ops):
-                img = g[pt]
+            for h, hop in zip(sgens[i], ops):
+                img = h[pt]
                 if img not in trans:
-                    trans[img] = act(u, op)
-                    queue.append(img)
-        transversals[i] = trans
-        gen_acts[i] = ops
-        inverses[i] = {pt: inverse_operand(u) for pt, u in trans.items()}
+                    trans[img] = act(u, hop)
+                    new.append(img)
+        inv = inverses[i]
+        for pt in new:
+            inv[pt] = inverse_operand(trans[pt])
         cursor[i] = 0
 
     def insert_gen(g: ImageTable, from_level: int) -> int:
@@ -445,13 +466,14 @@ def extend_chain(
                 )
             base.append(b)
             sgens.append([])
-            transversals.append({})
+            transversals.append({b: ident})
             gen_acts.append([])
-            inverses.append({})
+            inverses.append({b: inverse_operand(ident)})
             cursor.append(0)
+            owned.append(True)
         for lvl in range(from_level, j + 1):
             sgens[lvl].append(g)
-            rebuild_orbit(lvl)
+            grow_orbit(lvl, g)
         return j
 
     # seed with the new tables (identities dropped)
@@ -461,7 +483,7 @@ def extend_chain(
 
     # Each level resumes at its cursor: a Schreier generator that sifted to
     # the identity stays a member once the deeper levels have grown and been
-    # re-verified, so only a rebuilt level starts its scan again.
+    # re-verified, so only a grown level starts its scan again.
     i = len(base) - 1
     while i >= 0:
         if ambient is not None and 2 * math.prod(map(len, transversals)) > ambient.order:
@@ -559,6 +581,8 @@ def orbit_stabilizer(
     gen_tables = g.gen_tables
     ident = g.identity_table()
     trans = {start: ident}
+    # the inverse of each transversal element, taken once per orbit point
+    inv_trans = {start: ident}
     members = [start]
     schreier: dict[ImageTable, None] = {}
     for cur in members:
@@ -568,9 +592,10 @@ def orbit_stabilizer(
             x = compose_tables(t_cur, gt)
             if nxt not in trans:
                 trans[nxt] = x
+                inv_trans[nxt] = invert_table(x)
                 members.append(nxt)
                 continue
-            s = compose_tables(x, invert_table(trans[nxt]))
+            s = compose_tables(x, inv_trans[nxt])
             if s != ident:
                 schreier[s] = None
     if g.order % len(members):

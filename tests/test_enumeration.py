@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -19,6 +20,7 @@ from fixitylab.enumeration import (
     normalizer,
     normalizer_brute,
     p_part,
+    prime_divisors,
     structure_predicates,
     subgroup_closure,
     subgroups_up_to_conjugacy,
@@ -250,6 +252,63 @@ def test_lattice_exploration_order_pinned(group_cache, sel):
         for sc in subgroups_up_to_conjugacy(group_cache(sel))
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _LATTICE_DIGESTS[sel]
+
+
+# sha256 of each lattice's classes in order: (order, canonical, class size,
+# normalizer order, representative generator tables).  Unlike the pin above
+# it leaves out the base, which is chain internals; the generators of a
+# representative are A's followed by the extending y, so this still pins the
+# saturation's exploration order.
+_LATTICE_ORDER_DIGESTS = {
+    "alt_7": "9c46ac2202907c7d15e6bae2eed436d13842c5fee18a5785ca936a09fcdb7d3c",
+    "m11": "62162bb221422304c55ad577ea9be49c205e9fc04d0e5dd7c8a8d71313467558",
+    "psl2_16": "5341dc1e98246849bdef3cdc3353297a7bbb89a9a0d9da7d9be6f89a9e9f1d8f",
+}
+
+
+@pytest.mark.parametrize("sel", sorted(_LATTICE_ORDER_DIGESTS))
+def test_lattice_representatives_pinned(group_cache, sel):
+    rows = [
+        [
+            sc.order, list(sc.canonical), sc.class_size, sc.normalizer_order,
+            [list(t) for t in sc.representative.group.gen_tables],
+        ]
+        for sc in subgroups_up_to_conjugacy(group_cache(sel))
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _LATTICE_ORDER_DIGESTS[sel]
+
+
+def _subgroup_counts(g):
+    """Number of subgroups of each order, summed over the lattice's classes."""
+    counts = Counter()
+    for sc in subgroups_up_to_conjugacy(g):
+        counts[sc.order] += sc.class_size
+    return counts
+
+
+# total numbers of subgroups, from the literature
+_SUBGROUP_TOTALS = {"alt_5": 59, "psl2_7": 179, "alt_6": 501, "alt_7": 3786, "m11": 8651}
+
+
+@pytest.mark.parametrize("sel", sorted(_SUBGROUP_TOTALS))
+def test_lattice_total_subgroup_count(group_cache, sel):
+    assert sum(_subgroup_counts(group_cache(sel)).values()) == _SUBGROUP_TOTALS[sel]
+
+
+@pytest.mark.parametrize(
+    "sel", sorted(_SUBGROUP_TOTALS) + ["psl2_8", "psl2_11", "psl2_13", "psl2_16"]
+)
+def test_lattice_prime_power_counts_are_one_mod_p(group_cache, sel):
+    # Frobenius: for every p^k dividing |G| the number of subgroups of order
+    # p^k is 1 mod p; a class the saturation missed would show here
+    g = group_cache(sel)
+    counts = _subgroup_counts(g)
+    for p in prime_divisors(g.order):
+        q = p
+        while g.order % q == 0:
+            assert counts[q] % p == 1, (sel, q, counts[q])
+            q *= p
 
 
 def test_subgroup_closure_membership(alt5):

@@ -300,6 +300,37 @@ def test_extend_chain_known_order_stop(key, seed):
     assert _snapshot(chain) == before
 
 
+_CHAIN_AMBIENTS = {**_AMBIENTS, ("alt", 8): alt(8), ("sym", 8): sym(8)}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(_CHAIN_AMBIENTS)), st.integers(0, 10**6))
+def test_extend_chain_levels_are_valid(key, seed):
+    g = _CHAIN_AMBIENTS[key]
+    rng = random.Random(seed)
+
+    def elements():
+        # small powers too, so that the levels grow a few points at a time
+        return [
+            table_power(_random_member(g, rng), rng.randrange(1, 4))
+            for _ in range(rng.randint(1, 2))
+        ]
+
+    chain = build_bsgs(elements())
+    before = _snapshot(chain), [dict(inv) for inv in chain.inverses]
+    ext = extend_chain(chain, elements())
+    ident = ext.identity_table()
+    for i, b in enumerate(ext.base):
+        trans, inv, sgens = ext.transversals[i], ext.inverses[i], ext.strong_gens[i]
+        assert set(trans) == set(orbit_walk(b, lambda p, j: sgens[j][p], len(sgens)))
+        for p, u in trans.items():
+            assert u[b] == p
+            assert all(u[c] == c for c in ext.base[:i])
+            assert u.translate(inv[p]) == ident
+    assert ext.order == len(set(ext.iter_element_tables()))
+    assert (_snapshot(chain), [dict(inv) for inv in chain.inverses]) == before
+
+
 def _two_orbit_group():
     return build_bsgs(
         [Permutation.from_cycles(8, [(0, 1, 2)]), Permutation.from_cycles(8, [(3, 4), (5, 6)])]
