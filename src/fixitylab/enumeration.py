@@ -133,18 +133,23 @@ class GroupContext:
         self._element_orders: list[int] | None = None
         self._bundles: list[CyclicBundle] | None = None
         self._bundle_of_class: list[int] | None = None
+        self._pp_cyclics: tuple[list[int], list[int]] | None = None
         self._subgroup_classes: list[SubgroupClass] | None = None
 
     # -- conjugation action on element indices --------------------------------
 
-    def conj_map(self, h: ImageTable) -> list[int]:
-        """Index map of conjugation by a member h: i -> index of h^-1 * e_i * h."""
+    def conj_map(self, h: ImageTable, members: list[ImageTable] | None = None) -> list[int]:
+        """Conjugation by a member h: the index of h^-1 * e * h for each table
+        e of ``members`` (default: all elements, giving the index map
+        i -> index of h^-1 * e_i * h)."""
         index = self.index
+        if members is None:
+            members = self.elements
         if type(h) is bytes:
             # conjugate_table with the translate table of h padded once
             ph, d = padded(h), len(h)
-            return [index[bytes.maketrans(h, e.translate(ph))[:d]] for e in self.elements]
-        return [index[conjugate_table(e, h)] for e in self.elements]
+            return [index[bytes.maketrans(h, e.translate(ph))[:d]] for e in members]
+        return [index[conjugate_table(e, h)] for e in members]
 
     @property
     def conj_tables(self) -> list[list[int]]:
@@ -275,6 +280,38 @@ class GroupContext:
             self._compute_bundles()
         return self._bundle_of_class
 
+    @property
+    def pp_cyclics(self) -> tuple[list[int], list[int]]:
+        """``(cyc_of, rep)`` for the cyclic subgroups of prime-power order > 1,
+        numbered in order of their least generator index: ``cyc_of[i]`` is
+        the subgroup element i generates (-1 for the identity and elements of
+        other orders), ``rep[s]`` the least generator of subgroup s."""
+        if self._pp_cyclics is None:
+            index, elements, degree = self.index, self.elements, self.group.degree
+            cyc_of = [-1] * self.n
+            rep: list[int] = []
+            for i, o in enumerate(self.element_orders):
+                p = is_prime_power(o)
+                if p is None or cyc_of[i] >= 0:
+                    continue
+                s = len(rep)
+                rep.append(i)
+                # the generators of <y> of order p^a are the y^k with p not
+                # dividing k
+                for k, t in enumerate(_cyclic_tables(elements[i], degree)):
+                    if k % p:
+                        cyc_of[index[t]] = s
+            expected = sum(
+                b.n_subgroups for b in self.bundles if is_prime_power(b.element_order)
+            )
+            if len(rep) != expected:
+                raise FalsificationError(
+                    f"numbered {len(rep)} cyclic subgroups of prime-power order, "
+                    f"the bundles count {expected}"
+                )
+            self._pp_cyclics = (cyc_of, rep)
+        return self._pp_cyclics
+
     # -- subgroup lattice -------------------------------------------------------
 
     def _subgroup_orbit(
@@ -293,10 +330,6 @@ class GroupContext:
     def _compute_subgroup_classes(self) -> None:
         n = self.n
         g = self.group
-        conj = self.conj_tables
-        orders = self.element_orders
-        pp_order = [is_prime_power(o) is not None for o in orders]
-
         records: list[dict] = []
         seen: dict[frozenset[int], int] = {}
         queue: deque[int] = deque()
@@ -331,30 +364,36 @@ class GroupContext:
         # per N_G(A)-class of cyclic subgroups <y> of prime-power order outside
         # A; every subgroup S arises this way from a maximal chain (some
         # prime-power power of any element of S - M lands outside a maximal
-        # M < S, and together they generate S)
+        # M < S, and together they generate S).  <A, y> depends only on <y>,
+        # and <A, y^h> = <A, y>^h for h in N(A), so one y per class suffices.
+        # N(A) acts on the subgroups through their least generators: h maps
+        # subgroup s to the subgroup of h^-1 * e_rep[s] * h.  The subgroups are
+        # numbered by least generator and orbit_partition starts each orbit at
+        # its least point, so y = rep[orbit[0]] is the least generator of any
+        # subgroup in the orbit, and the orbits come in increasing order of y:
+        # the y, and their order, of a walk over the N(A)-orbits of elements
+        # that takes each orbit's least point and skips the generators of a
+        # <y> already tried.  The representatives, and so the lattice pins,
+        # depend on that order.
         index = self.index
+        cyc_of, rep = self.pp_cyclics
+        rep_tables = [self.elements[i] for i in rep]
         while queue:
             cid = queue.popleft()
             rec = records[cid]
             if rec["chain"].order == n:
                 continue
             fs = rec["indices"]
-            maps = [self.conj_map(t) for t in rec["normalizer"].gen_tables]
-            # one y per N(A)-orbit, its least index: N(A) fixes A and element
-            # orders, so an orbit's points all qualify or none does.  <A, y>
-            # depends only on <y>, and <A, y^n> = <A, y>^n for n in N(A), so
-            # once y is tried the orbits of the other generators of <y> are
-            # skipped: their extensions are G or conjugates already in seen.
-            orbit_of, orbits = orbit_partition(n, maps)
-            tried = bytearray(len(orbits))
-            for oid, members in enumerate(orbits):
-                i = members[0]
-                if tried[oid] or i in fs or not pp_order[i]:
+            maps = [
+                list(map(cyc_of.__getitem__, self.conj_map(t, rep_tables)))
+                for t in rec["normalizer"].gen_tables
+            ]
+            for members in orbit_partition(len(rep), maps)[1]:
+                i = rep[members[0]]
+                # N(A) fixes A, so an orbit lies inside A or outside it
+                if i in fs:
                     continue
-                y, o = self.elements[i], orders[i]
-                for k, t in enumerate(_cyclic_tables(y, g.degree)):
-                    if math.gcd(k, o) == 1:
-                        tried[orbit_of[index[t]]] = 1
+                y = self.elements[i]
                 ext = extend_chain(rec["chain"], [y], ambient=g)
                 if ext.order == n:
                     continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -285,13 +286,13 @@ class PermGroup:
         level_elems: list[ImageTable] = [self.identity_table()]
         for i in range(len(self.base) - 1, -1, -1):
             nxt: list[ImageTable] = []
+            # map keeps the per-element loop in C
             if self.degree <= 255:
                 for u in self.transversals[i].values():
-                    tu = padded(u)
-                    nxt.extend(h.translate(tu) for h in level_elems)
+                    nxt.extend(map(bytes.translate, level_elems, repeat(padded(u))))
             else:
                 for u in self.transversals[i].values():
-                    nxt.extend(compose_tables(h, u) for h in level_elems)
+                    nxt.extend(map(_act_tuple, level_elems, repeat(u)))
             level_elems = nxt
         return iter(level_elems)
 

@@ -26,7 +26,12 @@ from fixitylab.enumeration import (
     subgroups_up_to_conjugacy,
     sylow,
 )
-from fixitylab.errors import CapExceededError, MembershipError, PreconditionError
+from fixitylab.errors import (
+    CapExceededError,
+    FalsificationError,
+    MembershipError,
+    PreconditionError,
+)
 from fixitylab.perm import Permutation, build_bsgs, conjugate_table, pack_table
 from fixitylab.zoo import dihedral, resolve_group
 
@@ -231,6 +236,45 @@ def test_conj_map_is_conjugation_on_indices(alt5):
             assert ctx.conj_map(h) == [ctx.index[conjugate_table(e, h)] for e in ctx.elements]
 
 
+def test_conj_map_on_member_tables(alt5):
+    ctx = as_context(alt5)
+    some = ctx.elements[::7]
+    for h in ctx.elements[::11]:
+        full = ctx.conj_map(h)
+        assert ctx.conj_map(h, some) == full[::7]
+
+
+@pytest.mark.parametrize("sel", ["alt_5", "psl2_7", "m11"])
+def test_prime_power_cyclic_numbering(group_cache, sel):
+    ctx = as_context(group_cache(sel))
+    cyc_of, rep = ctx.pp_cyclics
+    assert len(rep) == sum(
+        b.n_subgroups for b in ctx.bundles if is_prime_power(b.element_order)
+    )
+    assert all(a < b for a, b in zip(rep, rep[1:]))
+    for i, o in enumerate(ctx.element_orders):
+        assert (cyc_of[i] >= 0) == (o > 1 and is_prime_power(o) is not None)
+    for s, r in enumerate(rep):
+        y = ctx.elements[r]
+        o = ctx.element_orders[r]
+        gens = [
+            ctx.index[(Permutation(y) ** k).images] for k in range(1, o) if math.gcd(k, o) == 1
+        ]
+        assert min(gens) == r
+        assert {cyc_of[i] for i in gens} == {s}
+
+
+def test_prime_power_cyclic_count_cross_check():
+    # a bundle count that disagrees with the numbering is a falsification,
+    # named with both numbers, not an assert that python -O would drop
+    ctx = as_context(resolve_group("alt_5")[1])
+    bundles = ctx.bundles
+    numbered = sum(b.n_subgroups for b in bundles if is_prime_power(b.element_order))
+    bundles[-1].n_subgroups += 1
+    with pytest.raises(FalsificationError, match=f"{numbered}.*{numbered + 1}"):
+        ctx.pp_cyclics
+
+
 # sha256 of each lattice's classes in order: (order, canonical, class size,
 # normalizer order, representative generator tables, representative base).
 # The representatives are the first extensions the saturation finds, so this
@@ -263,6 +307,8 @@ _LATTICE_ORDER_DIGESTS = {
     "alt_7": "9c46ac2202907c7d15e6bae2eed436d13842c5fee18a5785ca936a09fcdb7d3c",
     "m11": "62162bb221422304c55ad577ea9be49c205e9fc04d0e5dd7c8a8d71313467558",
     "psl2_16": "5341dc1e98246849bdef3cdc3353297a7bbb89a9a0d9da7d9be6f89a9e9f1d8f",
+    "psl3_3": "4cb186f204bb427dfec5643daca514d872a4f2334034be23beb695a5c377e428",
+    "psu3_3": "191a4da9bbff6476037165c57707871a87d849fbd2dc3d8927bf6d05687d88a6",
 }
 
 
