@@ -2,10 +2,19 @@
 
 The action of G on the right cosets of U is materialized with one canonical
 representative per coset: the lexicographically least image table in U*z.
-Coset 0 is U itself and the remaining cosets are numbered in breadth-first
-discovery order over the generators in listed order, so coset numberings,
-induced permutations, and every downstream report are bit-exact
-reproducible.
+It is found greedily down a chain of U whose base is U's moved points in
+increasing order: at base point b, among the points a of the basic orbit
+take the one with the least z[a], and replace z by t_a*z, where t_a is the
+transversal element carrying b to a.  Every point before b is fixed by the
+rest of the chain, so each step fixes one more entry of the least table;
+the cost is the sum of the basic orbit lengths, not |U|.  Coset 0 is U
+itself and the remaining cosets are numbered in breadth-first discovery
+order over the generators in listed order, so coset numberings, induced
+permutations, and every downstream report are bit-exact reproducible.
+
+The induced maps are then checked to form a homomorphism by membership
+alone: r_i g_j g_k r_e^-1 must lie in U for every coset i and every
+generator pair (j, k), e being the image of i under image(g_j)image(g_k).
 
 Counting routes for the fixed points of x on G/U:
 
@@ -25,6 +34,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress, repeat
+from typing import Callable, Iterator
 
 from .enumeration import (
     ELEMENT_CAP,
@@ -44,17 +56,18 @@ from .errors import (
 )
 from .ffield import euler_phi
 from .perm import (
-    _IDENT256,
     ImageTable,
     PermGroup,
     Permutation,
     Subgroup,
+    build_bsgs,
     compose_tables,
     conjugate_table,
     identity_table,
     invert_table,
     orbit_walk,
     pack_table,
+    table_action,
     table_order,
 )
 
@@ -75,7 +88,11 @@ DEFAULT_CAPS = Caps()
 
 @dataclass(eq=False)
 class CosetAction:
-    """The action of ``group`` on right cosets of ``stabilizer``."""
+    """The action of ``group`` on right cosets of ``stabilizer``.
+
+    ``canon`` maps a member z of the group to the canonical representative
+    of U*z, the lexicographically least table in it.
+    """
 
     group: PermGroup
     stabilizer: Subgroup
@@ -85,19 +102,26 @@ class CosetAction:
     coset_index: dict[ImageTable, int]
     u_tables: list[ImageTable]
     u_set: frozenset[ImageTable]
+    canon: Callable[[ImageTable], ImageTable]
 
     def __post_init__(self):
         self._inv_padded: list[ImageTable] | None = None
 
     @property
     def inv_reps(self) -> list[ImageTable]:
-        """Inverses of the canonical reps, padded for byte translation."""
+        """Inverses of the canonical reps as operands of ``table_action``
+        (padded for byte translation)."""
         if self._inv_padded is None:
-            inv = [invert_table(r) for r in self.canonical_reps]
-            if self.group.degree <= 255:
-                inv = [t + _IDENT256[len(t) :] for t in inv]
-            self._inv_padded = inv
+            _, as_operand = table_action(self.group.degree)
+            self._inv_padded = [as_operand(invert_table(r)) for r in self.canonical_reps]
         return self._inv_padded
+
+    def coset_of(self, t: ImageTable) -> int:
+        """Index of the coset U*t, for a member t of the group."""
+        k = self.coset_index.get(self.canon(t))
+        if k is None:
+            raise MembershipError("element lies in no coset of the action")
+        return k
 
 
 @dataclass(eq=False)
@@ -120,18 +144,35 @@ class FixedPointProfile:
     rows: tuple[tuple[int, int, int], ...]
 
 
-def _canonicalizer(u_tables: list[ImageTable], degree: int):
-    if degree <= 255:
-        pad = _IDENT256
+def chain_canonicalizer(u: PermGroup) -> Callable[[ImageTable], ImageTable]:
+    """The map z -> least table of U*z, computed down a chain of U.
 
-        def canon(z: ImageTable) -> ImageTable:
-            zp = z + pad[len(z) :]
-            return min(u.translate(zp) for u in u_tables)
+    The chain's base is U's moved points in increasing order, so at level i
+    every point before base[i] is fixed by the rest of the chain: the least
+    entry at base[i] is z[a] minimized over the basic orbit, and the tables
+    attaining it are the rest of the chain times t_a*z.
+    """
+    moved = sorted({p for t in u.gen_tables for p, v in enumerate(t) if v != p})
+    chain = build_bsgs(u.generators, base_hint=moved, degree=u.degree)
+    if chain.order != u.order:
+        raise FalsificationError(
+            f"chain on U's moved points has order {chain.order}, U has {u.order}"
+        )
+    act, as_operand = table_action(u.degree)
+    # z is kept as an operand (padded for bytes), so t_a*z is act(t_a, z)
+    # when t_a is an operand too
+    levels = [
+        (list(trans), {a: as_operand(t) for a, t in trans.items()})
+        for trans in chain.transversals
+        if len(trans) > 1
+    ]
+    deg = u.degree
 
-    else:
-
-        def canon(z: ImageTable) -> ImageTable:
-            return min(compose_tables(u, z) for u in u_tables)
+    def canon(z: ImageTable) -> ImageTable:
+        z = as_operand(z)
+        for pts, trans in levels:
+            z = act(trans[min(pts, key=z.__getitem__)], z)
+        return z[:deg]
 
     return canon
 
@@ -142,7 +183,14 @@ def build_coset_action(
     max_cosets: int = COSET_CAP,
     element_cap: int = ELEMENT_CAP,
 ) -> CosetAction:
-    """Materialize G acting on G/U by right multiplication."""
+    """Materialize G acting on G/U by right multiplication.
+
+    Each coset is labelled by its least table, computed down a chain of U
+    (:func:`chain_canonicalizer`), and the cosets are numbered in
+    breadth-first order from U.  :func:`check_homomorphism` then proves,
+    by membership in U, that the induced maps compose as the generators do
+    on every generator pair; a failure raises MembershipError.
+    """
     if u.parent is not g:
         for p in u.group.generators:
             if not g.contains(p):
@@ -159,7 +207,7 @@ def build_coset_action(
             f"stabilizer order {u.order} exceeds element cap {element_cap}"
         )
     u_tables = u.group.element_tables()
-    canon = _canonicalizer(u_tables, g.degree)
+    canon = chain_canonicalizer(u.group)
     ident = identity_table(g.degree)
     reps: list[ImageTable] = [ident]
     index: dict[ImageTable, int] = {ident: 0}
@@ -167,13 +215,14 @@ def build_coset_action(
         raise FalsificationError(
             f"canonical representative of U is {canon(ident)!r}, not the identity"
         )
-    gen_tables = g.gen_tables
-    image_cols: list[list[int]] = [[] for _ in gen_tables]
+    act, as_operand = table_action(g.degree)
+    gen_ops = [as_operand(t) for t in g.gen_tables]
+    image_cols: list[list[int]] = [[] for _ in gen_ops]
     i = 0
     while i < len(reps):
         r = reps[i]
-        for j, gt in enumerate(gen_tables):
-            c = canon(compose_tables(r, gt))
+        for j, op in enumerate(gen_ops):
+            c = canon(act(r, op))
             k = index.get(c)
             if k is None:
                 k = len(reps)
@@ -185,34 +234,42 @@ def build_coset_action(
         raise MembershipError(
             f"reached {len(reps)} cosets, index says {degree}"
         )
-    images = [Permutation(pack_table(col), _trusted=True) for col in image_cols]
-
-    # homomorphism spot-check: the image of g_j g_k equals image(g_j)image(g_k)
-    n_pairs = len(gen_tables) ** 2
-    budget = 2_000_000
-    full = degree * len(u_tables) * n_pairs <= budget
-    checked = 0
-    for j in range(len(gen_tables)):
-        for k in range(len(gen_tables)):
-            if not full and checked >= 2:
-                break
-            prod = compose_tables(gen_tables[j], gen_tables[k])
-            expect = images[j] * images[k]
-            for i in range(degree):
-                if index[canon(compose_tables(reps[i], prod))] != expect(i):
-                    raise MembershipError("induced coset maps are not a homomorphism")
-            checked += 1
-
-    return CosetAction(
+    action = CosetAction(
         group=g,
         stabilizer=u,
         degree=degree,
-        images=images,
+        images=[Permutation(pack_table(col), _trusted=True) for col in image_cols],
         canonical_reps=reps,
         coset_index=index,
         u_tables=u_tables,
         u_set=frozenset(u_tables),
+        canon=canon,
     )
+    check_homomorphism(action)
+    return action
+
+
+def check_homomorphism(action: CosetAction) -> None:
+    """Raise MembershipError unless r_i g_j g_k r_e^-1 lies in U for every
+    coset i and every generator pair (j, k), where e is the image of i under
+    image(g_j) then image(g_k): the induced maps of all products g_j g_k are
+    then the products of the induced maps."""
+    inv = action.inv_reps
+    gens = action.group.gen_tables
+    cols = [img.images for img in action.images]
+    for gj, col_j in zip(gens, cols):
+        for gk, col_k in zip(gens, cols):
+            expect = [inv[col_k[m]] for m in col_j]
+            if not all(_in_u(action, compose_tables(gj, gk), expect)):
+                raise MembershipError("induced coset maps are not a homomorphism")
+
+
+def _in_u(action: CosetAction, t: ImageTable, right: list[ImageTable]) -> Iterator[bool]:
+    """For each coset i in turn, whether r_i * t * right[i] lies in U, with
+    ``right`` given as operands of ``table_action``."""
+    act, as_operand = table_action(action.group.degree)
+    products = map(act, map(act, action.canonical_reps, repeat(as_operand(t))), right)
+    return map(action.u_set.__contains__, products)
 
 
 def coset_stabilizer_tables(action: CosetAction, i: int) -> list[ImageTable]:
@@ -228,12 +285,7 @@ def coset_stabilizer_tables(action: CosetAction, i: int) -> list[ImageTable]:
 
 def fixed_cosets(action: CosetAction, t: ImageTable) -> list[int]:
     """Indices of the cosets U r with r t r^-1 in U, for a member t of G."""
-    u_set = action.u_set
-    pairs = enumerate(zip(action.canonical_reps, action.inv_reps))
-    if isinstance(t, bytes):
-        tp = t + _IDENT256[len(t) :]
-        return [i for i, (r, rip) in pairs if r.translate(tp).translate(rip) in u_set]
-    return [i for i, (r, ri) in pairs if compose_tables(compose_tables(r, t), ri) in u_set]
+    return list(compress(range(action.degree), _in_u(action, t, action.inv_reps)))
 
 
 def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
@@ -383,7 +435,14 @@ def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
     the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
     """
     powers = _cyclic_tables(t, degree)
-    return min(p for k, p in enumerate(powers) if math.gcd(k, len(powers)) == 1)
+    return min(compress(powers, _coprime_mask(len(powers))))
+
+
+@lru_cache(maxsize=128)
+def _coprime_mask(n: int) -> bytes:
+    """Byte k is 1 iff gcd(k, n) = 1: the exponents of the generators of a
+    cyclic group of order n."""
+    return bytes(math.gcd(k, n) == 1 for k in range(n))
 
 
 def cyclic_conjugation(g: PermGroup):

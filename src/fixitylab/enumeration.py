@@ -31,6 +31,7 @@ from .perm import (
     orbit_partition,
     orbit_stabilizer,
     padded,
+    table_action,
     table_order,
     table_power,
 )
@@ -459,10 +460,13 @@ def _cyclic_tables(t: ImageTable, degree: int) -> list[ImageTable]:
     """All powers of t, identity included."""
     ident = identity_table(degree)
     out = [ident]
+    # t prepared once as an operand: no length check or padding per power
+    act, as_operand = table_action(degree)
+    op = as_operand(t)
     cur = t
     while cur != ident:
         out.append(cur)
-        cur = compose_tables(cur, t)
+        cur = act(cur, op)
     return out
 
 

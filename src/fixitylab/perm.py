@@ -62,6 +62,16 @@ def padded(b: bytes) -> bytes:
     return b + _IDENT256[len(b):]
 
 
+def table_action(degree: int):
+    """``(act, as_operand)`` for tables of one degree: ``act(a, as_operand(t))``
+    is the image table of a*t with no length check or padding per product.
+    The operand is the padded translate table for bytes, the tuple itself
+    otherwise (``tuple`` returns a tuple argument unchanged)."""
+    if degree <= 255:
+        return bytes.translate, padded
+    return _act_tuple, tuple
+
+
 def compose_tables(a: ImageTable, b: ImageTable) -> ImageTable:
     """Image table of a*b, i.e. i -> b[a[i]]."""
     if len(a) != len(b):
@@ -283,16 +293,13 @@ class PermGroup:
 
         Runs exactly |G| compositions; no membership hashing involved.
         """
+        act, as_operand = table_action(self.degree)
         level_elems: list[ImageTable] = [self.identity_table()]
         for i in range(len(self.base) - 1, -1, -1):
             nxt: list[ImageTable] = []
             # map keeps the per-element loop in C
-            if self.degree <= 255:
-                for u in self.transversals[i].values():
-                    nxt.extend(map(bytes.translate, level_elems, repeat(padded(u))))
-            else:
-                for u in self.transversals[i].values():
-                    nxt.extend(map(_act_tuple, level_elems, repeat(u)))
+            for u in self.transversals[i].values():
+                nxt.extend(map(act, level_elems, repeat(as_operand(u))))
             level_elems = nxt
         return iter(level_elems)
 
@@ -403,21 +410,16 @@ def extend_chain(
     gen_acts: list[list[ImageTable]] = [[] for _ in base]
     cursor = [0 for _ in base]
 
-    # act(a, t) is the image table of a*t, for t prepared once per table as a
-    # translate table (bytes) or left as it is (tuple).  Every table here has
-    # degree deg, checked above, so neither a length check nor padding is
-    # needed per product.
+    # Every table here has degree deg, checked above, so each is prepared
+    # once as an operand of act.
+    act, as_operand = table_action(deg)
     if type(ident) is bytes:
-        act, as_operand = bytes.translate, padded
 
         def inverse_operand(t: ImageTable) -> ImageTable:
             # table[t[i]] = i for i < deg, identity above: the padded inverse
             return bytes.maketrans(t, ident)
     else:
-        act, inverse_operand = _act_tuple, invert_table
-
-        def as_operand(t: ImageTable) -> ImageTable:
-            return t
+        inverse_operand = invert_table
 
     # Levels whose dicts belong to this call; a level of the input chain is
     # copied once, when it first grows, so the input is left unchanged.

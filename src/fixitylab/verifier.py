@@ -457,14 +457,10 @@ def _coset_images(action: CosetAction, gen_tables: list[ImageTable]) -> dict[Ima
     remaining elements are products taken inside the coset space, which is
     valid because the induced map is a homomorphism.
     """
-    from .cosets import _canonicalizer
-
-    canon = _canonicalizer(action.u_tables, action.group.degree)
-    gen_rows = []
-    for gt in gen_tables:
-        gen_rows.append(
-            [action.coset_index[canon(compose_tables(r, gt))] for r in action.canonical_reps]
-        )
+    gen_rows = [
+        [action.coset_of(compose_tables(r, gt)) for r in action.canonical_reps]
+        for gt in gen_tables
+    ]
     ident = identity_table(action.group.degree)
     rows: dict[ImageTable, list[int]] = {ident: list(range(action.degree))}
     queue = [ident]

@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixitylab.cosets import (
     Caps,
     build_coset_action,
     canonical_generator,
+    chain_canonicalizer,
+    check_homomorphism,
     coset_stabilizer_tables,
     fix_by_class_sum,
     fix_by_normalizer_formula,
@@ -31,6 +37,7 @@ from fixitylab.errors import (
 )
 from fixitylab.perm import (
     Permutation,
+    build_bsgs,
     compose_tables,
     invert_table,
     pack_table,
@@ -65,6 +72,109 @@ def test_action_transitive_and_consistent(psl2_9):
         # the stored rep is its own canonical form and indexes itself
         assert canon_of[r] == i
         assert min(compose_tables(t, r) for t in action.u_tables) == r
+
+
+def _brute_canon(u_tables, z):
+    # the definition: the least table of U*z
+    return min(compose_tables(t, z) for t in u_tables)
+
+
+def _even(t):
+    # t times (0 1) when t is odd; an odd t has degree at least 2
+    if sum(len(c) - 1 for c in Permutation(t).cycles()) % 2:
+        return compose_tables(t, pack_table([1, 0, *range(2, len(t))]))
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.booleans(),
+        st.lists(st.permutations(range(n)), max_size=3),
+        st.lists(st.permutations(range(n)), min_size=1, max_size=4),
+    )
+))
+def test_chain_canonicalizer_is_least_table_of_coset(case):
+    # U <= sym_n or alt_n generated by up to three drawn elements (none: the
+    # trivial group), z drawn from the same group
+    in_alt, gens, zs = case
+    n = len(zs[0])
+    pick = (lambda p: _even(pack_table(p))) if in_alt else pack_table
+    u = build_bsgs([pick(p) for p in gens], degree=n)
+    canon = chain_canonicalizer(u)
+    u_tables = u.element_tables()
+    for z in map(pick, zs):
+        assert canon(z) == _brute_canon(u_tables, z)
+
+
+def test_chain_canonicalizer_trivial_group(psl2_9):
+    canon = chain_canonicalizer(_trivial(psl2_9).group)
+    for z in psl2_9.element_tables()[:50]:
+        assert canon(z) == z
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_chain_canonicalizer_tuple_path(seed):
+    n = 300
+    # S3 on {0, 150, 299} times a cyclic group of order 4
+    u = build_bsgs(
+        [
+            Permutation.from_cycles(n, [(0, 299, 150)]),
+            Permutation.from_cycles(n, [(150, 0), (7, 280)]),
+            Permutation.from_cycles(n, [(10, 20, 30, 40), (7, 280)]),
+        ]
+    )
+    assert u.order == 24
+    imgs = list(range(n))
+    random.Random(seed).shuffle(imgs)
+    z = pack_table(imgs)
+    assert type(z) is tuple
+    assert chain_canonicalizer(u)(z) == _brute_canon(u.element_tables(), z)
+
+
+def _swap_in_column(action, j, a, b):
+    col = list(action.images[j].images)
+    col[a], col[b] = col[b], col[a]
+    images = list(action.images)
+    images[j] = Permutation(pack_table(col))
+    return dataclasses.replace(action, images=images)
+
+
+def test_check_rejects_a_wrong_action(psl2_9):
+    action = build_coset_action(psl2_9, point_stabilizer(psl2_9, 0))
+    check_homomorphism(action)
+    with pytest.raises(MembershipError):
+        check_homomorphism(_swap_in_column(action, 1, 2, 5))
+
+
+def test_check_covers_every_generator_pair():
+    # sym_9 on three generators, acting on the nine cosets of a point
+    # stabilizer.  A wrong column j shows only in the pairs that contain j,
+    # so each column must be caught.  At |G/U| * |U| * 9 pairs, over two
+    # million products, a check that scanned U per coset and pair would need
+    # a budget; the membership check covers every pair regardless.
+    g = build_bsgs(
+        [
+            Permutation.from_cycles(9, [(0, 1)]),
+            Permutation.from_cycles(9, [tuple(range(9))]),
+            Permutation.from_cycles(9, [(0, 1, 2)]),
+        ]
+    )
+    u = point_stabilizer(g, 0)
+    action = build_coset_action(g, u)
+    assert action.degree * u.order * len(g.generators) ** 2 > 2_000_000
+    for j in range(len(g.generators)):
+        with pytest.raises(MembershipError):
+            check_homomorphism(_swap_in_column(action, j, 0, 1))
+
+
+def test_coset_of(alt5):
+    action = build_coset_action(alt5, point_stabilizer(alt5, 0))
+    for i, r in enumerate(action.canonical_reps):
+        assert all(action.coset_of(compose_tables(t, r)) == i for t in action.u_tables)
+    with pytest.raises(MembershipError):
+        action.coset_of(pack_table([1, 0, 2, 3, 4]))
 
 
 def test_coset_stabilizers_are_conjugates(sym4):
