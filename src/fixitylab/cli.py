@@ -38,10 +38,12 @@ from .errors import FalsificationError, FixityError, GroupDataError, Preconditio
 from .perm import PermGroup, Subgroup
 from .verifier import (
     StabView,
+    _action_row,
+    catalog_report_json,
     classify_sylow3_orbits,
     descriptor_matches,
     run_claim_catalog,
-    catalog_report_json,
+    search_fixity_k,
 )
 from .zoo import ENV_DATA_DIR, load_spec, resolve_group, zoo_names
 
@@ -164,8 +166,6 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .verifier import search_fixity_k
-
     caps = _caps_of(args)
     name, g = resolve_group(args.group)
     hits = search_fixity_k(g, args.k, caps)
@@ -173,12 +173,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "group": name,
         "k": args.k,
         "classes": [
-            {
-                "order": h.subgroup_class.order,
-                "degree": h.degree,
-                "fixity": h.report.fixity,
-            }
-            for h in hits
+            _action_row(g, h.subgroup_class.representative, h.report) for h in hits
         ],
     }
     _emit(json.dumps(obj, indent=2), args.out)

@@ -132,8 +132,11 @@ class FixityReport:
     fixity: int
     witness_class: ConjClass | None
     per_class_fix: list[int]
-    slow_path: bool = False
     action: CosetAction | None = None
+
+    @property
+    def slow_path(self) -> bool:
+        return self.action is None
 
 
 @dataclass(frozen=True)
@@ -477,7 +480,7 @@ def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
         fx = val // uo
         if fx > best:
             best = fx
-    return FixityReport(fixity=best, witness_class=None, per_class_fix=[], slow_path=True)
+    return FixityReport(fixity=best, witness_class=None, per_class_fix=[])
 
 
 def profile(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixedPointProfile:

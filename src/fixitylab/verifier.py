@@ -9,10 +9,14 @@ tool:
                          stabilizers, Sylow containment for p >= 5
   classify_sylow3_orbits conclude which of five orbit shapes a Sylow
                          3-subgroup exhibits on the coset space
-  check_psl2_family      reproduce the fixity-4 stabilizer rows of PSL2(q),
-                         by full lattice search for small q and by direct
-                         construction of the torus and half-Borel subgroups
-                         for 17 <= q <= 41
+  evaluate_action        fixity, descriptor, structural side conditions and
+                         Sylow-3 case of one action, the last two only on a
+                         fixity-4 action with a matching descriptor and a
+                         materialized coset action
+  check_psl2_family      reproduce the fixity-4 stabilizer rows of PSL2(q)
+                         for odd prime powers q >= 17 by direct construction
+                         of the quarter-torus and half-Borel subgroups (the
+                         small q are catalog lattice searches)
   check_order27_lemma    conjugation identity y^U = P'y in both nonabelian
                          groups of order 27
   run_claim_catalog      execute a JSON catalog of the above and report
@@ -26,6 +30,7 @@ expected descriptors and found subgroup classes, never a name comparison.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -79,6 +84,7 @@ from .perm import (
     invert_table,
     orbit_partition,
     orbit_stabilizer,
+    orbit_walk,
     pack_table,
     point_stabilizer,
     table_order,
@@ -406,15 +412,18 @@ def check_structural_lemmas(
         # them and the index is the orbit length of the point, 2 or 4
         h_sub = subgroup_from_tables(ctx.group, h_tables, target_order=h_order)
         ngh = normalizer(ctx, h_sub)
-        ngh_tables = ngh.group.element_tables()
+        n_gens = ngh.group.gen_tables
+        reps = action.canonical_reps
+
+        def act(c: int, j: int) -> int:
+            return action.coset_of(compose_tables(reps[c], n_gens[j]))
+
         for lam in fixed:
-            stab_set = frozenset(coset_stabilizer_tables(action, lam))
-            nlh = sum(1 for t in ngh_tables if t in stab_set)
-            if ngh.order % nlh:
+            idx = len(orbit_walk(lam, act, len(n_gens)))
+            if ngh.order % idx:
                 raise FalsificationError(
-                    "N_{G_a}(H) order does not divide N_G(H) order"
+                    "orbit length of N_G(H) on a fixed point does not divide |N_G(H)|"
                 )
-            idx = ngh.order // nlh
             if h_norm_index is None:
                 h_norm_index = idx
             if idx not in (2, 4):
@@ -601,7 +610,9 @@ class ActionEvaluation:
     """One candidate action G/U, judged by its fixity, the descriptor of U,
     the structural side conditions and the Sylow-3 orbit shape.
 
-    ``sylow3_case`` is None when the last two did not run.
+    ``sylow3_case`` is None when the last two did not run: the action does
+    not have fixity 4, the descriptor did not match, or the fixity was
+    counted on the slow path, which builds no coset action.
     """
 
     report: FixityReport
@@ -619,23 +630,23 @@ def evaluate_action(
     u: Subgroup,
     descriptor: str | None = None,
     report: FixityReport | None = None,
-    lemmas: bool = True,
     caps: Caps = DEFAULT_CAPS,
 ) -> ActionEvaluation:
     """Fixity, descriptor match, structural side conditions and Sylow-3
     orbit shape of G acting on G/U, with the coset action built once.
 
     The fixity report is computed unless given (a search hit carries one);
-    ``descriptor`` is checked when given.  With ``lemmas`` set, a fixity-4
-    action whose descriptor matched gets the structural checks and the
-    Sylow-3 case, both on the report's coset action; they need that action,
-    so on the slow path check_structural_lemmas raises PreconditionError.
+    ``descriptor`` is checked when given.  A fixity-4 action whose
+    descriptor matched gets the structural checks and the Sylow-3 case,
+    both on the report's coset action.  On the slow path (G too large to
+    enumerate) the report carries no action, so only the fixity and the
+    descriptor are checked and ``sylow3_case`` stays None.
     """
     if report is None:
         report = fixity(g, u, caps)
     matches = descriptor is None or descriptor_matches(descriptor, StabView(u.group))
     ev = ActionEvaluation(report, matches, [], None)
-    if lemmas and matches and report.fixity == 4:
+    if matches and report.fixity == 4 and report.action is not None:
         ev.lemma_failures = check_structural_lemmas(g, u, report, caps).failures
         ev.sylow3_case = classify_sylow3_orbits(g, u, report, caps).case
     return ev
@@ -666,17 +677,6 @@ def _search_and_assign(
 # the PSL2 family
 # ---------------------------------------------------------------------------
 
-_SMALL_Q_ROWS: dict[int, list[str]] = {
-    7: ["C2", "S3"],
-    8: ["C2", "S3", "D14", "D18"],
-    9: ["C2", "S3", "S3", "C3xC3", "D10", "(C3xC3):C2"],
-    11: ["C3", "A4"],
-    13: ["C3", "A4", "C13:C3"],
-}
-
-_GENERIC_Q = (17, 19, 23, 25, 27, 29, 31, 37, 41)
-
-
 @dataclass(eq=False)
 class FamilyRow:
     descriptor: str
@@ -685,9 +685,6 @@ class FamilyRow:
     fixity: int
     sylow3_case: str
     structural_ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -730,22 +727,8 @@ def _family_row(
     )
 
 
-def _family_small(q: int, caps: Caps) -> FamilyResult:
+def _family_result(q: int, caps: Caps) -> FamilyResult:
     g = psl2_spec(q).build()
-    hits, descriptors, detail = _search_and_assign(g, 4, _SMALL_Q_ROWS[q], caps)
-    failures = [detail] if detail else []
-    rows: list[FamilyRow] = []
-    for h, d in zip(hits, descriptors):
-        u = h.subgroup_class.representative
-        ev = evaluate_action(g, u, report=h.report, caps=caps)
-        rows.append(_family_row(g, u, d, ev, failures))
-    verdict = "PASS" if not failures else "FAIL"
-    return FamilyResult(q=q, verdict=verdict, rows=rows, failures=failures)
-
-
-def _family_generic(q: int, caps: Caps) -> FamilyResult:
-    spec = psl2_spec(q)
-    g = spec.build()
     p, n = prime_power(q)
     failures: list[str] = []
     rows: list[FamilyRow] = []
@@ -764,43 +747,32 @@ def _family_generic(q: int, caps: Caps) -> FamilyResult:
             raise GroupDataError(f"half-Borel subgroup has order {u2.order}")
         for u, d in ((u1, f"C{(q - 1) // 4}"), (u2, _family_descriptor_borel_half(q))):
             rows.append(_family_row(g, u, d, evaluate_action(g, u, d, caps=caps), failures))
-    elif q % 4 == 3:
-        ctx = as_context(g, caps.elements)
-        target = (q + 1) // 2
-        orders = ctx.element_orders
-        yi = next((i for i in range(ctx.n) if orders[i] == target), None)
-        if yi is None:
-            raise GroupDataError(f"no element of order {target} found")
-        y = ctx.elements[yi]
-        y2 = Permutation(compose_tables(y, y), _trusted=True)
-        u1 = subgroup_closure(g, [y2])
-        if u1.order != (q + 1) // 4:
-            raise GroupDataError(f"torus half has order {u1.order}")
+    else:
+        # every cyclic subgroup of order (q + 1)/4 > 2 lies in a non-split
+        # torus, and those tori are conjugate, so the least element of that
+        # order gives the quarter-torus up to conjugacy
+        u1 = _build_stabilizer(g, f"cyclic_least:{(q + 1) // 4}", caps)
         d = f"C{(q + 1) // 4}"
         rows.append(_family_row(g, u1, d, evaluate_action(g, u1, d, caps=caps), failures))
-    else:
-        raise PreconditionError(f"q = {q} is even; only the small table covers it")
     verdict = "PASS" if not failures else "FAIL"
     return FamilyResult(q=q, verdict=verdict, rows=rows, failures=failures)
 
 
 def check_psl2_family(q_list, caps: Caps = DEFAULT_CAPS) -> list[FamilyResult]:
-    """Fixity-4 stabilizer rows of PSL2(q) for each listed q.
+    """Fixity-4 stabilizer rows of PSL2(q) for each listed odd prime power
+    q >= 17.
 
-    Small q (7, 8, 9, 11, 13) run the full lattice search and must match
-    the known rows exactly; 17 <= q <= 41 construct the claimed stabilizers
-    directly (the quarter-torus, plus the index-2 subgroup of the Borel
-    subgroup when q = 1 mod 4) and confirm fixity 4, the descriptor, and
-    the structural side conditions.
+    The claimed stabilizers are constructed directly (the quarter-torus,
+    plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
+    each is checked for fixity 4, its descriptor, the structural side
+    conditions and the Sylow-3 case.  The small q are decided by the
+    catalog's lattice-search claims instead.
     """
     out = []
     for q in q_list:
-        if q in _SMALL_Q_ROWS:
-            out.append(_family_small(q, caps))
-        elif q in _GENERIC_Q or (prime_power(q) and q >= 17 and q % 2 == 1):
-            out.append(_family_generic(q, caps))
-        else:
+        if q < 17 or q % 2 == 0 or not prime_power(q):
             raise PreconditionError(f"q = {q} is outside the covered family range")
+        out.append(_family_result(q, caps))
     return out
 
 
@@ -986,20 +958,18 @@ def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
     raise GroupDataError(f"unknown stabilizer source {source!r}")
 
 
+def _action_row(g: PermGroup, u: Subgroup, report: FixityReport) -> dict:
+    """The head every output row of an action G/U starts with."""
+    return {"order": u.order, "degree": g.order // u.order, "fixity": report.fixity}
+
+
 def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
     k = claim.get("k", 4)
     expected = claim["expected"]
     hits, descriptors, detail = _search_and_assign(
         g, k, [] if expected == "none" else expected, caps
     )
-    rows = [
-        {
-            "order": h.subgroup_class.order,
-            "degree": h.degree,
-            "fixity": h.report.fixity,
-        }
-        for h in hits
-    ]
+    rows = [_action_row(g, h.subgroup_class.representative, h.report) for h in hits]
     if expected == "none":
         if hits:
             found = sorted(r["order"] for r in rows)
@@ -1011,40 +981,31 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
         return ClaimResult(cid, "FAIL", detail, rows)
     for row, d in zip(rows, descriptors):
         row["descriptor"] = d
-    if k == 4 and claim.get("check_lemmas", True):
-        for row, h in zip(rows, hits):
-            u = h.subgroup_class.representative
-            ev = evaluate_action(g, u, report=h.report, caps=caps)
-            if ev.lemma_failures:
-                return ClaimResult(cid, "FAIL", "; ".join(ev.lemma_failures), rows)
+    for row, h in zip(rows, hits):
+        ev = evaluate_action(g, h.subgroup_class.representative, report=h.report, caps=caps)
+        if ev.lemma_failures:
+            return ClaimResult(cid, "FAIL", "; ".join(ev.lemma_failures), rows)
+        if ev.sylow3_case is not None:
             row["sylow3_case"] = ev.sylow3_case
     return ClaimResult(cid, "PASS", "", rows)
 
 
 def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
     k = claim.get("k", 4)
-    lemmas = k == 4 and claim.get("check_lemmas", True)
     rows: list[dict] = []
     for entry in claim["stabilizers"]:
         u = _build_stabilizer(g, entry["source"], caps)
         descriptor = entry["descriptor"]
-        rep = fixity(g, u, caps)
-        # the slow path (G too large to enumerate) builds no coset action for
-        # the lemmas to work on; such claims check fixity and descriptor only
-        ev = evaluate_action(g, u, descriptor, rep, lemmas and not rep.slow_path, caps)
-        row = {
-            "order": u.order,
-            "degree": g.order // u.order,
-            "fixity": rep.fixity,
-            "descriptor": descriptor,
-            "source": entry["source"],
-        }
+        ev = evaluate_action(g, u, descriptor, caps=caps)
+        row = _action_row(g, u, ev.report)
+        row["descriptor"] = descriptor
+        row["source"] = entry["source"]
         rows.append(row)
-        if rep.fixity != k:
+        if ev.report.fixity != k:
             return ClaimResult(
                 cid,
                 "FAIL",
-                f"stabilizer from {entry['source']} has fixity {rep.fixity}, wanted {k}",
+                f"stabilizer from {entry['source']} has fixity {ev.report.fixity}, wanted {k}",
                 rows,
             )
         if not ev.descriptor_ok:
@@ -1094,7 +1055,7 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
         if mode == "psl2_family":
             fam = check_psl2_family([claim["q"]], ccaps)[0]
             return ClaimResult(
-                cid, fam.verdict, "; ".join(fam.failures), [r.to_dict() for r in fam.rows]
+                cid, fam.verdict, "; ".join(fam.failures), [asdict(r) for r in fam.rows]
             )
         name, g = resolve_group(claim["group"])
         if mode == "search":
@@ -1106,11 +1067,6 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
         return ClaimResult(cid, "SKIPPED", f"cap exceeded: {e}", [])
     except (GroupDataError, FalsificationError, PreconditionError, MembershipError) as e:
         return ClaimResult(cid, "FAIL", str(e), [])
-
-
-def _claim_worker(payload: tuple[dict, Caps]) -> ClaimResult:
-    claim, caps = payload
-    return run_claim(claim, caps)
 
 
 def load_claims(path: str | Path) -> list[dict]:
@@ -1152,7 +1108,7 @@ def run_claim_catalog(
     if jobs <= 1 or len(claims) <= 1:
         return [run_claim(c, caps) for c in claims]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_claim_worker, [(c, caps) for c in claims]))
+        results = list(pool.map(functools.partial(run_claim, caps=caps), claims))
     by_id = {r.claim_id: r for r in results}
     return [by_id[c["id"]] for c in claims]
 

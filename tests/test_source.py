@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import fixitylab
@@ -15,3 +17,22 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_perfbench_probes_resolve():
+    # the benchmark's tracer wraps the library functions named in its
+    # PROBES table; a rename or removal here must not leave a probe dangling
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", root / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, modname, attr, _ in tracer.PROBES:
+        mod = importlib.import_module(modname)
+        cls_name, _, fn_name = attr.rpartition(".")
+        owner = vars(getattr(mod, cls_name)) if cls_name else vars(mod)
+        if not callable(owner.get(fn_name)):
+            missing.append(f"{modname}:{attr}")
+    assert missing == []

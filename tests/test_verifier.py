@@ -4,11 +4,13 @@ import pytest
 
 import fixitylab.cosets
 import fixitylab.verifier
-from fixitylab.cosets import Caps
+from fixitylab.cosets import Caps, coset_stabilizer_tables, fixed_cosets
 from fixitylab.enumeration import (
     as_context,
     normalizer,
+    normalizer_brute,
     subgroup_closure,
+    subgroup_from_tables,
     subgroups_up_to_conjugacy,
 )
 from fixitylab.errors import (
@@ -377,6 +379,62 @@ def test_run_claim_stabilizers():
     assert "fixity 2" in bad.detail
 
 
+def test_stabilizer_claim_on_the_slow_path():
+    # psl2_13 has 1092 elements, so a cap of 1000 sends the fixity count
+    # down the slow path, which builds no coset action: fixity and
+    # descriptor are checked, the lemmas and the Sylow-3 case are not
+    claim = {
+        "id": "c",
+        "mode": "stabilizers",
+        "group": "psl2_13",
+        "stabilizers": [{"source": "cyclic_search:3", "descriptor": "C3"}],
+    }
+    slow = run_claim({**claim, "caps": {"elements": 1000}})
+    assert slow.verdict == "PASS"
+    assert slow.rows[0]["fixity"] == 4
+    assert "sylow3_case" not in slow.rows[0]
+    fast = run_claim(claim)
+    assert fast.verdict == "PASS"
+    assert fast.rows[0]["sylow3_case"] == "b"
+    assert {k: v for k, v in fast.rows[0].items() if k != "sylow3_case"} == slow.rows[0]
+
+    g = resolve_group("psl2_13")[1]
+    caps = Caps(elements=1000)
+    u = _build_stabilizer(g, "cyclic_search:3", caps)
+    report = fixitylab.cosets.fixity(g, u, caps)
+    assert report.slow_path and report.action is None
+    ev = evaluate_action(g, u, "C3", report, caps=caps)
+    assert ev.ok and ev.sylow3_case is None and ev.lemma_failures == []
+
+
+@pytest.mark.parametrize("name", ["psl2_7", "psl2_9", "psl2_11", "psl2_13"])
+def test_h_normalizer_index_matches_brute_force(group_cache, name):
+    # lemma (iv) reads |N_G(H) : N_{G_a}(H)| off the orbit of the coset a
+    # under N_G(H); the oracle intersects an enumerated N_G(H) with the
+    # enumerated stabilizer G_a of the first fixed coset
+    g = group_cache(name)
+    ctx = as_context(g)
+    nontrivial = 0
+    for h in search_fixity_k(g, 4):
+        u = h.subgroup_class.representative
+        checks = check_structural_lemmas(g, u, h.report)
+        action = h.report.action
+        fixed = fixed_cosets(action, h.report.witness_class.representative.images)
+        h_set = set(coset_stabilizer_tables(action, fixed[0]))
+        for lam in fixed[1:]:
+            h_set &= set(coset_stabilizer_tables(action, lam))
+        if len(h_set) == 1:
+            assert checks.h_normalizer_index is None
+            continue
+        nontrivial += 1
+        h_sub = subgroup_from_tables(g, sorted(h_set), target_order=len(h_set))
+        ngh = normalizer_brute(ctx, h_sub)
+        g_a = frozenset(coset_stabilizer_tables(action, fixed[0]))
+        inside = sum(1 for t in ngh.group.element_tables() if t in g_a)
+        assert checks.h_normalizer_index == ngh.order // inside
+    assert nontrivial > 0
+
+
 def test_run_claim_order27():
     r = run_claim({"id": "c", "mode": "order27"})
     assert r.verdict == "PASS"
@@ -386,15 +444,6 @@ def test_run_claim_order27():
 def test_run_claim_unknown_mode_skips():
     r = run_claim({"id": "c", "mode": "telepathy"})
     assert r.verdict == "SKIPPED"
-
-
-def test_family_small_q13():
-    fam = check_psl2_family([13])[0]
-    assert fam.q == 13 and fam.verdict == "PASS"
-    assert fam.failures == []
-    assert sorted(r.descriptor for r in fam.rows) == ["A4", "C13:C3", "C3"]
-    assert sorted(r.order for r in fam.rows) == [3, 12, 39]
-    assert all(r.fixity == 4 and r.structural_ok for r in fam.rows)
 
 
 def test_family_generic_q17():
@@ -410,6 +459,10 @@ def test_family_rejects_bad_q():
         check_psl2_family([15])
     with pytest.raises(PreconditionError):
         check_psl2_family([4])
+    # the small q are decided by the catalog's lattice searches
+    for q in (7, 13):
+        with pytest.raises(PreconditionError):
+            check_psl2_family([q])
 
 
 def test_load_claims_validation(tmp_path):
