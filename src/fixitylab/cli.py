@@ -38,7 +38,7 @@ from .errors import FalsificationError, FixityError, GroupDataError, Preconditio
 from .perm import PermGroup, Subgroup
 from .verifier import (
     StabView,
-    _action_row,
+    action_row,
     catalog_report_json,
     classify_sylow3_orbits,
     descriptor_matches,
@@ -173,7 +173,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "group": name,
         "k": args.k,
         "classes": [
-            _action_row(g, h.subgroup_class.representative, h.report) for h in hits
+            action_row(g, h.subgroup_class.representative, h.report) for h in hits
         ],
     }
     _emit(json.dumps(obj, indent=2), args.out)

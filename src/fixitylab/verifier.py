@@ -612,7 +612,8 @@ class ActionEvaluation:
 
     ``sylow3_case`` is None when the last two did not run: the action does
     not have fixity 4, the descriptor did not match, or the fixity was
-    counted on the slow path, which builds no coset action.
+    counted on the slow path, which builds no coset action.  ``ok`` holds
+    only when they ran and passed.
     """
 
     report: FixityReport
@@ -622,7 +623,7 @@ class ActionEvaluation:
 
     @property
     def ok(self) -> bool:
-        return self.report.fixity == 4 and self.descriptor_ok and not self.lemma_failures
+        return self.sylow3_case is not None and not self.lemma_failures
 
 
 def evaluate_action(
@@ -729,6 +730,10 @@ def _family_row(
 
 def _family_result(q: int, caps: Caps) -> FamilyResult:
     g = psl2_spec(q).build()
+    if g.order > caps.elements:
+        raise CapExceededError(
+            f"group order {g.order} exceeds element cap {caps.elements}"
+        )
     p, n = prime_power(q)
     failures: list[str] = []
     rows: list[FamilyRow] = []
@@ -765,8 +770,9 @@ def check_psl2_family(q_list, caps: Caps = DEFAULT_CAPS) -> list[FamilyResult]:
     The claimed stabilizers are constructed directly (the quarter-torus,
     plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
     each is checked for fixity 4, its descriptor, the structural side
-    conditions and the Sylow-3 case.  The small q are decided by the
-    catalog's lattice-search claims instead.
+    conditions and the Sylow-3 case.  A PSL2(q) larger than the element
+    cap raises CapExceededError, since those checks need it enumerated.
+    The small q are decided by the catalog's lattice-search claims instead.
     """
     out = []
     for q in q_list:
@@ -958,7 +964,7 @@ def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
     raise GroupDataError(f"unknown stabilizer source {source!r}")
 
 
-def _action_row(g: PermGroup, u: Subgroup, report: FixityReport) -> dict:
+def action_row(g: PermGroup, u: Subgroup, report: FixityReport) -> dict:
     """The head every output row of an action G/U starts with."""
     return {"order": u.order, "degree": g.order // u.order, "fixity": report.fixity}
 
@@ -969,7 +975,7 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
     hits, descriptors, detail = _search_and_assign(
         g, k, [] if expected == "none" else expected, caps
     )
-    rows = [_action_row(g, h.subgroup_class.representative, h.report) for h in hits]
+    rows = [action_row(g, h.subgroup_class.representative, h.report) for h in hits]
     if expected == "none":
         if hits:
             found = sorted(r["order"] for r in rows)
@@ -997,7 +1003,7 @@ def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> Cl
         u = _build_stabilizer(g, entry["source"], caps)
         descriptor = entry["descriptor"]
         ev = evaluate_action(g, u, descriptor, caps=caps)
-        row = _action_row(g, u, ev.report)
+        row = action_row(g, u, ev.report)
         row["descriptor"] = descriptor
         row["source"] = entry["source"]
         rows.append(row)

@@ -14,6 +14,7 @@ from fixitylab.enumeration import (
     subgroups_up_to_conjugacy,
 )
 from fixitylab.errors import (
+    CapExceededError,
     FalsificationError,
     GroupDataError,
     PreconditionError,
@@ -404,7 +405,8 @@ def test_stabilizer_claim_on_the_slow_path():
     report = fixitylab.cosets.fixity(g, u, caps)
     assert report.slow_path and report.action is None
     ev = evaluate_action(g, u, "C3", report, caps=caps)
-    assert ev.ok and ev.sylow3_case is None and ev.lemma_failures == []
+    assert ev.descriptor_ok and ev.sylow3_case is None and ev.lemma_failures == []
+    assert not ev.ok
 
 
 @pytest.mark.parametrize("name", ["psl2_7", "psl2_9", "psl2_11", "psl2_13"])
@@ -452,6 +454,21 @@ def test_family_generic_q17():
     assert [r.descriptor for r in fam.rows] == ["C4", "C17:C4"]
     assert [r.order for r in fam.rows] == [4, 68]
     assert all(r.fixity == 4 for r in fam.rows)
+
+
+@pytest.mark.parametrize("q", [17, 19])
+def test_family_above_the_element_cap_is_skipped(q):
+    # a family row needs the structural checks, which run on the enumerated
+    # group: under a cap below |PSL2(q)| the claim is undecided, not PASS
+    claim = {"id": "f", "mode": "psl2_family", "q": q}
+    res = run_claim({**claim, "caps": {"elements": 1000}})
+    assert res.verdict == "SKIPPED" and res.rows == []
+    assert res.detail.startswith("cap exceeded: group order")
+    with pytest.raises(CapExceededError):
+        check_psl2_family([q], Caps(elements=1000))
+    full = run_claim(claim)
+    assert full.verdict == "PASS"
+    assert all(r["structural_ok"] and r["sylow3_case"] != "-" for r in full.rows)
 
 
 def test_family_rejects_bad_q():
