@@ -19,9 +19,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fixitylab.cosets import Caps, DEFAULT_CAPS, fixity, stabilizer_bundle_fixes
+from fixitylab.cosets import Caps, DEFAULT_CAPS, stabilizer_bundle_fixes
 from fixitylab.enumeration import as_context
-from fixitylab.errors import FixityError
+from fixitylab.verifier import search_fixity_k
 from fixitylab.zoo import resolve_group
 
 
@@ -30,32 +30,25 @@ def survey(selector: str, highlight: int, caps: Caps) -> None:
     t0 = time.time()
     ctx = as_context(g, caps.elements)
     hist: Counter[int] = Counter()
-    shown: list[str] = []
     for sc in ctx.subgroup_classes(caps.subgroups):
         if sc.order in (1, ctx.n):
             continue
-        degree = ctx.n // sc.order
         fixes = stabilizer_bundle_fixes(ctx, sc.representative)
         fx = max(fixes) if fixes else 0
-        if fx >= degree:
-            continue  # kernel elements fix everything: action not faithful
-        hist[fx] += 1
-        if fx == highlight:
-            rep = fixity(ctx.group, sc.representative, caps)
-            if rep.fixity != fx:
-                raise FixityError("screen and direct count disagree")
-            shown.append(
-                f"    order {sc.order:6d}  degree {degree:6d}  "
-                f"normalizer {sc.normalizer_order}"
-            )
+        if fx < ctx.n // sc.order:  # else a kernel element fixes every coset
+            hist[fx] += 1
+    # confirmed on the coset actions, in the same class order
+    hits = search_fixity_k(ctx, highlight, caps)
     dt = time.time() - t0
     print(f"{name}: order {ctx.n}, {sum(hist.values())} faithful actions "
           f"({dt:.1f}s)")
     for fx in sorted(hist):
         marker = "  <-- highlighted" if fx == highlight else ""
         print(f"  fixity {fx:3d}: {hist[fx]:4d} classes{marker}")
-    for line in shown:
-        print(line)
+    for h in hits:
+        sc = h.subgroup_class
+        print(f"    order {sc.order:6d}  degree {h.degree:6d}  "
+              f"normalizer {sc.normalizer_order}")
 
 
 def main(argv: list[str] | None = None) -> int:

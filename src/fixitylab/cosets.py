@@ -32,9 +32,8 @@ equal on every enumerable pair.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Iterator
 
@@ -43,6 +42,7 @@ from .enumeration import (
     SUBGROUP_CAP,
     ConjClass,
     GroupContext,
+    _cyclic_generators,
     _cyclic_tables,
     as_context,
     canonical_form,
@@ -104,17 +104,12 @@ class CosetAction:
     u_set: frozenset[ImageTable]
     canon: Callable[[ImageTable], ImageTable]
 
-    def __post_init__(self):
-        self._inv_padded: list[ImageTable] | None = None
-
-    @property
+    @cached_property
     def inv_reps(self) -> list[ImageTable]:
         """Inverses of the canonical reps as operands of ``table_action``
         (padded for byte translation)."""
-        if self._inv_padded is None:
-            _, as_operand = table_action(self.group.degree)
-            self._inv_padded = [as_operand(invert_table(r)) for r in self.canonical_reps]
-        return self._inv_padded
+        _, as_operand = table_action(self.group.degree)
+        return [as_operand(invert_table(r)) for r in self.canonical_reps]
 
     def coset_of(self, t: ImageTable) -> int:
         """Index of the coset U*t, for a member t of the group."""
@@ -122,6 +117,10 @@ class CosetAction:
         if k is None:
             raise MembershipError("element lies in no coset of the action")
         return k
+
+    def image(self, c: int, t: ImageTable) -> int:
+        """Index of the image of coset c under a member t of the group."""
+        return self.coset_of(compose_tables(self.canonical_reps[c], t))
 
 
 @dataclass(eq=False)
@@ -353,7 +352,7 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
     members = [i for i in ctx.indices_of(u.group) if ctx.class_of[i] == cx]
 
     def conj_by_u(fs: frozenset[int], j: int) -> frozenset[int]:
-        return frozenset(ctx.conj_index(k, u_gens[j]) for k in fs)
+        return frozenset(ctx.conj_map(u_gens[j], [ctx.elements[k] for k in fs]))
 
     seen: set[frozenset[int]] = set()
     total = 0
@@ -437,15 +436,7 @@ def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
     Conjugation commutes with taking powers, so this is a stable label for
     the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
     """
-    powers = _cyclic_tables(t, degree)
-    return min(compress(powers, _coprime_mask(len(powers))))
-
-
-@lru_cache(maxsize=128)
-def _coprime_mask(n: int) -> bytes:
-    """Byte k is 1 iff gcd(k, n) = 1: the exponents of the generators of a
-    cyclic group of order n."""
-    return bytes(math.gcd(k, n) == 1 for k in range(n))
+    return min(_cyclic_generators(t, degree))
 
 
 def cyclic_conjugation(g: PermGroup):
@@ -458,8 +449,7 @@ def cyclic_conjugation(g: PermGroup):
 def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
     """Maximum of the normalizer-formula counts over cyclic subgroups of U,
     with conjugates of <y> tracked by least generator; G never enumerated."""
-    u_ctx = GroupContext(u.group, caps.elements)
-    u_set = frozenset(u_ctx.elements)
+    u_ctx = as_context(u.group, caps.elements)
     uo = u.group.order
     act = cyclic_conjugation(g)
     best = 0
@@ -471,7 +461,7 @@ def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
         orbit = orbit_walk(start, act, len(g.generators))
         seen.update(orbit)
         # <c> lies inside U exactly when its generator does
-        in_u = sum(1 for c in orbit if c in u_set)
+        in_u = sum(1 for c in orbit if c in u_ctx.index)
         if g.order % len(orbit):
             raise FalsificationError("subgroup orbit length does not divide |G|")
         val = in_u * (g.order // len(orbit))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import compress
 
 from .errors import CapExceededError, FalsificationError, MembershipError, PreconditionError
 from .ffield import euler_phi, is_prime, is_prime_power, p_part, prime_divisors
@@ -33,7 +35,6 @@ from .perm import (
     padded,
     table_action,
     table_order,
-    table_power,
 )
 
 ELEMENT_CAP = 200_000
@@ -103,11 +104,15 @@ class SubgroupClass:
     representative: Subgroup
     normalizer_order: int
     class_size: int
-    predicates: StructureRecord
     order: int
     indices: frozenset[int]
     canonical: tuple[int, ...]
     normalizer: Subgroup
+
+    @cached_property
+    def predicates(self) -> StructureRecord:
+        """Structure flags of the representative, computed on first read."""
+        return structure_predicates(self.representative)
 
 
 class GroupContext:
@@ -128,13 +133,11 @@ class GroupContext:
             raise FalsificationError(
                 f"least element {self.elements[0]!r} is not the identity"
             )
-        self._conj_tables: list[list[int]] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
         self._element_orders: list[int] | None = None
         self._bundles: list[CyclicBundle] | None = None
         self._bundle_of_class: list[int] | None = None
-        self._pp_cyclics: tuple[list[int], list[int]] | None = None
         self._subgroup_classes: list[SubgroupClass] | None = None
 
     # -- conjugation action on element indices --------------------------------
@@ -152,15 +155,10 @@ class GroupContext:
             return [index[bytes.maketrans(h, e.translate(ph))[:d]] for e in members]
         return [index[conjugate_table(e, h)] for e in members]
 
-    @property
+    @cached_property
     def conj_tables(self) -> list[list[int]]:
         """conj_tables[j] = conj_map of the j-th generator."""
-        if self._conj_tables is None:
-            self._conj_tables = [self.conj_map(t) for t in self.group.gen_tables]
-        return self._conj_tables
-
-    def conj_index(self, i: int, g: ImageTable) -> int:
-        return self.index[conjugate_table(self.elements[i], g)]
+        return [self.conj_map(t) for t in self.group.gen_tables]
 
     def index_of(self, t: ImageTable) -> int:
         """Index of a member of the group."""
@@ -241,8 +239,8 @@ class GroupContext:
             # the generators x^k of <x>: their classes fuse into one bundle,
             # phi(o) generators per subgroup
             x = self.elements[c0.rep_index]
-            powers = (table_power(x, k) for k in range(1, o) if math.gcd(k, o) == 1)
-            cids = sorted({self.class_of[self.index[t]] for t in powers})
+            gens = _cyclic_generators(x, self.group.degree)
+            cids = sorted({self.class_of[self.index[t]] for t in gens})
             for c in cids:
                 bundle_of_class[c] = len(bundles)
             pairs = {(classes[c].element_order, classes[c].centralizer_order) for c in cids}
@@ -281,37 +279,30 @@ class GroupContext:
             self._compute_bundles()
         return self._bundle_of_class
 
-    @property
+    @cached_property
     def pp_cyclics(self) -> tuple[list[int], list[int]]:
         """``(cyc_of, rep)`` for the cyclic subgroups of prime-power order > 1,
         numbered in order of their least generator index: ``cyc_of[i]`` is
         the subgroup element i generates (-1 for the identity and elements of
         other orders), ``rep[s]`` the least generator of subgroup s."""
-        if self._pp_cyclics is None:
-            index, elements, degree = self.index, self.elements, self.group.degree
-            cyc_of = [-1] * self.n
-            rep: list[int] = []
-            for i, o in enumerate(self.element_orders):
-                p = is_prime_power(o)
-                if p is None or cyc_of[i] >= 0:
-                    continue
-                s = len(rep)
-                rep.append(i)
-                # the generators of <y> of order p^a are the y^k with p not
-                # dividing k
-                for k, t in enumerate(_cyclic_tables(elements[i], degree)):
-                    if k % p:
-                        cyc_of[index[t]] = s
-            expected = sum(
-                b.n_subgroups for b in self.bundles if is_prime_power(b.element_order)
+        index, elements, degree = self.index, self.elements, self.group.degree
+        cyc_of = [-1] * self.n
+        rep: list[int] = []
+        for i, o in enumerate(self.element_orders):
+            if cyc_of[i] >= 0 or is_prime_power(o) is None:
+                continue
+            for t in _cyclic_generators(elements[i], degree):
+                cyc_of[index[t]] = len(rep)
+            rep.append(i)
+        expected = sum(
+            b.n_subgroups for b in self.bundles if is_prime_power(b.element_order)
+        )
+        if len(rep) != expected:
+            raise FalsificationError(
+                f"numbered {len(rep)} cyclic subgroups of prime-power order, "
+                f"the bundles count {expected}"
             )
-            if len(rep) != expected:
-                raise FalsificationError(
-                    f"numbered {len(rep)} cyclic subgroups of prime-power order, "
-                    f"the bundles count {expected}"
-                )
-            self._pp_cyclics = (cyc_of, rep)
-        return self._pp_cyclics
+        return cyc_of, rep
 
     # -- subgroup lattice -------------------------------------------------------
 
@@ -417,7 +408,6 @@ class GroupContext:
                     representative=sub,
                     normalizer_order=rec["normalizer"].order,
                     class_size=rec["class_size"],
-                    predicates=structure_predicates(sub),
                     order=rec["chain"].order,
                     indices=rec["indices"],
                     canonical=rec["canonical"],
@@ -470,6 +460,20 @@ def _cyclic_tables(t: ImageTable, degree: int) -> list[ImageTable]:
     return out
 
 
+@lru_cache(maxsize=128)
+def _coprime_mask(n: int) -> bytes:
+    """Byte k is 1 iff gcd(k, n) = 1: the exponents of the generators of a
+    cyclic group of order n."""
+    return bytes(math.gcd(k, n) == 1 for k in range(n))
+
+
+def _cyclic_generators(t: ImageTable, degree: int) -> list[ImageTable]:
+    """The generators of <t>: the powers t^k with gcd(k, |t|) = 1, in
+    increasing k."""
+    powers = _cyclic_tables(t, degree)
+    return list(compress(powers, _coprime_mask(len(powers))))
+
+
 def subgroup_from_tables(
     parent: PermGroup, tables: list[ImageTable], target_order: int | None = None
 ) -> Subgroup:
@@ -512,7 +516,7 @@ def normalizer(
 ) -> Subgroup:
     """N_G(U), via the conjugation orbit of U's element set."""
     ctx = as_context(g, cap)
-    ug = u.group if isinstance(u, Subgroup) else u
+    ug = _group_of(u)
     _, norm_chain = ctx._subgroup_orbit(frozenset(ctx.indices_of(ug)), ug)
     return Subgroup(norm_chain, ctx.group)
 
@@ -522,13 +526,9 @@ def normalizer_brute(
 ) -> Subgroup:
     """N_G(U) by scanning every element of G; small-scale oracle."""
     ctx = as_context(g, cap)
-    ug = u.group if isinstance(u, Subgroup) else u
-    fs = frozenset(ctx.index[t] for t in ug.element_tables())
-    u_gens = ug.gen_tables
-    members = []
-    for e in ctx.elements:
-        if all(ctx.index[conjugate_table(t, e)] in fs for t in u_gens):
-            members.append(e)
+    ug = _group_of(u)
+    u_set = frozenset(ug.element_tables())
+    members = [e for e in ctx.elements if _normalized_by([e], ug.gen_tables, u_set)]
     return subgroup_from_tables(ctx.group, members, target_order=len(members))
 
 
@@ -642,26 +642,31 @@ def _is_nilpotent(orders: list[int]) -> bool:
     )
 
 
+def _normalized_by(
+    gens: list[ImageTable], sub_gens: list[ImageTable], sub_set
+) -> bool:
+    """Whether <gens> normalizes the subgroup generated by ``sub_gens``,
+    whose element tables make up ``sub_set``: every conjugate of a
+    generator of it by one of ``gens`` stays inside it."""
+    return all(conjugate_table(t, g) in sub_set for t in sub_gens for g in gens)
+
+
 def _dihedral_check(tables, orders, gen_tables, n: int) -> bool:
     """Order 2m with a normal cyclic C_m inverted by an outside involution."""
     if n < 4 or n % 2:
         return False
     m = n // 2
-    inverted = False
     for t, o in zip(tables, orders):
         if o != m:
             continue
         powers = set(_cyclic_tables(t, len(t)))
-        if any(conjugate_table(t, g) not in powers for g in gen_tables):
+        if not _normalized_by(gen_tables, [t], powers):
             continue
         t_inv = invert_table(t)
         for s, os in zip(tables, orders):
             if os == 2 and s not in powers and conjugate_table(t, s) == t_inv:
-                inverted = True
-                break
-        if inverted:
-            break
-    return inverted
+                return True
+    return False
 
 
 def _frobenius_cyclic_check(
@@ -680,15 +685,10 @@ def _frobenius_cyclic_check(
         kernel = [t for t, o in zip(tables, orders) if a % o == 0]
         if len(kernel) != a:
             continue
-        kernel_set = set(kernel)
         chain = _greedy_chain(degree, kernel, target_order=a)
         if chain.order != a:
             continue
-        if any(
-            conjugate_table(t, g) not in kernel_set
-            for t in chain.gen_tables
-            for g in gen_tables
-        ):
+        if not _normalized_by(gen_tables, chain.gen_tables, set(kernel)):
             continue
         if not _is_nilpotent([o for o in orders if a % o == 0]):
             continue

@@ -36,13 +36,12 @@ import math
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .cosets import (
     Caps,
     DEFAULT_CAPS,
-    CosetAction,
     FixityReport,
     build_coset_action,
     canonical_generator,
@@ -53,8 +52,11 @@ from .cosets import (
     stabilizer_bundle_fixes,
 )
 from .enumeration import (
+    ELEMENT_CAP,
     GroupContext,
     SubgroupClass,
+    _group_of,
+    _normalized_by,
     as_context,
     is_simple_group,
     normalizer,
@@ -118,39 +120,28 @@ class StabView:
     def __init__(self, grp: PermGroup, record=None):
         self.grp = grp
         self.order = grp.order
-        self._record = record
-        self._simple: bool | None = None
+        if record is not None:
+            self.record = record
 
     @classmethod
     def of(cls, u) -> "StabView":
         if isinstance(u, SubgroupClass):
             return cls(u.representative.group, record=u.predicates)
-        if isinstance(u, Subgroup):
-            return cls(u.group)
-        return cls(u)
+        return cls(_group_of(u))
 
-    @property
+    @functools.cached_property
     def record(self):
-        if self._record is None:
-            self._record = structure_predicates(self.grp)
-        return self._record
+        return structure_predicates(self.grp)
 
-    @property
+    @functools.cached_property
     def is_simple(self) -> bool:
-        if self._simple is None:
-            self._simple = is_simple_group(self.grp)
-        return self._simple
+        return is_simple_group(self.grp)
 
     def normal_sylow(self, p: int) -> tuple[bool, "StabView"]:
         """(is the Sylow p-subgroup normal, its view)."""
-        syl = sylow(self.grp, p)
-        syl_set = frozenset(syl.group.element_tables())
-        norm = all(
-            conjugate_table(t, g) in syl_set
-            for t in syl.group.gen_tables
-            for g in self.grp.gen_tables
-        )
-        return norm, StabView(syl.group)
+        syl = sylow(self.grp, p).group
+        norm = _normalized_by(self.grp.gen_tables, syl.gen_tables, set(syl.element_tables()))
+        return norm, StabView(syl)
 
 
 def parse_descriptor(name: str) -> tuple[str, tuple[int, ...]]:
@@ -313,6 +304,16 @@ class StructuralChecks:
         return not self.failures
 
 
+def _missing_sylow(what: str, order: int, n: int) -> list[str]:
+    """One failure per prime p >= 5 dividing ``order`` whose Sylow p-part of
+    n a subgroup of that order misses."""
+    return [
+        f"{what} of order {order} misses the full Sylow {p}-part {p_part(n, p)} of the group"
+        for p in prime_divisors(order)
+        if p >= 5 and p_part(order, p) != p_part(n, p)
+    ]
+
+
 def check_structural_lemmas(
     g: PermGroup | GroupContext,
     u: Subgroup,
@@ -321,16 +322,20 @@ def check_structural_lemmas(
 ) -> StructuralChecks:
     """Side conditions every fixity-4 action must satisfy.
 
-    (i)   |N_G(Y) : N_U(Y)| <= 4 for every class of nontrivial cyclic Y <= U;
-    (ii)  the four-point stabilizer H fixed by the witness is TI under
-          sampled conjugation (H cap H^s in {1, H});
-    (iii) for p in pi(U) with p >= 5, U contains a full Sylow p-subgroup of
-          G, and so does H for p in pi(H);
-    (iv)  |N_G(H) : N_U(H)| in {2, 4} whenever H != 1.
+    H is the four-point stabilizer: the elements fixing the four cosets
+    that the witness element fixes, read off the coset action the fixity
+    report was counted on (the report is computed when not given).
+
+    (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
+          subgroups Y <= U;
+    (ii)  when H != 1, H is TI: |H cap H^s| is 1 or |H| for s over one
+          representative per class of G and every (|G| // 200)-th element;
+    (iii) for each prime p >= 5 dividing |U|, U contains a full Sylow
+          p-subgroup of G, and so does H for each such p dividing |H|;
+    (iv)  when H != 1, |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four
+          cosets a, read as the length of the orbit of a under N_G(H).
 
     Failures are collected in the returned record, never silently dropped.
-    The four-point stabilizer is read off the coset action the fixity
-    report was counted on.
     """
     ctx = as_context(g, caps.elements)
     if report is None:
@@ -360,15 +365,8 @@ def check_structural_lemmas(
             )
 
     # (iii) for p >= 5 the stabilizer contains a full Sylow p-subgroup
-    sylow_primes: list[int] = []
-    for p in prime_divisors(u.order):
-        if p >= 5:
-            sylow_primes.append(p)
-            if p_part(u.order, p) != p_part(ctx.n, p):
-                failures.append(
-                    f"stabilizer order {u.order} misses the full Sylow "
-                    f"{p}-part {p_part(ctx.n, p)} of the group"
-                )
+    sylow_primes = [p for p in prime_divisors(u.order) if p >= 5]
+    failures += _missing_sylow("stabilizer", u.order, ctx.n)
 
     # the four-point stabilizer cut out by the witness element
     x = report.witness_class.representative.images
@@ -386,21 +384,16 @@ def check_structural_lemmas(
     ti_samples = 0
     h_norm_index: int | None = None
     if h_order > 1:
-        for p in prime_divisors(h_order):
-            if p >= 5 and p_part(h_order, p) != p_part(ctx.n, p):
-                failures.append(
-                    f"four-point stabilizer of order {h_order} misses the "
-                    f"full Sylow {p}-part of the group"
-                )
+        failures += _missing_sylow("four-point stabilizer", h_order, ctx.n)
 
         # (ii) TI property under sampled conjugation
-        h_frozen = frozenset(h_tables)
+        h_indices = frozenset(map(ctx.index.__getitem__, h_tables))
         samples = [c.representative.images for c in ctx.classes]
         stride = max(1, ctx.n // 200)
         samples.extend(ctx.elements[::stride])
         for s in samples:
             ti_samples += 1
-            inter = sum(1 for t in h_tables if conjugate_table(t, s) in h_frozen)
+            inter = len(h_indices.intersection(ctx.conj_map(s, h_tables)))
             if inter not in (1, h_order):
                 failures.append(
                     f"TI violated: |H cap H^s| = {inter} for |H| = {h_order}"
@@ -413,13 +406,8 @@ def check_structural_lemmas(
         h_sub = subgroup_from_tables(ctx.group, h_tables, target_order=h_order)
         ngh = normalizer(ctx, h_sub)
         n_gens = ngh.group.gen_tables
-        reps = action.canonical_reps
-
-        def act(c: int, j: int) -> int:
-            return action.coset_of(compose_tables(reps[c], n_gens[j]))
-
         for lam in fixed:
-            idx = len(orbit_walk(lam, act, len(n_gens)))
+            idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens)))
             if ngh.order % idx:
                 raise FalsificationError(
                     "orbit length of N_G(H) on a fixed point does not divide |N_G(H)|"
@@ -457,31 +445,6 @@ class Sylow3Classification:
     p_order: int
     delta_size: int
     orbit_sizes: tuple[tuple[int, int], ...]
-
-
-def _coset_images(action: CosetAction, gen_tables: list[ImageTable]) -> dict[ImageTable, list[int]]:
-    """Coset image rows for every element of <gen_tables>.
-
-    Generator rows are computed against the canonical representatives; the
-    remaining elements are products taken inside the coset space, which is
-    valid because the induced map is a homomorphism.
-    """
-    gen_rows = [
-        [action.coset_of(compose_tables(r, gt)) for r in action.canonical_reps]
-        for gt in gen_tables
-    ]
-    ident = identity_table(action.group.degree)
-    rows: dict[ImageTable, list[int]] = {ident: list(range(action.degree))}
-    queue = [ident]
-    while queue:
-        cur = queue.pop()
-        row_cur = rows[cur]
-        for gt, grow in zip(gen_tables, gen_rows):
-            nxt = compose_tables(cur, gt)
-            if nxt not in rows:
-                rows[nxt] = [grow[i] for i in row_cur]
-                queue.append(nxt)
-    return rows
 
 
 def _commutator(a: ImageTable, b: ImageTable) -> ImageTable:
@@ -527,9 +490,22 @@ def classify_sylow3_orbits(
 ) -> Sylow3Classification:
     """Orbit shape of a Sylow 3-subgroup P on the coset space G/U.
 
-    Delta is the union of P-orbits of length at most 3.  Exactly one of
-    five shapes must hold for a fixity-4 action; none matching is reported
-    as a falsification with the orbit data.  The coset action is taken from
+    The P-orbits are taken from the coset rows of P's generators alone.
+    Delta is the union of the P-orbits of length at most 3.  The first of
+    five shapes that holds is the case:
+
+      (a) every P-orbit is regular and 3 does not divide |U|;
+      (b) |Delta| > 4 and |P| <= 9;
+      (c) |Delta| <= 4, P is of maximal class, some orbit outside Delta is
+          not regular, and on each such orbit the point stabilizers in P
+          have order 3 and fix exactly 3 of its points;
+      (d) Delta is a single orbit of length 3 and every other orbit is
+          regular;
+      (e) 1 <= |Delta| <= 4, Delta holds a fixed point of P, and every
+          orbit outside Delta is regular.
+
+    A fixity-4 action must show one of them; none matching is reported as
+    a falsification with the orbit data.  The coset action is taken from
     ``report`` when it carries one, and built otherwise.
     """
     ctx = as_context(g, caps.elements)
@@ -537,15 +513,10 @@ def classify_sylow3_orbits(
     if action is None:
         action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
     p_order = p_part(ctx.n, 3)
-    if p_order == 1:
-        p_gens: list[ImageTable] = []
-        p_tables = [identity_table(ctx.group.degree)]
-    else:
-        p_sub = sylow(ctx, 3)
-        p_gens = p_sub.group.gen_tables
-        p_tables = p_sub.group.element_tables()
-    rows = _coset_images(action, p_gens)
-    _, orbits = orbit_partition(action.degree, [rows[gt] for gt in p_gens])
+    p_grp = sylow(ctx, 3).group if p_order > 1 else subgroup_closure(ctx.group, []).group
+    p_gens = p_grp.gen_tables
+    rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
+    _, orbits = orbit_partition(action.degree, rows)
 
     delta_orbits = [o for o in orbits if len(o) <= 3]
     delta_size = sum(len(o) for o in delta_orbits)
@@ -557,32 +528,24 @@ def classify_sylow3_orbits(
             case=case, p_order=p_order, delta_size=delta_size, orbit_sizes=size_pairs
         )
 
+    def shows_case_c(lam: list[int]) -> bool:
+        # the point stabilizers of one P-orbit are conjugate in P, so they
+        # have one order and fix equally many points of the orbit: the
+        # stabilizer of its first point decides for all of them
+        _, stab = orbit_stabilizer(p_grp, lam[0], lambda c, j: rows[j][c])
+        if stab.order != 3:
+            return False
+        return len(set(fixed_cosets(action, stab.gen_tables[0])).intersection(lam)) == 3
+
     all_regular = all(len(o) == p_order for o in orbits)
     if all_regular and u.order % 3 != 0:
         return result("a")
     if delta_size > 4 and p_order <= 9:
         return result("b")
-    if delta_size <= 4 and _is_maximal_class(ctx.group.degree, p_tables, 3):
+    if delta_size <= 4 and _is_maximal_class(ctx.group.degree, p_grp.element_tables(), 3):
         nonreg = [o for o in outside if len(o) < p_order]
-        if nonreg:
-            good = True
-            for lam in nonreg:
-                lam_set = set(lam)
-                for pt in lam:
-                    stab = [t for t in p_tables if rows[t][pt] == pt]
-                    if len(stab) != 3:
-                        good = False
-                        break
-                    fixed_in_lam = sum(
-                        1 for mu in lam_set if all(rows[t][mu] == mu for t in stab)
-                    )
-                    if fixed_in_lam != 3:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                return result("c")
+        if nonreg and all(map(shows_case_c, nonreg)):
+            return result("c")
     if (
         len(delta_orbits) == 1
         and len(delta_orbits[0]) == 3
@@ -901,19 +864,34 @@ class ClaimResult:
         }
 
 
-def _merge_caps(base: Caps, spec: dict | None) -> Caps:
-    if not spec:
+_CAP_KEYS = tuple(f.name for f in fields(Caps))
+
+
+def _merge_caps(base: Caps, spec: dict | None, cid: str) -> Caps:
+    """``base`` with the caps that claim ``cid`` sets.  Each key must name a
+    cap and each value be a positive int; anything else raises
+    GroupDataError naming the claim and the key."""
+    if spec is None:
         return base
-    return Caps(
-        elements=spec.get("elements", base.elements),
-        subgroups=spec.get("subgroups", base.subgroups),
-        cosets=spec.get("cosets", base.cosets),
-    )
+    if not isinstance(spec, dict):
+        raise GroupDataError(f"claim {cid!r}: caps must be an object, got {spec!r}")
+    for key, value in spec.items():
+        # bool is an int subclass, so the type is compared exactly
+        if key not in _CAP_KEYS or type(value) is not int or value < 1:
+            raise GroupDataError(
+                f"claim {cid!r}: bad cap {key!r}: {value!r} "
+                f"(caps are {', '.join(_CAP_KEYS)}, each a positive int)"
+            )
+    return replace(base, **spec)
 
 
-def _find_element_of_order(g: PermGroup, n: int, limit: int = 200_000) -> ImageTable:
+def _find_element_of_order(g: PermGroup, n: int, limit: int = ELEMENT_CAP) -> ImageTable:
     """First element (in breadth-first word order over the generators) whose
-    order is divisible by n, raised to the cofactor; deterministic."""
+    order is divisible by n, raised to the cofactor; deterministic.
+
+    The search stops growing once it has seen ``limit`` elements: if that
+    left part of G unseen it raises CapExceededError, and GroupDataError if
+    it walked all of G."""
     gen_tables = g.gen_tables
     queue: list[ImageTable] = [identity_table(g.degree)]
     seen: set[ImageTable] = set(queue)
@@ -930,7 +908,12 @@ def _find_element_of_order(g: PermGroup, n: int, limit: int = 200_000) -> ImageT
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-    raise GroupDataError(f"no element of order divisible by {n} within {limit} words")
+    if len(seen) < g.order:
+        raise CapExceededError(
+            f"no element of order divisible by {n} among the first {len(seen)} "
+            f"words (element cap {limit})"
+        )
+    raise GroupDataError(f"group has no element of order divisible by {n}")
 
 
 def _normalizer_of_cyclic(g: PermGroup, y: ImageTable) -> Subgroup:
@@ -955,11 +938,11 @@ def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
         return subgroup_closure(g, [Permutation(ctx.elements[yi], _trusted=True)])
     if kind == "cyclic_search":
         n = int(arg)
-        y = _find_element_of_order(g, n)
+        y = _find_element_of_order(g, n, caps.elements)
         return subgroup_closure(g, [Permutation(y, _trusted=True)])
     if kind == "cyclic_normalizer_search":
         n = int(arg)
-        y = _find_element_of_order(g, n)
+        y = _find_element_of_order(g, n, caps.elements)
         return _normalizer_of_cyclic(g, y)
     raise GroupDataError(f"unknown stabilizer source {source!r}")
 
@@ -1051,7 +1034,7 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
     if mode not in _REQUIRED_KEYS:
         return ClaimResult(cid, "SKIPPED", f"unknown claim mode {mode!r}", [])
     try:
-        ccaps = _merge_caps(caps, claim.get("caps"))
+        ccaps = _merge_caps(caps, claim.get("caps"), cid)
         if mode == "order27":
             res = check_order27_lemma()
             rows = [asdict(p) for p in res.pairs]
@@ -1077,7 +1060,7 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
 
 def load_claims(path: str | Path) -> list[dict]:
     """The claims of a catalog file, each checked for an id unique in the
-    file and for the keys its mode reads."""
+    file, for the keys its mode reads and for its ``caps``."""
     data = json.loads(Path(path).read_text())
     claims = data["claims"] if isinstance(data, dict) else data
     seen: set[str] = set()
@@ -1094,6 +1077,7 @@ def load_claims(path: str | Path) -> list[dict]:
         for obj, key in needed:
             if key not in obj:
                 raise GroupDataError(f"{mode} claim {c['id']!r} lacks the key {key!r}")
+        _merge_caps(DEFAULT_CAPS, c.get("caps"), c["id"])
     return claims
 
 

@@ -200,6 +200,17 @@ def test_verify_missing_catalog(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_verify_bad_caps(capsys, tmp_path):
+    # a cap that is not a positive int is a data error at load, not a crash
+    cat = tmp_path / "cat.json"
+    claim = {"id": "capped", "mode": "order27", "caps": {"elements": "1000"}}
+    cat.write_text(json.dumps({"claims": [claim]}))
+    code, out, err = run(capsys, ["verify", "--catalog", str(cat)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "'capped'" in err and "'elements'" in err
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

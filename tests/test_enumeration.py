@@ -8,7 +8,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from fixitylab.cosets import canonical_generator
 from fixitylab.enumeration import (
+    _cyclic_generators,
     as_context,
     centralizer,
     conjugacy_classes,
@@ -32,7 +34,14 @@ from fixitylab.errors import (
     MembershipError,
     PreconditionError,
 )
-from fixitylab.perm import Permutation, build_bsgs, conjugate_table, pack_table
+from fixitylab.perm import (
+    Permutation,
+    build_bsgs,
+    conjugate_table,
+    pack_table,
+    table_order,
+    table_power,
+)
 from fixitylab.zoo import dihedral, resolve_group
 
 
@@ -242,6 +251,35 @@ def test_conj_map_on_member_tables(alt5):
     for h in ctx.elements[::11]:
         full = ctx.conj_map(h)
         assert ctx.conj_map(h, some) == full[::7]
+
+
+@pytest.mark.parametrize("sel", ["alt_5", "psl2_7", "dihedral_300"])
+def test_cyclic_generators(group_cache, sel):
+    # every element, bytes tables (alt_5, psl2_7) and tuple tables (degree
+    # 300); the oracle is {t^k : gcd(k, |t|) = 1} by table_power, built once
+    # per cyclic subgroup: a generator of <s> generates <s> itself
+    g = group_cache(sel)
+    oracles: list[frozenset] = []
+    for t in g.element_tables():
+        want = next((w for w in oracles if t in w), None)
+        if want is None:
+            o = table_order(t)
+            want = frozenset(table_power(t, k) for k in range(1, o + 1) if math.gcd(k, o) == 1)
+            oracles.append(want)
+        gens = _cyclic_generators(t, g.degree)
+        assert len(gens) == len(want) and set(gens) == want
+        assert canonical_generator(t, g.degree) == min(want)
+
+
+def test_lattice_predicates_computed_when_read():
+    # structure predicates are computed for the classes that are read, once
+    g = resolve_group("psl2_7")[1]
+    classes = subgroups_up_to_conjugacy(g)
+    assert not any("predicates" in vars(sc) for sc in classes)
+    rec = classes[3].predicates
+    assert classes[3].predicates is rec
+    assert rec == structure_predicates(classes[3].representative)
+    assert [("predicates" in vars(sc)) for sc in classes].count(True) == 1
 
 
 @pytest.mark.parametrize("sel", ["alt_5", "psl2_7", "m11"])

@@ -30,3 +30,20 @@ def test_perfbench_probes_resolve():
     # instrumented() looks every probe up and fails on a dangling one
     with tracer.instrumented(tracer.Tracer()):
         pass
+
+
+def test_fixity_survey_script(capsys):
+    # the exploration script lists the fixity-4 classes that the lattice
+    # search confirms: orders 2 and 6 for psl2_7
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "fixity_survey", root / "scripts" / "fixity_survey.py"
+    )
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main(["--groups", "psl2_7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("psl2_7: order 168, 13 faithful actions")
+    assert "  fixity   4:    2 classes  <-- highlighted" in lines
+    listed = [line.split() for line in lines if line.startswith("    order")]
+    assert [(row[1], row[3], row[5]) for row in listed] == [("2", "84", "8"), ("6", "28", "6")]

@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
 import fixitylab.cosets
 import fixitylab.verifier
-from fixitylab.cosets import Caps, coset_stabilizer_tables, fixed_cosets
+from fixitylab.cosets import Caps, build_coset_action, coset_stabilizer_tables, fixed_cosets
 from fixitylab.enumeration import (
     as_context,
     normalizer,
@@ -12,6 +13,7 @@ from fixitylab.enumeration import (
     subgroup_closure,
     subgroup_from_tables,
     subgroups_up_to_conjugacy,
+    sylow,
 )
 from fixitylab.errors import (
     CapExceededError,
@@ -19,17 +21,23 @@ from fixitylab.errors import (
     GroupDataError,
     PreconditionError,
 )
+from fixitylab.ffield import p_part
 from fixitylab.perm import (
     Permutation,
     build_bsgs,
+    compose_tables,
+    identity_table,
+    orbit_partition,
     pack_table,
     point_stabilizer,
     table_order,
 )
 from fixitylab.verifier import (
     StabView,
+    Sylow3Classification,
     _build_stabilizer,
     _find_element_of_order,
+    _is_maximal_class,
     _normalizer_of_cyclic,
     catalog_report_json,
     check_order27_lemma,
@@ -224,6 +232,106 @@ def test_sylow3_cases(psl2_9, group_cache):
     assert d.case == "d" and d.delta_size == 3
 
 
+def _sylow3_by_elements(g, u, action):
+    """Oracle: the per-element Sylow-3 classifier.  Every element of P gets
+    its coset row, walked out as products inside the coset space, and the
+    case-(c) test looks at every point of every non-regular orbit."""
+    ctx = as_context(g)
+    p_order = p_part(ctx.n, 3)
+    assert p_order > 1
+    p_grp = sylow(ctx, 3).group
+    p_gens, p_tables = p_grp.gen_tables, p_grp.element_tables()
+    gen_rows = [
+        [action.coset_of(compose_tables(r, gt)) for r in action.canonical_reps]
+        for gt in p_gens
+    ]
+    ident = identity_table(g.degree)
+    rows = {ident: list(range(action.degree))}
+    queue = [ident]
+    while queue:
+        cur = queue.pop()
+        for gt, grow in zip(p_gens, gen_rows):
+            nxt = compose_tables(cur, gt)
+            if nxt not in rows:
+                rows[nxt] = [grow[i] for i in rows[cur]]
+                queue.append(nxt)
+    assert len(rows) == p_order
+    _, orbits = orbit_partition(action.degree, [rows[gt] for gt in p_gens])
+    delta = [o for o in orbits if len(o) <= 3]
+    delta_size = sum(len(o) for o in delta)
+    outside = [o for o in orbits if len(o) > 3]
+    sizes = tuple(sorted(Counter(len(o) for o in orbits).items()))
+
+    def case_c() -> bool:
+        nonreg = [o for o in outside if len(o) < p_order]
+        if not nonreg:
+            return False
+        for lam in nonreg:
+            for pt in lam:
+                stab = [t for t in p_tables if rows[t][pt] == pt]
+                if len(stab) != 3:
+                    return False
+                if sum(1 for mu in lam if all(rows[t][mu] == mu for t in stab)) != 3:
+                    return False
+        return True
+
+    if all(len(o) == p_order for o in orbits) and u.order % 3:
+        case = "a"
+    elif delta_size > 4 and p_order <= 9:
+        case = "b"
+    elif delta_size <= 4 and _is_maximal_class(g.degree, p_tables, 3) and case_c():
+        case = "c"
+    elif len(delta) == 1 and len(delta[0]) == 3 and all(len(o) == p_order for o in outside):
+        case = "d"
+    elif (
+        1 <= delta_size <= 4
+        and any(len(o) == 1 for o in delta)
+        and all(len(o) == p_order for o in outside)
+    ):
+        case = "e"
+    else:
+        case = None
+    return Sylow3Classification(case, p_order, delta_size, sizes)
+
+
+def test_sylow3_matches_the_per_element_classifier(group_cache):
+    # the classifier reads the orbits off P's generators and tests case (c)
+    # at one point per orbit; the oracle walks every element of P and tests
+    # every point
+    pairs = [
+        (g, h.subgroup_class.representative, h.report)
+        for g in map(group_cache, ["psl2_7", "psl2_8", "psl2_9", "psl2_11", "psl2_13"])
+        for h in search_fixity_k(g, 4)
+    ]
+    m12 = group_cache("m12")
+    u = point_stabilizer(m12, 0)
+    pairs.append((m12, u, fixitylab.cosets.fixity(m12, u)))
+    cases = []
+    for g, u, report in pairs:
+        got = classify_sylow3_orbits(g, u, report)
+        assert got == _sylow3_by_elements(g, u, report.action)
+        cases.append(got.case)
+    assert cases[-1] == "c"
+    assert len(pairs) > 10 and {"a", "b", "e"} <= set(cases)
+
+
+def test_sylow3_matches_the_per_element_classifier_on_every_action(group_cache):
+    # P of psl3_3 is extraspecial of order 27, so of maximal class: case (c)
+    # is tested on many of its actions and fails on most of them
+    g = group_cache("psl3_3")
+    cases = []
+    for sc in subgroups_up_to_conjugacy(g)[1:-1]:
+        u = sc.representative
+        want = _sylow3_by_elements(g, u, build_coset_action(g, u))
+        if want.case is None:
+            with pytest.raises(FalsificationError):
+                classify_sylow3_orbits(g, u)
+        else:
+            assert classify_sylow3_orbits(g, u) == want
+        cases.append(want.case)
+    assert {None, "a", "c"} == set(cases)
+
+
 def test_sylow3_no_case_is_falsification(group_cache):
     c27 = group_cache("cyclic_27")
     u = subgroup_closure(c27, [c27.generators[0] ** 9])
@@ -249,6 +357,23 @@ def test_find_element_of_order(sym4, alt5):
     assert table_order(_find_element_of_order(alt5, 5)) == 5
     with pytest.raises(GroupDataError):
         _find_element_of_order(sym4, 7)
+
+
+def test_find_element_of_order_stopped_by_the_cap(group_cache):
+    # a word search cut short by the element cap is a cap, not bad data
+    sym5 = group_cache("sym_5")
+    with pytest.raises(CapExceededError):
+        _find_element_of_order(sym5, 6, 3)
+    assert table_order(_find_element_of_order(sym5, 6, 120)) == 6
+    claim = {
+        "id": "c",
+        "mode": "stabilizers",
+        "group": "sym_5",
+        "stabilizers": [{"source": "cyclic_search:6", "descriptor": "C6"}],
+        "caps": {"elements": 3},
+    }
+    r = run_claim(claim)
+    assert r.verdict == "SKIPPED" and "words" in r.detail
 
 
 def test_normalizer_of_cyclic_matches_enumeration(group_cache):
@@ -503,6 +628,41 @@ def test_load_claims_validation(tmp_path):
         p.write_text(json.dumps([bad]))
         with pytest.raises(GroupDataError, match="'s'"):
             load_claims(p)
+
+
+_BAD_CAPS = [
+    ({"element": 10}, "element"),
+    ({"elements": "1000"}, "elements"),
+    ({"cosets": 0}, "cosets"),
+    ({"subgroups": True}, "subgroups"),
+    ({"elements": 1.5}, "elements"),
+]
+
+
+@pytest.mark.parametrize("caps,key", _BAD_CAPS)
+def test_bad_caps_are_rejected(tmp_path, caps, key):
+    claim = {"id": "capped", "mode": "search", "group": "psl2_7", "expected": "none", "caps": caps}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([claim]))
+    with pytest.raises(GroupDataError, match=f"'capped'.*'{key}'"):
+        load_claims(p)
+    # a claim dict that skipped the loader fails instead of crashing
+    r = run_claim(claim)
+    assert r.verdict == "FAIL"
+    assert "'capped'" in r.detail and f"'{key}'" in r.detail
+
+
+def test_good_caps_are_merged(tmp_path):
+    claim = {"id": "capped", "mode": "order27", "caps": {"elements": 1000, "subgroups": 50}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps([claim, {**claim, "id": "empty", "caps": {}}]))
+    assert [c["id"] for c in load_claims(p)] == ["capped", "empty"]
+    p.write_text(json.dumps([{**claim, "caps": [1000]}]))
+    with pytest.raises(GroupDataError, match="'capped'"):
+        load_claims(p)
+    assert fixitylab.verifier._merge_caps(Caps(cosets=7), claim["caps"], "capped") == Caps(
+        elements=1000, subgroups=50, cosets=7
+    )
 
 
 def _tiny_catalog(tmp_path):
