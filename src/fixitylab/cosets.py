@@ -133,10 +133,6 @@ class FixityReport:
     per_class_fix: list[int]
     action: CosetAction | None = None
 
-    @property
-    def slow_path(self) -> bool:
-        return self.action is None
-
 
 @dataclass(frozen=True)
 class FixedPointProfile:

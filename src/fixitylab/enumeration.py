@@ -118,11 +118,7 @@ class SubgroupClass:
 class GroupContext:
     """Cached exhaustive data for one fully enumerated group."""
 
-    def __init__(self, group: PermGroup, element_cap: int = ELEMENT_CAP):
-        if group.order > element_cap:
-            raise CapExceededError(
-                f"group order {group.order} exceeds element cap {element_cap}"
-            )
+    def __init__(self, group: PermGroup):
         self.group = group
         self.elements: list[ImageTable] = group.element_tables()
         self.n = len(self.elements)
@@ -423,6 +419,7 @@ class GroupContext:
         self._subgroup_classes = out
 
     def subgroup_classes(self, cap: int = SUBGROUP_CAP) -> list[SubgroupClass]:
+        """All conjugacy classes of subgroups, sorted by (order, canonical form)."""
         if self.n > cap:
             raise CapExceededError(
                 f"group order {self.n} exceeds subgroup-enumeration cap {cap}"
@@ -433,11 +430,15 @@ class GroupContext:
 
 
 def as_context(g: PermGroup | GroupContext, element_cap: int = ELEMENT_CAP) -> GroupContext:
-    """The context of g, built on first use and kept on the group itself."""
+    """The context of g, built on first use and kept on the group itself.
+    The cap is checked on every call, the cached or given context's too."""
+    grp = g.group if isinstance(g, GroupContext) else g
+    if grp.order > element_cap:
+        raise CapExceededError(f"group order {grp.order} exceeds element cap {element_cap}")
     if isinstance(g, GroupContext):
         return g
     if g._context is None:
-        g._context = GroupContext(g, element_cap)
+        g._context = GroupContext(g)
     return g._context
 
 
@@ -483,21 +484,6 @@ def subgroup_from_tables(
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def enumerate_elements(g: PermGroup, cap: int = ELEMENT_CAP) -> list[ImageTable]:
-    """All elements of g as sorted image tables; errors above the cap."""
-    return as_context(g, cap).elements
-
-
-def conjugacy_classes(g: PermGroup | GroupContext, cap: int = ELEMENT_CAP) -> list[ConjClass]:
-    return as_context(g, cap).classes
-
-
-def cyclic_subgroup_bundles(
-    g: PermGroup | GroupContext, cap: int = ELEMENT_CAP
-) -> list[CyclicBundle]:
-    return as_context(g, cap).bundles
-
 
 def centralizer(
     g: PermGroup | GroupContext, x: Permutation, cap: int = ELEMENT_CAP
@@ -550,7 +536,7 @@ def sylow(g: PermGroup | GroupContext, p: int, cap: int = ELEMENT_CAP) -> Subgro
             best = i
     chain = build_bsgs([ctx.elements[best]], degree=ctx.group.degree)
     while chain.order < pp:
-        norm = normalizer(ctx, chain)
+        norm = normalizer(ctx, chain, cap)
         grown = False
         for t in norm.group.element_tables():
             o = table_order(t)
@@ -571,14 +557,6 @@ def subgroup_closure(g: PermGroup, seed: list[Permutation]) -> Subgroup:
         if not g.contains(s):
             raise MembershipError(f"seed {s!r} is not a member of the group")
     return Subgroup(build_bsgs(seed, degree=g.degree), g)
-
-
-def subgroups_up_to_conjugacy(
-    g: PermGroup | GroupContext, cap: int = SUBGROUP_CAP, element_cap: int = ELEMENT_CAP
-) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups, sorted by (order, canonical form)."""
-    ctx = as_context(g, element_cap)
-    return ctx.subgroup_classes(cap)
 
 
 # ---------------------------------------------------------------------------

@@ -322,14 +322,15 @@ def check_structural_lemmas(
 ) -> StructuralChecks:
     """Side conditions every fixity-4 action must satisfy.
 
-    H is the four-point stabilizer: the elements fixing the four cosets
+    H is the four-point stabilizer: the elements fixing the four cosets F
     that the witness element fixes, read off the coset action the fixity
     report was counted on (the report is computed when not given).
 
     (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
           subgroups Y <= U;
-    (ii)  when H != 1, H is TI: |H cap H^s| is 1 or |H| for s over one
-          representative per class of G and every (|G| // 200)-th element;
+    (ii)  when H != 1, H is TI: every non-identity element of H fixes
+          exactly the four cosets F, which decides TI for every conjugator
+          (``ti_samples`` counts the elements of H checked);
     (iii) for each prime p >= 5 dividing |U|, U contains a full Sylow
           p-subgroup of G, and so does H for each such p dividing |H|;
     (iv)  when H != 1, |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four
@@ -386,17 +387,16 @@ def check_structural_lemmas(
     if h_order > 1:
         failures += _missing_sylow("four-point stabilizer", h_order, ctx.n)
 
-        # (ii) TI property under sampled conjugation
-        h_indices = frozenset(map(ctx.index.__getitem__, h_tables))
-        samples = [c.representative.images for c in ctx.classes]
-        stride = max(1, ctx.n // 200)
-        samples.extend(ctx.elements[::stride])
-        for s in samples:
+        # (ii) TI, exactly: each h != 1 in H fixes F and, at fixity 4,
+        # nothing else; an h != 1 in H cap H^s then fixes F and Fs, so
+        # Fs = F and H^s = H.  The sorted tables start with the identity.
+        for h in h_tables[1:]:
             ti_samples += 1
-            inter = len(h_indices.intersection(ctx.conj_map(s, h_tables)))
-            if inter not in (1, h_order):
+            fixed_h = fixed_cosets(action, h)
+            if fixed_h != fixed:
                 failures.append(
-                    f"TI violated: |H cap H^s| = {inter} for |H| = {h_order}"
+                    f"TI not shown: an element of order {table_order(h)} in H "
+                    f"fixes {len(fixed_h)} cosets, more than the fixity 4"
                 )
                 break
 
@@ -404,7 +404,7 @@ def check_structural_lemmas(
         # fix(H) is exactly the witness's four cosets, so N_G(H) permutes
         # them and the index is the orbit length of the point, 2 or 4
         h_sub = subgroup_from_tables(ctx.group, h_tables, target_order=h_order)
-        ngh = normalizer(ctx, h_sub)
+        ngh = normalizer(ctx, h_sub, caps.elements)
         n_gens = ngh.group.gen_tables
         for lam in fixed:
             idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens)))
@@ -513,7 +513,8 @@ def classify_sylow3_orbits(
     if action is None:
         action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
     p_order = p_part(ctx.n, 3)
-    p_grp = sylow(ctx, 3).group if p_order > 1 else subgroup_closure(ctx.group, []).group
+    p_sub = sylow(ctx, 3, caps.elements) if p_order > 1 else subgroup_closure(ctx.group, [])
+    p_grp = p_sub.group
     p_gens = p_grp.gen_tables
     rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
     _, orbits = orbit_partition(action.degree, rows)
@@ -570,23 +571,23 @@ def classify_sylow3_orbits(
 
 @dataclass(eq=False)
 class ActionEvaluation:
-    """One candidate action G/U, judged by its fixity, the descriptor of U,
-    the structural side conditions and the Sylow-3 orbit shape.
+    """The one judgment of a candidate action G/U.
 
-    ``sylow3_case`` is None when the last two did not run: the action does
-    not have fixity 4, the descriptor did not match, or the fixity was
-    counted on the slow path, which builds no coset action.  ``ok`` holds
-    only when they ran and passed.
+    ``failures`` lists, in this order, a fixity other than 4, a descriptor
+    U does not match, and the failed structural side conditions.  The side
+    conditions and the Sylow-3 orbit shape run only when nothing failed
+    before them and the fixity was counted on a coset action; the slow
+    path builds none, so there ``sylow3_case`` stays None.  ``ok`` holds
+    only when they ran and nothing failed.
     """
 
     report: FixityReport
-    descriptor_ok: bool
-    lemma_failures: list[str]
+    failures: list[str]
     sylow3_case: str | None
 
     @property
     def ok(self) -> bool:
-        return self.sylow3_case is not None and not self.lemma_failures
+        return self.sylow3_case is not None and not self.failures
 
 
 def evaluate_action(
@@ -596,33 +597,29 @@ def evaluate_action(
     report: FixityReport | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> ActionEvaluation:
-    """Fixity, descriptor match, structural side conditions and Sylow-3
-    orbit shape of G acting on G/U, with the coset action built once.
-
-    The fixity report is computed unless given (a search hit carries one);
-    ``descriptor`` is checked when given.  A fixity-4 action whose
-    descriptor matched gets the structural checks and the Sylow-3 case,
-    both on the report's coset action.  On the slow path (G too large to
-    enumerate) the report carries no action, so only the fixity and the
-    descriptor are checked and ``sylow3_case`` stays None.
-    """
+    """The judgment of G acting on G/U (see ActionEvaluation), with the
+    coset action built once.  The fixity report is computed unless given
+    (a search hit carries one); ``descriptor`` is checked when given."""
     if report is None:
         report = fixity(g, u, caps)
-    matches = descriptor is None or descriptor_matches(descriptor, StabView(u.group))
-    ev = ActionEvaluation(report, matches, [], None)
-    if matches and report.fixity == 4 and report.action is not None:
-        ev.lemma_failures = check_structural_lemmas(g, u, report, caps).failures
+    ev = ActionEvaluation(report, [], None)
+    if report.fixity != 4:
+        ev.failures.append(f"fixity {report.fixity}, wanted 4")
+    if descriptor is not None and not descriptor_matches(descriptor, StabView(u.group)):
+        ev.failures.append(f"does not match {descriptor}")
+    if not ev.failures and report.action is not None:
+        ev.failures = check_structural_lemmas(g, u, report, caps).failures
         ev.sylow3_case = classify_sylow3_orbits(g, u, report, caps).case
     return ev
 
 
 def _search_and_assign(
-    g: PermGroup, k: int, expected: list[str], caps: Caps
+    g: PermGroup, expected: list[str], caps: Caps
 ) -> tuple[list[FixityHit], list[str], str]:
-    """Fixity-k hits of G, the expected descriptor assigned to each hit, and
+    """Fixity-4 hits of G, the expected descriptor assigned to each hit, and
     a failure detail ("" on success) when the orders or the structures
     cannot be matched one to one."""
-    hits = search_fixity_k(g, k, caps)
+    hits = search_fixity_k(g, 4, caps)
     found_orders = sorted(h.subgroup_class.order for h in hits)
     want_orders = sorted(descriptor_order(d) for d in expected)
     if found_orders != want_orders:
@@ -670,17 +667,10 @@ def _family_descriptor_borel_half(q: int) -> str:
 
 
 def _family_row(
-    g: PermGroup, u: Subgroup, descriptor: str, ev: ActionEvaluation, failures: list[str]
+    g: PermGroup, u: Subgroup, descriptor: str, caps: Caps, failures: list[str]
 ) -> FamilyRow:
-    if ev.report.fixity != 4:
-        failures.append(
-            f"constructed stabilizer of order {u.order} has fixity {ev.report.fixity}"
-        )
-    if not ev.descriptor_ok:
-        failures.append(
-            f"constructed stabilizer of order {u.order} does not match {descriptor}"
-        )
-    failures.extend(ev.lemma_failures)
+    ev = evaluate_action(g, u, descriptor, caps=caps)
+    failures.extend(f"constructed stabilizer of order {u.order}: {f}" for f in ev.failures)
     return FamilyRow(
         descriptor=descriptor,
         order=u.order,
@@ -698,8 +688,6 @@ def _family_result(q: int, caps: Caps) -> FamilyResult:
             f"group order {g.order} exceeds element cap {caps.elements}"
         )
     p, n = prime_power(q)
-    failures: list[str] = []
-    rows: list[FamilyRow] = []
     if q % 4 == 1:
         t = g.generators[n]
         if t.order() != (q - 1) // 2:
@@ -713,15 +701,15 @@ def _family_result(q: int, caps: Caps) -> FamilyResult:
         u2 = subgroup_closure(g, list(g.generators[:n]) + [t2])
         if u2.order != q * (q - 1) // 4:
             raise GroupDataError(f"half-Borel subgroup has order {u2.order}")
-        for u, d in ((u1, f"C{(q - 1) // 4}"), (u2, _family_descriptor_borel_half(q))):
-            rows.append(_family_row(g, u, d, evaluate_action(g, u, d, caps=caps), failures))
+        stabs = [(u1, f"C{(q - 1) // 4}"), (u2, _family_descriptor_borel_half(q))]
     else:
         # every cyclic subgroup of order (q + 1)/4 > 2 lies in a non-split
         # torus, and those tori are conjugate, so the least element of that
         # order gives the quarter-torus up to conjugacy
         u1 = _build_stabilizer(g, f"cyclic_least:{(q + 1) // 4}", caps)
-        d = f"C{(q + 1) // 4}"
-        rows.append(_family_row(g, u1, d, evaluate_action(g, u1, d, caps=caps), failures))
+        stabs = [(u1, f"C{(q + 1) // 4}")]
+    failures: list[str] = []
+    rows = [_family_row(g, u, d, caps, failures) for u, d in stabs]
     verdict = "PASS" if not failures else "FAIL"
     return FamilyResult(q=q, verdict=verdict, rows=rows, failures=failures)
 
@@ -953,17 +941,16 @@ def action_row(g: PermGroup, u: Subgroup, report: FixityReport) -> dict:
 
 
 def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
-    k = claim.get("k", 4)
     expected = claim["expected"]
     hits, descriptors, detail = _search_and_assign(
-        g, k, [] if expected == "none" else expected, caps
+        g, [] if expected == "none" else expected, caps
     )
     rows = [action_row(g, h.subgroup_class.representative, h.report) for h in hits]
     if expected == "none":
         if hits:
             found = sorted(r["order"] for r in rows)
             return ClaimResult(
-                cid, "FAIL", f"expected no fixity-{k} action, found orders {found}", rows
+                cid, "FAIL", f"expected no fixity-4 action, found orders {found}", rows
             )
         return ClaimResult(cid, "PASS", "", rows)
     if detail:
@@ -972,40 +959,26 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
         row["descriptor"] = d
     for row, h in zip(rows, hits):
         ev = evaluate_action(g, h.subgroup_class.representative, report=h.report, caps=caps)
-        if ev.lemma_failures:
-            return ClaimResult(cid, "FAIL", "; ".join(ev.lemma_failures), rows)
+        if ev.failures:
+            return ClaimResult(cid, "FAIL", "; ".join(ev.failures), rows)
         if ev.sylow3_case is not None:
             row["sylow3_case"] = ev.sylow3_case
     return ClaimResult(cid, "PASS", "", rows)
 
 
 def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
-    k = claim.get("k", 4)
     rows: list[dict] = []
     for entry in claim["stabilizers"]:
-        u = _build_stabilizer(g, entry["source"], caps)
-        descriptor = entry["descriptor"]
+        source, descriptor = entry["source"], entry["descriptor"]
+        u = _build_stabilizer(g, source, caps)
         ev = evaluate_action(g, u, descriptor, caps=caps)
         row = action_row(g, u, ev.report)
         row["descriptor"] = descriptor
-        row["source"] = entry["source"]
+        row["source"] = source
         rows.append(row)
-        if ev.report.fixity != k:
-            return ClaimResult(
-                cid,
-                "FAIL",
-                f"stabilizer from {entry['source']} has fixity {ev.report.fixity}, wanted {k}",
-                rows,
-            )
-        if not ev.descriptor_ok:
-            return ClaimResult(
-                cid,
-                "FAIL",
-                f"stabilizer from {entry['source']} does not match {descriptor}",
-                rows,
-            )
-        if ev.lemma_failures:
-            return ClaimResult(cid, "FAIL", "; ".join(ev.lemma_failures), rows)
+        if ev.failures:
+            detail = f"stabilizer from {source}: " + "; ".join(ev.failures)
+            return ClaimResult(cid, "FAIL", detail, rows)
         if ev.sylow3_case is not None:
             row["sylow3_case"] = ev.sylow3_case
     return ClaimResult(cid, "PASS", "", rows)
@@ -1060,13 +1033,22 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
 
 def load_claims(path: str | Path) -> list[dict]:
     """The claims of a catalog file, each checked for an id unique in the
-    file, for the keys its mode reads and for its ``caps``."""
-    data = json.loads(Path(path).read_text())
-    claims = data["claims"] if isinstance(data, dict) else data
+    file, for the keys its mode reads and for its ``caps``.  A file that is
+    not a list of claim objects, or a claim that sets ``k`` (every claim
+    decides fixity 4), raises GroupDataError."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise GroupDataError(f"catalog {path} is not valid JSON: {e}") from None
+    claims = data.get("claims") if isinstance(data, dict) else data
+    if not isinstance(claims, list) or not all(isinstance(c, dict) for c in claims):
+        raise GroupDataError(f"catalog {path} does not hold a list of claim objects")
     seen: set[str] = set()
     for c in claims:
         if "id" not in c:
             raise GroupDataError("claim without an id")
+        if "k" in c:
+            raise GroupDataError(f"claim {c['id']!r} sets 'k'; every claim decides fixity 4")
         if c["id"] in seen:
             raise GroupDataError(f"duplicate claim id {c['id']!r}")
         seen.add(c["id"])
@@ -1089,11 +1071,16 @@ def run_claim_catalog(
 ) -> list[ClaimResult]:
     """Execute every claim in a catalog file; results follow catalog order.
 
-    Claims are independent, so jobs > 1 fans them out to worker processes;
-    results are merged back by claim id into the deterministic order.
+    ``only`` selects claims by id; an id the catalog lacks raises
+    GroupDataError.  Claims are independent, so jobs > 1 fans them out to
+    worker processes; results are merged back by claim id into the
+    deterministic order.
     """
     claims = load_claims(path)
     if only is not None:
+        unknown = only - {c["id"] for c in claims}
+        if unknown:
+            raise GroupDataError(f"no claim with id {', '.join(sorted(unknown))} in {path}")
         claims = [c for c in claims if c["id"] in only]
     if jobs <= 1 or len(claims) <= 1:
         return [run_claim(c, caps) for c in claims]

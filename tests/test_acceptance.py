@@ -27,7 +27,6 @@ from fixitylab.enumeration import (
     as_context,
     normalizer,
     subgroup_closure,
-    subgroups_up_to_conjugacy,
     sylow,
 )
 from fixitylab.perm import Permutation, table_order, table_power
@@ -174,7 +173,7 @@ def test_counting_routes_agree_and_burnside_sweep(group_cache):
     for sel in SWEEP_SELECTORS:
         g = group_cache(sel)
         ctx = as_context(g)
-        for sc in subgroups_up_to_conjugacy(g):
+        for sc in as_context(g).subgroup_classes():
             u = sc.representative
             action = build_coset_action(g, u)
             total = 0
@@ -245,7 +244,7 @@ def test_order27_coset_identity():
 
 def test_marks_row_order18_stabilizer(psl2_9):
     u = _order18_stabilizer(psl2_9)
-    classes = subgroups_up_to_conjugacy(psl2_9)
+    classes = as_context(psl2_9).subgroup_classes()
     row = marks_row(psl2_9, u, classes)
     nonzero = sorted(v for v in row if v)
     assert nonzero == [2, 2, 2, 2, 2, 2, 4, 20]
@@ -271,3 +270,17 @@ def test_packaged_catalog_has_no_failures(monkeypatch):
         "negatives_documented",
     }
     assert len(by_verdict["PASS"]) == 26
+    # PASS means every check ran: each fixity-4 row carries its Sylow-3 case
+    # and each family row its structural verdict.  m22_stabs is the one
+    # exception the README names: M22 is above the element cap, so its
+    # fixity is counted on the slow path, which builds no coset action.
+    for r in results:
+        if r.verdict != "PASS":
+            continue
+        for row in r.rows:
+            if r.claim_id.startswith("psl2_family"):
+                assert row["structural_ok"] is True, (r.claim_id, row)
+            if row.get("fixity") == 4 and r.claim_id != "m22_stabs":
+                assert row.get("sylow3_case", "-") != "-", (r.claim_id, row)
+    m22 = next(r for r in results if r.claim_id == "m22_stabs")
+    assert m22.rows and all("sylow3_case" not in row for row in m22.rows)

@@ -192,12 +192,26 @@ def test_verify_only_filter(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert [c["id"] for c in obj["claims"]] == ["doc"]
+    # an id the catalog lacks is a usage error, not an empty PASS
+    code, out, err = run(capsys, ["verify", "--catalog", str(cat), "--only", "doc,dco"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "dco" in err and "doc" not in err.replace(str(cat), "")
 
 
 def test_verify_missing_catalog(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", "--catalog", str(tmp_path / "nope.json")])
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_malformed_catalog(capsys, tmp_path):
+    cat = tmp_path / "cat.json"
+    cat.write_text('{"claims": [')
+    code, out, err = run(capsys, ["verify", "--catalog", str(cat)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not valid JSON" in err
 
 
 def test_verify_bad_caps(capsys, tmp_path):

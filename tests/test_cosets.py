@@ -28,7 +28,6 @@ from fixitylab.enumeration import (
     as_context,
     structure_predicates,
     subgroup_closure,
-    subgroups_up_to_conjugacy,
 )
 from fixitylab.errors import (
     CapExceededError,
@@ -209,14 +208,14 @@ def test_known_fixities(group_cache, sel, expected):
     g = group_cache(sel)
     rep = fixity(g, point_stabilizer(g, 0))
     assert rep.fixity == expected
-    assert not rep.slow_path
+    assert rep.action is not None
     assert rep.per_class_fix[0] == g.degree
 
 
 def test_witness_attains_max(group_cache):
     g = group_cache("psl2_7")
     ctx = as_context(g)
-    for sc in subgroups_up_to_conjugacy(g):
+    for sc in as_context(g).subgroup_classes():
         if sc.order in (1, g.order):
             continue
         rep = fixity(g, sc.representative)
@@ -232,7 +231,7 @@ def test_witness_attains_max(group_cache):
 def test_counting_routes_agree(sym4, alt5):
     for g in (sym4, alt5):
         ctx = as_context(g)
-        for sc in subgroups_up_to_conjugacy(g):
+        for sc in as_context(g).subgroup_classes():
             action = build_coset_action(g, sc.representative)
             for c in ctx.classes:
                 d = fix_direct(action, c.representative)
@@ -243,7 +242,7 @@ def test_counting_routes_agree(sym4, alt5):
 def test_frobenius_route(alt5):
     # D10 <= Alt(5) is Frobenius with kernel C5, complement C2
     d10 = next(
-        sc for sc in subgroups_up_to_conjugacy(alt5) if sc.order == 10
+        sc for sc in as_context(alt5).subgroup_classes() if sc.order == 10
     ).representative
     rec = structure_predicates(d10)
     assert rec.is_frobenius_cyclic_complement
@@ -260,7 +259,7 @@ def test_frobenius_route(alt5):
     with pytest.raises(PreconditionError):
         fix_frobenius(alt5, d10, Permutation(five))
     # non-Frobenius stabilizer is rejected
-    v4 = next(sc for sc in subgroups_up_to_conjugacy(alt5) if sc.order == 4)
+    v4 = next(sc for sc in as_context(alt5).subgroup_classes() if sc.order == 4)
     with pytest.raises(PreconditionError):
         fix_frobenius(alt5, v4.representative, Permutation(five))
 
@@ -269,7 +268,7 @@ def test_burnside_count(group_cache):
     for sel in ("sym_4", "alt_5", "dihedral_6"):
         g = group_cache(sel)
         ctx = as_context(g)
-        for sc in subgroups_up_to_conjugacy(g):
+        for sc in as_context(g).subgroup_classes():
             rep = fixity(g, sc.representative)
             total = sum(c.size * fx for c, fx in zip(ctx.classes, rep.per_class_fix))
             # orbit counting: average fixed points = number of orbits, and the
@@ -290,13 +289,13 @@ def test_conjugation_invariance(alt5):
 def test_slow_path_matches_fast(group_cache):
     g = group_cache("psl2_7")
     small = Caps(elements=100)
-    for sc in subgroups_up_to_conjugacy(g):
+    for sc in as_context(g).subgroup_classes():
         # the slow route still enumerates U, so U itself must fit the cap
         if sc.order == 1 or sc.order > small.elements:
             continue
         fast = fixity(g, sc.representative)
         slow = fixity(g, sc.representative, caps=small)
-        assert slow.slow_path and not fast.slow_path
+        assert slow.action is None and fast.action is not None
         assert slow.fixity == fast.fixity
         assert slow.per_class_fix == [] and slow.witness_class is None
 
@@ -315,7 +314,7 @@ def test_profile(sym4, group_cache):
 
 def test_mark_values(sym4):
     u = point_stabilizer(sym4, 0)
-    classes = subgroups_up_to_conjugacy(sym4)
+    classes = as_context(sym4).subgroup_classes()
     assert mark(sym4, u, _trivial(sym4)) == 4
     # m_U(U) = |N(U):U|; a point stabilizer of Sym(4) is self-normalizing
     assert mark(sym4, u, u) == 1
@@ -326,7 +325,7 @@ def test_mark_values(sym4):
 
 
 def test_marks_row_endpoints(sym4):
-    classes = subgroups_up_to_conjugacy(sym4)
+    classes = as_context(sym4).subgroup_classes()
     whole = classes[-1]
     assert whole.order == 24
     row = marks_row(sym4, whole.representative, classes)
@@ -336,7 +335,7 @@ def test_marks_row_endpoints(sym4):
 
 
 def test_marks_row_missing_class(sym4, alt5):
-    classes = subgroups_up_to_conjugacy(sym4)
+    classes = as_context(sym4).subgroup_classes()
     with pytest.raises(MembershipError):
         marks_row(alt5, point_stabilizer(alt5, 0), classes)
 
@@ -354,7 +353,7 @@ def test_caps_and_membership(group_cache, sym4):
     # the coset cap bounds materialized actions only: the subgroup-orbit
     # route answers the regular action without building 168 cosets
     rep = fixity(g, _trivial(g), caps=Caps(elements=100, cosets=50))
-    assert rep.slow_path and rep.fixity == 0
+    assert rep.action is None and rep.fixity == 0
     sym5 = group_cache("sym_5")
     alt5 = group_cache("alt_5")
     odd = subgroup_closure(sym5, [Permutation(pack_table([1, 0, 2, 3, 4]))])

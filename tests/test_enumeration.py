@@ -13,9 +13,6 @@ from fixitylab.enumeration import (
     _cyclic_generators,
     as_context,
     centralizer,
-    conjugacy_classes,
-    cyclic_subgroup_bundles,
-    enumerate_elements,
     euler_phi,
     is_prime_power,
     is_simple_group,
@@ -25,7 +22,6 @@ from fixitylab.enumeration import (
     prime_divisors,
     structure_predicates,
     subgroup_closure,
-    subgroups_up_to_conjugacy,
     sylow,
 )
 from fixitylab.errors import (
@@ -66,15 +62,15 @@ def test_p_part():
 
 
 def test_elements_sorted_identity_first(sym4):
-    elems = enumerate_elements(sym4)
+    elems = as_context(sym4).elements
     assert len(elems) == 24
     assert elems == sorted(elems)
     assert elems[0] == pack_table([0, 1, 2, 3])
 
 
 def test_class_sizes(sym4, alt5):
-    assert sorted(c.size for c in conjugacy_classes(sym4)) == [1, 3, 6, 6, 8]
-    assert sorted(c.size for c in conjugacy_classes(alt5)) == [1, 12, 12, 15, 20]
+    assert sorted(c.size for c in as_context(sym4).classes) == [1, 3, 6, 6, 8]
+    assert sorted(c.size for c in as_context(alt5).classes) == [1, 12, 12, 15, 20]
 
 
 def test_class_equation_and_reps(group_cache):
@@ -94,7 +90,7 @@ def test_class_equation_and_reps(group_cache):
 def test_bundle_invariants(group_cache):
     for sel in ("sym_4", "alt_5", "psl2_7", "cyclic_12"):
         g = group_cache(sel)
-        bundles = cyclic_subgroup_bundles(g)
+        bundles = as_context(g).bundles
         # every nonidentity element generates exactly one cyclic subgroup
         assert sum(b.n_generators for b in bundles) == g.order - 1
         for b in bundles:
@@ -115,7 +111,7 @@ def test_centralizer_matches_brute(sym4):
 def test_normalizer_matches_brute(group_cache):
     for sel in ("sym_4", "alt_5", "dihedral_6"):
         g = group_cache(sel)
-        for sc in subgroups_up_to_conjugacy(g):
+        for sc in as_context(g).subgroup_classes():
             fast = normalizer(g, sc.representative)
             brute = normalizer_brute(g, sc.representative)
             assert fast.group.order == brute.group.order == sc.normalizer_order
@@ -186,10 +182,10 @@ def test_subgroup_lattice_vs_oracle(group_cache, sel, n_classes):
 
 
 def test_lattice_orders(sym4, alt5):
-    assert [sc.order for sc in subgroups_up_to_conjugacy(sym4)] == [
+    assert [sc.order for sc in as_context(sym4).subgroup_classes()] == [
         1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24,
     ]
-    assert [sc.order for sc in subgroups_up_to_conjugacy(alt5)] == [
+    assert [sc.order for sc in as_context(alt5).subgroup_classes()] == [
         1, 2, 3, 4, 5, 6, 10, 12, 60,
     ]
 
@@ -274,7 +270,7 @@ def test_cyclic_generators(group_cache, sel):
 def test_lattice_predicates_computed_when_read():
     # structure predicates are computed for the classes that are read, once
     g = resolve_group("psl2_7")[1]
-    classes = subgroups_up_to_conjugacy(g)
+    classes = as_context(g).subgroup_classes()
     assert not any("predicates" in vars(sc) for sc in classes)
     rec = classes[3].predicates
     assert classes[3].predicates is rec
@@ -331,7 +327,7 @@ def test_lattice_exploration_order_pinned(group_cache, sel):
             [list(t) for t in sc.representative.group.gen_tables],
             list(sc.representative.group.base),
         ]
-        for sc in subgroups_up_to_conjugacy(group_cache(sel))
+        for sc in as_context(group_cache(sel)).subgroup_classes()
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _LATTICE_DIGESTS[sel]
 
@@ -357,7 +353,7 @@ def test_lattice_representatives_pinned(group_cache, sel):
             sc.order, list(sc.canonical), sc.class_size, sc.normalizer_order,
             [list(t) for t in sc.representative.group.gen_tables],
         ]
-        for sc in subgroups_up_to_conjugacy(group_cache(sel))
+        for sc in as_context(group_cache(sel)).subgroup_classes()
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _LATTICE_ORDER_DIGESTS[sel]
@@ -366,7 +362,7 @@ def test_lattice_representatives_pinned(group_cache, sel):
 def _subgroup_counts(g):
     """Number of subgroups of each order, summed over the lattice's classes."""
     counts = Counter()
-    for sc in subgroups_up_to_conjugacy(g):
+    for sc in as_context(g).subgroup_classes():
         counts[sc.order] += sc.class_size
     return counts
 
@@ -411,17 +407,24 @@ def test_as_context_cached(sym4):
 
 
 def test_caps(group_cache):
-    # fresh object: a cached context would satisfy the request without work
     fresh = resolve_group("alt_5")[1]
     with pytest.raises(CapExceededError):
         as_context(fresh, element_cap=59)
+    # the cap binds on a cached context too, and on one passed in
+    ctx = as_context(fresh)
+    assert ctx.n == 60
     with pytest.raises(CapExceededError):
-        subgroups_up_to_conjugacy(group_cache("sym_5"), cap=100)
+        as_context(fresh, element_cap=10)
+    with pytest.raises(CapExceededError):
+        as_context(ctx, element_cap=10)
+    assert as_context(fresh, element_cap=60) is ctx
+    with pytest.raises(CapExceededError):
+        as_context(group_cache("sym_5")).subgroup_classes(100)
 
 
 def test_lagrange_over_lattice(group_cache):
     g = group_cache("psl2_7")
-    lattice = subgroups_up_to_conjugacy(g)
+    lattice = as_context(g).subgroup_classes()
     assert len(lattice) == 15
     for sc in lattice:
         assert math.gcd(sc.order, g.order) == sc.order

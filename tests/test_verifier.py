@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from fixitylab.enumeration import (
     normalizer_brute,
     subgroup_closure,
     subgroup_from_tables,
-    subgroups_up_to_conjugacy,
     sylow,
 )
 from fixitylab.errors import (
@@ -26,6 +26,7 @@ from fixitylab.perm import (
     Permutation,
     build_bsgs,
     compose_tables,
+    conjugate_table,
     identity_table,
     orbit_partition,
     pack_table,
@@ -138,7 +139,7 @@ def test_descriptor_matches_named(group_cache):
 def test_elementary_abelian_descriptor():
     gd = _gen_dihedral_9()
     translations = next(
-        sc for sc in subgroups_up_to_conjugacy(gd) if sc.order == 9
+        sc for sc in as_context(gd).subgroup_classes() if sc.order == 9
     )
     assert descriptor_matches("C3xC3", StabView.of(translations))
     assert not descriptor_matches("C3xC3", StabView(resolve_group("cyclic_9")[1]))
@@ -153,7 +154,7 @@ def test_match_descriptors(group_cache):
 
 
 def test_stab_view_of(sym4):
-    sc = subgroups_up_to_conjugacy(sym4)[3]
+    sc = as_context(sym4).subgroup_classes()[3]
     view = StabView.of(sc)
     assert view.record is sc.predicates
     assert view.order == sc.order
@@ -320,7 +321,7 @@ def test_sylow3_matches_the_per_element_classifier_on_every_action(group_cache):
     # is tested on many of its actions and fails on most of them
     g = group_cache("psl3_3")
     cases = []
-    for sc in subgroups_up_to_conjugacy(g)[1:-1]:
+    for sc in as_context(g).subgroup_classes()[1:-1]:
         u = sc.representative
         want = _sylow3_by_elements(g, u, build_coset_action(g, u))
         if want.case is None:
@@ -485,7 +486,6 @@ def test_run_claim_stabilizers():
             "id": "c",
             "mode": "stabilizers",
             "group": "alt_6",
-            "k": 4,
             "stabilizers": [{"source": "cyclic_least:2", "descriptor": "C2"}],
         }
     )
@@ -497,7 +497,6 @@ def test_run_claim_stabilizers():
             "id": "c",
             "mode": "stabilizers",
             "group": "alt_6",
-            "k": 4,
             "stabilizers": [{"source": "cyclic_least:5", "descriptor": "C5"}],
         }
     )
@@ -528,9 +527,9 @@ def test_stabilizer_claim_on_the_slow_path():
     caps = Caps(elements=1000)
     u = _build_stabilizer(g, "cyclic_search:3", caps)
     report = fixitylab.cosets.fixity(g, u, caps)
-    assert report.slow_path and report.action is None
+    assert report.action is None
     ev = evaluate_action(g, u, "C3", report, caps=caps)
-    assert ev.descriptor_ok and ev.sylow3_case is None and ev.lemma_failures == []
+    assert ev.sylow3_case is None and ev.failures == []
     assert not ev.ok
 
 
@@ -560,6 +559,63 @@ def test_h_normalizer_index_matches_brute_force(group_cache, name):
         inside = sum(1 for t in ngh.group.element_tables() if t in g_a)
         assert checks.h_normalizer_index == ngh.order // inside
     assert nontrivial > 0
+
+
+def _four_point_stabilizer(action, witness):
+    """Sorted tables of the elements fixing every coset the witness fixes."""
+    fixed = fixed_cosets(action, witness)
+    h_set = set(coset_stabilizer_tables(action, fixed[0]))
+    for lam in fixed[1:]:
+        h_set &= set(coset_stabilizer_tables(action, lam))
+    return sorted(h_set)
+
+
+def test_ti_matches_every_conjugator(group_cache):
+    # lemma (ii) decides TI from the fixed cosets of H's elements; the
+    # oracle intersects H with its conjugate by every element of G
+    pairs = [
+        (g, h.subgroup_class.representative, h.report)
+        for g in map(group_cache, ["psl2_7", "psl2_9", "psl2_11", "psl2_13"])
+        for h in search_fixity_k(g, 4)
+    ]
+    m12 = group_cache("m12")
+    u = point_stabilizer(m12, 0)
+    pairs.append((m12, u, fixitylab.cosets.fixity(m12, u)))
+    nontrivial = 0
+    for g, u, report in pairs:
+        h_tables = _four_point_stabilizer(
+            report.action, report.witness_class.representative.images
+        )
+        checks = check_structural_lemmas(g, u, report)
+        assert checks.failures == []
+        assert checks.four_point_order == len(h_tables)
+        assert checks.ti_samples == len(h_tables) - 1
+        if len(h_tables) == 1:
+            continue
+        nontrivial += 1
+        h_set = set(h_tables)
+        for s in as_context(g).elements:
+            inter = sum(conjugate_table(h, s) in h_set for h in h_tables)
+            assert inter in (1, len(h_tables))
+    assert nontrivial > 5
+
+
+def test_ti_failure_names_the_element(group_cache):
+    # Sym(7) on 7 points has fixity 5; a report that claims fixity 4 with a
+    # 3-cycle as witness makes H = Sym{0, 1, 2}, whose transpositions fix
+    # 5 cosets, so lemma (ii) must fail on one of them
+    g = group_cache("sym_7")
+    u = point_stabilizer(g, 0)
+    report = fixitylab.cosets.fixity(g, u)
+    assert report.fixity == 5
+    three = next(c for c in as_context(g).classes if c.element_order == 3 and c.size == 70)
+    witness = replace(three, representative=_perm_mod([1, 2, 0, 3, 4, 5, 6]))
+    forged = replace(report, fixity=4, witness_class=witness)
+    checks = check_structural_lemmas(g, u, forged)
+    assert checks.four_point_order == 6
+    ti = [f for f in checks.failures if f.startswith("TI")]
+    assert ti == ["TI not shown: an element of order 2 in H fixes 5 cosets, more than the fixity 4"]
+    assert 1 <= checks.ti_samples <= 5
 
 
 def test_run_claim_order27():
@@ -627,6 +683,16 @@ def test_load_claims_validation(tmp_path):
     ):
         p.write_text(json.dumps([bad]))
         with pytest.raises(GroupDataError, match="'s'"):
+            load_claims(p)
+    # claims have no target fixity: an old catalog that sets one fails at load
+    old = {"id": "s", "mode": "search", "group": "psl2_7", "expected": "none", "k": 4}
+    p.write_text(json.dumps([old]))
+    with pytest.raises(GroupDataError, match="'s'.*'k'"):
+        load_claims(p)
+    # a file that is not a list of claim objects is a data error, not a crash
+    for text in ('{"claims": [', "{}", '{"claims": ["valid"]}'):
+        p.write_text(text)
+        with pytest.raises(GroupDataError, match="catalog"):
             load_claims(p)
 
 
@@ -716,10 +782,11 @@ def test_evaluate_action_builds_one_action(psl2_9, monkeypatch):
     built.clear()
     ev = evaluate_action(psl2_9, u, "(C3xC3):C2")
     assert built == [18]
-    assert ev.report.fixity == 4 and ev.descriptor_ok and ev.ok
-    assert ev.lemma_failures == [] and ev.sylow3_case == "e"
+    assert ev.report.fixity == 4 and ev.ok
+    assert ev.failures == [] and ev.sylow3_case == "e"
 
     built.clear()
     wrong = evaluate_action(psl2_9, u, "D18")
     assert built == [18]
-    assert not wrong.descriptor_ok and not wrong.ok and wrong.sylow3_case is None
+    assert wrong.failures == ["does not match D18"]
+    assert not wrong.ok and wrong.sylow3_case is None
