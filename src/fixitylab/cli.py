@@ -23,11 +23,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cosets import (
     Caps,
-    DEFAULT_CAPS,
     fixity,
     marks_row,
     profile,
@@ -37,6 +37,7 @@ from .enumeration import as_context, subgroup_closure
 from .errors import FalsificationError, FixityError, GroupDataError, PreconditionError
 from .perm import PermGroup, Subgroup
 from .verifier import (
+    CAPS_NOT_GIVEN,
     StabView,
     action_row,
     catalog_report_json,
@@ -54,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_outputs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--element-cap", type=int, default=DEFAULT_CAPS.elements)
-        p.add_argument("--subgroup-cap", type=int, default=DEFAULT_CAPS.subgroups)
-        p.add_argument("--coset-cap", type=int, default=DEFAULT_CAPS.cosets)
+        p.add_argument("--element-cap", type=int)
+        p.add_argument("--subgroup-cap", type=int)
+        p.add_argument("--coset-cap", type=int)
 
     def add_common(p: argparse.ArgumentParser, stab: bool) -> None:
         p.add_argument("--group", required=True, help="group selector, see `zoo`")
@@ -87,12 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _caps_of(args: argparse.Namespace) -> Caps:
-    return Caps(
-        elements=args.element_cap,
-        subgroups=args.subgroup_cap,
-        cosets=args.coset_cap,
-    )
+def _caps_of(args: argparse.Namespace) -> dict[str, int]:
+    """The caps given on the command line; a flag left out is not given."""
+    caps = {"elements": args.element_cap, "subgroups": args.subgroup_cap, "cosets": args.coset_cap}
+    return {k: v for k, v in caps.items() if v is not None}
 
 
 def _stabilizers(
@@ -139,7 +138,7 @@ def _one_or_many(chunks: list[str], out: str | None) -> None:
 
 
 def _cmd_action_reports(args: argparse.Namespace) -> int:
-    caps = _caps_of(args)
+    caps = Caps(**_caps_of(args))
     name, g = resolve_group(args.group)
     chunks = []
     for u in _stabilizers(g, args, caps):
@@ -166,7 +165,7 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    caps = _caps_of(args)
+    caps = Caps(**_caps_of(args))
     name, g = resolve_group(args.group)
     hits = search_fixity_k(g, args.k, caps)
     obj = {
@@ -181,7 +180,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    caps = _caps_of(args)
+    # a cap given here bounds the claim's own cap
+    caps = replace(CAPS_NOT_GIVEN, **_caps_of(args))
     only = set(args.only.split(",")) if args.only else None
     results = run_claim_catalog(args.catalog, jobs=args.jobs, caps=caps, only=only)
     _emit(catalog_report_json(results), args.out)

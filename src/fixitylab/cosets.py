@@ -76,7 +76,7 @@ COSET_CAP = 100_000
 
 @dataclass(frozen=True)
 class Caps:
-    """Work limits; every cap is overridable per call site."""
+    """Work limits, each overridable per call site; the claim runner reads None as not given."""
 
     elements: int = ELEMENT_CAP
     subgroups: int = SUBGROUP_CAP
@@ -125,8 +125,8 @@ class CosetAction:
 
 @dataclass(eq=False)
 class FixityReport:
-    """Fixity of one coset action with its witness class, and the action it
-    was counted on (None on the slow path, which builds none)."""
+    """Fixity of one coset action, its witness class and count per class of U,
+    and the action it was counted on (None on the slow path, which builds none)."""
 
     fixity: int
     witness_class: ConjClass | None
@@ -294,6 +294,20 @@ def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
     return len(fixed_cosets(action, t))
 
 
+def cyclic_normalizer_order(action: CosetAction, u_ctx: GroupContext, y: ImageTable) -> int:
+    """|N_G(Y)| for Y = <y> <= U, from the cosets y fixes (``u_ctx`` is U's
+    context).  Each fixed coset U r puts r Y r^-1 inside U, and every
+    G-conjugate of Y inside U arises so: they fill the U-bundles of those
+    r y r^-1, n subgroups in all, and |fix(y)| = n |N_G(Y)| / |U|."""
+    fixed = fixed_cosets(action, y)
+    inside = [conjugate_table(y, invert_table(action.canonical_reps[lam])) for lam in fixed]
+    met = {u_ctx.bundle_of_class[u_ctx.class_of[u_ctx.index_of(t)]] for t in inside}
+    n = sum(u_ctx.bundles[b].n_subgroups for b in met)
+    if len(fixed) * u_ctx.n % n:
+        raise FalsificationError(f"|fix(y)| |U| = {len(fixed) * u_ctx.n} is not a multiple of {n}")
+    return len(fixed) * u_ctx.n // n
+
+
 def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
     """Fixed-coset count on G/U for one generator of each cyclic-subgroup
     class, by the normalizer-formula route; one O(|U|) pass for all rows."""
@@ -400,29 +414,26 @@ def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> i
 # ---------------------------------------------------------------------------
 
 def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport:
-    """Fixity of G on G/U with per-class counts; falls back to a
-    subgroup-orbit route when G is too large to enumerate."""
+    """Fixity of G on G/U, counted on the coset action over U's classes.
+
+    An element x that fixes the coset U r has r x r^-1 in U, and the two
+    fix equally many cosets, so the maximum over U's non-identity classes
+    is exact.  G is never enumerated; a G above the element cap still
+    takes the subgroup-orbit route, which builds no action."""
     if g.order > caps.elements:
         return _fixity_slow(g, u, caps)
-    ctx = as_context(g, caps.elements)
     action = build_coset_action(g, u, caps.cosets, caps.elements)
-    per = [fix_direct(action, c.representative) for c in ctx.classes]
+    classes = as_context(u.group, caps.elements).classes
+    per = [fix_direct(action, c.representative) for c in classes]
     if per[0] != action.degree:
         raise FalsificationError(
             f"the identity fixes {per[0]} of {action.degree} cosets"
         )
-    best = -1
-    witness = None
-    for cid, c in enumerate(ctx.classes):
-        if c.element_order == 1:
-            continue
-        if per[cid] > best:
-            best = per[cid]
-            witness = c
-    if best < 0:
-        best = 0
+    # class 0 is the identity's; max keeps the first class that attains it
+    w = max(range(1, len(per)), key=per.__getitem__, default=0)
     return FixityReport(
-        fixity=best, witness_class=witness, per_class_fix=per, action=action
+        fixity=per[w] if w else 0, witness_class=classes[w] if w else None,
+        per_class_fix=per, action=action,
     )
 
 

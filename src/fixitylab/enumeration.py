@@ -1,11 +1,13 @@
 """Exhaustive structural computations for fully enumerable groups.
 
-Everything here works on a :class:`GroupContext`: the sorted element list of
-one group together with lookup tables for conjugation by each generator.
-Conjugacy classes, centralizers, normalizers, Sylow subgroups and the
-subgroup lattice up to conjugacy all reduce to orbit computations on element
-indices (or on frozensets of element indices) under that conjugation action,
-with Schreier generators supplying the stabilizers.
+Most of it works on a :class:`GroupContext`: the sorted element list of one
+group together with lookup tables for conjugation by each generator.
+Conjugacy classes, centralizers and the subgroup lattice up to conjugacy
+reduce to orbit computations on element indices (or on frozensets of them)
+under that conjugation action, with Schreier generators supplying the
+stabilizers.  ``normalizer`` and ``sylow`` need no context: they label a
+subgroup's conjugates by their sets of element tables, so G is never
+enumerated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 
-from .errors import CapExceededError, FalsificationError, MembershipError, PreconditionError
+from .errors import CapExceededError, FalsificationError, GroupDataError
+from .errors import MembershipError, PreconditionError
 from .ffield import euler_phi, is_prime, is_prime_power, p_part, prime_divisors
 from .perm import (
     ImageTable,
@@ -35,6 +38,7 @@ from .perm import (
     padded,
     table_action,
     table_order,
+    table_power,
 )
 
 ELEMENT_CAP = 200_000
@@ -497,14 +501,17 @@ def centralizer(
     return Subgroup(chain, ctx.group)
 
 
-def normalizer(
-    g: PermGroup | GroupContext, u: Subgroup | PermGroup, cap: int = ELEMENT_CAP
-) -> Subgroup:
-    """N_G(U), via the conjugation orbit of U's element set."""
-    ctx = as_context(g, cap)
-    ug = _group_of(u)
-    _, norm_chain = ctx._subgroup_orbit(frozenset(ctx.indices_of(ug)), ug)
-    return Subgroup(norm_chain, ctx.group)
+def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup:
+    """N_G(U), via the conjugation orbit of U, each conjugate labelled by its
+    set of element tables: U is enumerated, G never."""
+    grp, ug = _group_of(g), _group_of(u)
+    gens = grp.gen_tables
+
+    def conj(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
+        return frozenset(conjugate_table(t, gens[j]) for t in s)
+
+    _, chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), conj, ug.gen_tables)
+    return Subgroup(chain, grp)
 
 
 def normalizer_brute(
@@ -519,36 +526,56 @@ def normalizer_brute(
 
 
 def sylow(g: PermGroup | GroupContext, p: int, cap: int = ELEMENT_CAP) -> Subgroup:
-    """A Sylow p-subgroup, grown through normalizers of p-subgroups."""
-    ctx = as_context(g, cap)
+    """A Sylow p-subgroup, grown through normalizers of p-subgroups from the
+    first element of order p in breadth-first word order; G is never
+    enumerated, each normalizer is (within ``cap``)."""
+    grp = _group_of(g)
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if ctx.n % p:
-        raise PreconditionError(f"{p} does not divide the group order {ctx.n}")
-    pp = p_part(ctx.n, p)
-    orders = ctx.element_orders
-    best = -1
-    best_order = 0
-    for i in range(ctx.n):
-        o = orders[i]
-        if o > best_order and o == p_part(o, p):
-            best_order = o
-            best = i
-    chain = build_bsgs([ctx.elements[best]], degree=ctx.group.degree)
+    if grp.order % p:
+        raise PreconditionError(f"{p} does not divide the group order {grp.order}")
+    pp = p_part(grp.order, p)
+    chain = build_bsgs([_find_element_of_order(grp, p, cap)], degree=grp.degree)
     while chain.order < pp:
-        norm = normalizer(ctx, chain, cap)
-        grown = False
-        for t in norm.group.element_tables():
-            o = table_order(t)
-            if o > 1 and o == p_part(o, p) and not chain.contains_table(t):
-                chain = extend_chain(chain, [t])
-                grown = True
-                break
-        if not grown:
+        norm = normalizer(grp, chain)
+        if norm.order > cap:
+            raise CapExceededError(f"normalizer order {norm.order} exceeds element cap {cap}")
+        p_elts = (t for t in norm.group.element_tables() if p_part(o := table_order(t), p) == o > 1)
+        t = next((t for t in p_elts if not chain.contains_table(t)), None)
+        if t is None:
             raise MembershipError("p-subgroup stalled below the full p-part")
+        chain = extend_chain(chain, [t])
         if chain.order != p_part(chain.order, p):
             raise MembershipError("extension left the p-group family")
-    return Subgroup(chain, ctx.group)
+    return Subgroup(chain, grp)
+
+
+def _find_element_of_order(g: PermGroup, n: int, limit: int = ELEMENT_CAP) -> ImageTable:
+    """First element (in breadth-first word order over the generators) whose
+    order is divisible by n, raised to the cofactor; deterministic.
+
+    The search stops growing once it has seen ``limit`` elements: if that
+    left part of G unseen it raises CapExceededError, and GroupDataError if
+    it walked all of G."""
+    gen_tables = g.gen_tables
+    queue: list[ImageTable] = [identity_table(g.degree)]
+    seen: set[ImageTable] = set(queue)
+    for t in queue:
+        o = table_order(t)
+        if o % n == 0:
+            return table_power(t, o // n)
+        if len(seen) < limit:
+            for gt in gen_tables:
+                nxt = compose_tables(t, gt)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    if len(seen) < g.order:
+        raise CapExceededError(
+            f"no element of order divisible by {n} among the first {len(seen)} "
+            f"words (element cap {limit})"
+        )
+    raise GroupDataError(f"group has no element of order divisible by {n}")
 
 
 def subgroup_closure(g: PermGroup, seed: list[Permutation]) -> Subgroup:
@@ -563,8 +590,8 @@ def subgroup_closure(g: PermGroup, seed: list[Permutation]) -> Subgroup:
 # structure predicates
 # ---------------------------------------------------------------------------
 
-def _group_of(u: Subgroup | PermGroup) -> PermGroup:
-    return u.group if isinstance(u, Subgroup) else u
+def _group_of(u: Subgroup | PermGroup | GroupContext) -> PermGroup:
+    return u if isinstance(u, PermGroup) else u.group
 
 
 def structure_predicates(u: Subgroup | PermGroup) -> StructureRecord:

@@ -36,7 +36,7 @@ import math
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .cosets import (
@@ -47,22 +47,21 @@ from .cosets import (
     canonical_generator,
     coset_stabilizer_tables,
     cyclic_conjugation,
+    cyclic_normalizer_order,
     fixed_cosets,
     fixity,
     stabilizer_bundle_fixes,
 )
 from .enumeration import (
-    ELEMENT_CAP,
     GroupContext,
     SubgroupClass,
+    _find_element_of_order,
     _group_of,
     _normalized_by,
     as_context,
     is_simple_group,
-    normalizer,
     structure_predicates,
     subgroup_closure,
-    subgroup_from_tables,
     sylow,
 )
 from .errors import (
@@ -82,7 +81,6 @@ from .perm import (
     _greedy_chain,
     compose_tables,
     conjugate_table,
-    identity_table,
     invert_table,
     orbit_partition,
     orbit_stabilizer,
@@ -90,7 +88,6 @@ from .perm import (
     pack_table,
     point_stabilizer,
     table_order,
-    table_power,
 )
 from .zoo import GroupSpec, psl2_spec, resolve_group
 
@@ -323,24 +320,26 @@ def check_structural_lemmas(
     """Side conditions every fixity-4 action must satisfy.
 
     H is the four-point stabilizer: the elements fixing the four cosets F
-    that the witness element fixes, read off the coset action the fixity
-    report was counted on (the report is computed when not given).
+    that the witness element fixes.  Every check reads only the coset
+    action the fixity report was counted on (computed when not given) and
+    U's context; G is never enumerated.
 
     (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
-          subgroups Y <= U;
+          subgroups Y <= U, |N_G(Y)| taken from the cosets y fixes;
     (ii)  when H != 1, H is TI: every non-identity element of H fixes
           exactly the four cosets F, which decides TI for every conjugator
           (``ti_samples`` counts the elements of H checked);
     (iii) for each prime p >= 5 dividing |U|, U contains a full Sylow
           p-subgroup of G, and so does H for each such p dividing |H|;
     (iv)  when H != 1, |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four
-          cosets a, read as the length of the orbit of a under N_G(H).
+          cosets a, read as the length of the orbit of a under N_G(H), the
+          setwise stabilizer of F.
 
     Failures are collected in the returned record, never silently dropped.
     """
-    ctx = as_context(g, caps.elements)
+    g = _group_of(g)
     if report is None:
-        report = fixity(ctx.group, u, caps)
+        report = fixity(g, u, caps)
     action = report.action
     if report.fixity != 4 or action is None or report.witness_class is None:
         raise PreconditionError(
@@ -352,13 +351,12 @@ def check_structural_lemmas(
     u_ctx = as_context(u.group, caps.elements)
     cyclic_indices: list[tuple[int, int]] = []
     for b in u_ctx.bundles:
-        y = u_ctx.elements[b.rep_index]
-        gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ctx.index_of(y)]]]
-        if gb.normalizer_order % b.normalizer_order:
+        ng_order = cyclic_normalizer_order(action, u_ctx, u_ctx.elements[b.rep_index])
+        if ng_order % b.normalizer_order:
             raise FalsificationError(
                 "N_U(Y) order does not divide N_G(Y) order; index computation broken"
             )
-        idx = gb.normalizer_order // b.normalizer_order
+        idx = ng_order // b.normalizer_order
         cyclic_indices.append((b.element_order, idx))
         if idx > 4:
             failures.append(
@@ -367,7 +365,7 @@ def check_structural_lemmas(
 
     # (iii) for p >= 5 the stabilizer contains a full Sylow p-subgroup
     sylow_primes = [p for p in prime_divisors(u.order) if p >= 5]
-    failures += _missing_sylow("stabilizer", u.order, ctx.n)
+    failures += _missing_sylow("stabilizer", u.order, g.order)
 
     # the four-point stabilizer cut out by the witness element
     x = report.witness_class.representative.images
@@ -385,7 +383,7 @@ def check_structural_lemmas(
     ti_samples = 0
     h_norm_index: int | None = None
     if h_order > 1:
-        failures += _missing_sylow("four-point stabilizer", h_order, ctx.n)
+        failures += _missing_sylow("four-point stabilizer", h_order, g.order)
 
         # (ii) TI, exactly: each h != 1 in H fixes F and, at fixity 4,
         # nothing else; an h != 1 in H cap H^s then fixes F and Fs, so
@@ -400,12 +398,12 @@ def check_structural_lemmas(
                 )
                 break
 
-        # (iv) index of N(H) inside the stabilizer of each point H fixes;
-        # fix(H) is exactly the witness's four cosets, so N_G(H) permutes
-        # them and the index is the orbit length of the point, 2 or 4
-        h_sub = subgroup_from_tables(ctx.group, h_tables, target_order=h_order)
-        ngh = normalizer(ctx, h_sub, caps.elements)
-        n_gens = ngh.group.gen_tables
+        # (iv) the witness lies in H and fixes only F, so N_G(H) permutes
+        # fix(H) = F; the setwise stabilizer of F normalizes H, its pointwise
+        # stabilizer, so N_G(H) is exactly the stabilizer of the 4-set F
+        img = [p.images for p in action.images]
+        _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
+        n_gens = ngh.gen_tables
         for lam in fixed:
             idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens)))
             if ngh.order % idx:
@@ -421,7 +419,7 @@ def check_structural_lemmas(
                 )
 
     return StructuralChecks(
-        group_order=ctx.n,
+        group_order=g.order,
         stabilizer_order=u.order,
         degree=action.degree,
         cyclic_indices=cyclic_indices,
@@ -508,12 +506,12 @@ def classify_sylow3_orbits(
     a falsification with the orbit data.  The coset action is taken from
     ``report`` when it carries one, and built otherwise.
     """
-    ctx = as_context(g, caps.elements)
+    g = _group_of(g)
     action = report.action if report is not None else None
     if action is None:
-        action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
-    p_order = p_part(ctx.n, 3)
-    p_sub = sylow(ctx, 3, caps.elements) if p_order > 1 else subgroup_closure(ctx.group, [])
+        action = build_coset_action(g, u, caps.cosets, caps.elements)
+    p_order = p_part(g.order, 3)
+    p_sub = sylow(g, 3, caps.elements) if p_order > 1 else subgroup_closure(g, [])
     p_grp = p_sub.group
     p_gens = p_grp.gen_tables
     rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
@@ -543,7 +541,7 @@ def classify_sylow3_orbits(
         return result("a")
     if delta_size > 4 and p_order <= 9:
         return result("b")
-    if delta_size <= 4 and _is_maximal_class(ctx.group.degree, p_grp.element_tables(), 3):
+    if delta_size <= 4 and _is_maximal_class(g.degree, p_grp.element_tables(), 3):
         nonreg = [o for o in outside if len(o) < p_order]
         if nonreg and all(map(shows_case_c, nonreg)):
             return result("c")
@@ -722,7 +720,8 @@ def check_psl2_family(q_list, caps: Caps = DEFAULT_CAPS) -> list[FamilyResult]:
     plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
     each is checked for fixity 4, its descriptor, the structural side
     conditions and the Sylow-3 case.  A PSL2(q) larger than the element
-    cap raises CapExceededError, since those checks need it enumerated.
+    cap raises CapExceededError: there fixity takes the subgroup-orbit
+    route, which builds no coset action for those checks to read.
     The small q are decided by the catalog's lattice-search claims instead.
     """
     out = []
@@ -853,55 +852,28 @@ class ClaimResult:
 
 
 _CAP_KEYS = tuple(f.name for f in fields(Caps))
+# no cap given: each claim runs under its own caps, else the defaults
+CAPS_NOT_GIVEN = Caps(elements=None, subgroups=None, cosets=None)
 
 
 def _merge_caps(base: Caps, spec: dict | None, cid: str) -> Caps:
-    """``base`` with the caps that claim ``cid`` sets.  Each key must name a
-    cap and each value be a positive int; anything else raises
-    GroupDataError naming the claim and the key."""
-    if spec is None:
-        return base
-    if not isinstance(spec, dict):
+    """The caps claim ``cid`` runs under: each cap it sets, bounded by the
+    same cap of ``base``; a cap None in ``base`` is not given, and the
+    claim's or else the default applies.  Each key must name a cap and
+    each value be a positive int; anything else raises GroupDataError
+    naming the claim and the key."""
+    if spec is not None and not isinstance(spec, dict):
         raise GroupDataError(f"claim {cid!r}: caps must be an object, got {spec!r}")
-    for key, value in spec.items():
+    given = {k: v for k, v in asdict(base).items() if v is not None}
+    for key, value in (spec or {}).items():
         # bool is an int subclass, so the type is compared exactly
         if key not in _CAP_KEYS or type(value) is not int or value < 1:
             raise GroupDataError(
                 f"claim {cid!r}: bad cap {key!r}: {value!r} "
                 f"(caps are {', '.join(_CAP_KEYS)}, each a positive int)"
             )
-    return replace(base, **spec)
-
-
-def _find_element_of_order(g: PermGroup, n: int, limit: int = ELEMENT_CAP) -> ImageTable:
-    """First element (in breadth-first word order over the generators) whose
-    order is divisible by n, raised to the cofactor; deterministic.
-
-    The search stops growing once it has seen ``limit`` elements: if that
-    left part of G unseen it raises CapExceededError, and GroupDataError if
-    it walked all of G."""
-    gen_tables = g.gen_tables
-    queue: list[ImageTable] = [identity_table(g.degree)]
-    seen: set[ImageTable] = set(queue)
-    qi = 0
-    while qi < len(queue):
-        t = queue[qi]
-        qi += 1
-        o = table_order(t)
-        if o % n == 0:
-            return table_power(t, o // n)
-        if len(seen) < limit:
-            for gt in gen_tables:
-                nxt = compose_tables(t, gt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    if len(seen) < g.order:
-        raise CapExceededError(
-            f"no element of order divisible by {n} among the first {len(seen)} "
-            f"words (element cap {limit})"
-        )
-    raise GroupDataError(f"group has no element of order divisible by {n}")
+        given[key] = min(value, given.get(key, value))
+    return Caps(**given)
 
 
 def _normalizer_of_cyclic(g: PermGroup, y: ImageTable) -> Subgroup:
@@ -918,12 +890,12 @@ def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
         return point_stabilizer(g, int(arg))
     if kind == "cyclic_least":
         n = int(arg)
-        ctx = as_context(g, caps.elements)
-        orders = ctx.element_orders
-        yi = next((i for i in range(ctx.n) if orders[i] == n), None)
-        if yi is None:
+        if g.order > caps.elements:
+            raise CapExceededError(f"group order {g.order} exceeds element cap {caps.elements}")
+        y = next((t for t in g.element_tables() if table_order(t) == n), None)
+        if y is None:
             raise GroupDataError(f"group has no element of order {n}")
-        return subgroup_closure(g, [Permutation(ctx.elements[yi], _trusted=True)])
+        return subgroup_closure(g, [Permutation(y, _trusted=True)])
     if kind == "cyclic_search":
         n = int(arg)
         y = _find_element_of_order(g, n, caps.elements)
@@ -993,7 +965,7 @@ _REQUIRED_KEYS = {
 }
 
 
-def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
+def run_claim(claim: dict, caps: Caps = CAPS_NOT_GIVEN) -> ClaimResult:
     """Execute one claim.
 
     SKIPPED means the claim was not decided: it is documented only, its
@@ -1031,9 +1003,14 @@ def run_claim(claim: dict, caps: Caps = DEFAULT_CAPS) -> ClaimResult:
         return ClaimResult(cid, "FAIL", str(e), [])
 
 
+def _all_str(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_claims(path: str | Path) -> list[dict]:
     """The claims of a catalog file, each checked for an id unique in the
-    file, for the keys its mode reads and for its ``caps``.  A file that is
+    file, for the keys its mode reads, the shape of ``expected`` and of
+    ``stabilizers``, and its ``caps``.  A file that is
     not a list of claim objects, or a claim that sets ``k`` (every claim
     decides fixity 4), raises GroupDataError."""
     try:
@@ -1053,12 +1030,20 @@ def load_claims(path: str | Path) -> list[dict]:
             raise GroupDataError(f"duplicate claim id {c['id']!r}")
         seen.add(c["id"])
         mode = c.get("mode")
-        needed = [(c, k) for k in _REQUIRED_KEYS.get(mode, ())]
-        if mode == "stabilizers":
-            needed += [(e, k) for e in c.get("stabilizers", []) for k in ("source", "descriptor")]
-        for obj, key in needed:
-            if key not in obj:
-                raise GroupDataError(f"{mode} claim {c['id']!r} lacks the key {key!r}")
+        what = f"{mode} claim {c['id']!r}"
+        for key in _REQUIRED_KEYS.get(mode, ()):
+            if key not in c:
+                raise GroupDataError(f"{what} lacks the key {key!r}")
+        if mode == "search" and c["expected"] != "none" and not _all_str(c["expected"]):
+            raise GroupDataError(f"{what}: 'expected' is not \"none\" or a list of strings")
+        entries = c["stabilizers"] if mode == "stabilizers" else []
+        if not isinstance(entries, list):
+            raise GroupDataError(f"{what}: 'stabilizers' is not a list")
+        for e in entries:
+            if not isinstance(e, dict):
+                raise GroupDataError(f"{what}: stabilizer entry {e!r} is not an object")
+            if not _all_str([e.get("source"), e.get("descriptor")]):
+                raise GroupDataError(f"{what}: an entry lacks a string 'source' or 'descriptor'")
         _merge_caps(DEFAULT_CAPS, c.get("caps"), c["id"])
     return claims
 
@@ -1066,7 +1051,7 @@ def load_claims(path: str | Path) -> list[dict]:
 def run_claim_catalog(
     path: str | Path,
     jobs: int = 1,
-    caps: Caps = DEFAULT_CAPS,
+    caps: Caps = CAPS_NOT_GIVEN,
     only: set[str] | None = None,
 ) -> list[ClaimResult]:
     """Execute every claim in a catalog file; results follow catalog order.

@@ -231,7 +231,7 @@ def test_burnside_on_search_hits(psl2_9, psl2_9_hits):
     ctx = as_context(psl2_9)
     for h in hits:
         total = sum(
-            c.size * fx for c, fx in zip(ctx.classes, h.report.per_class_fix)
+            c.size * fix_direct(h.report.action, c.representative) for c in ctx.classes
         )
         assert total == psl2_9.order
 

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import fixitylab
 from fixitylab.cli import main
 
 
@@ -223,6 +225,32 @@ def test_verify_bad_caps(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error:" in err and "'capped'" in err and "'elements'" in err
+
+
+def test_verify_malformed_claim_values(capsys, tmp_path):
+    # values of the wrong shape stop the load with a data error, exit 2
+    cat = tmp_path / "cat.json"
+    for claim in (
+        {"id": "st", "mode": "stabilizers", "group": "psl2_7", "stabilizers": 5},
+        {"id": "st", "mode": "search", "group": "psl2_7", "expected": 5},
+    ):
+        cat.write_text(json.dumps({"claims": [claim]}))
+        code, out, err = run(capsys, ["verify", "--catalog", str(cat)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'st'" in err
+
+
+def test_verify_cap_flag_bounds_the_claim_cap(capsys):
+    # psl2_32_none raises its own subgroup cap to 40,000; a smaller cap given
+    # on the command line still binds, so the claim is left undecided
+    catalog = str(Path(fixitylab.__file__).parent / "data" / "claims.json")
+    argv = ["verify", "--catalog", catalog, "--only", "psl2_32_none", "--subgroup-cap", "100"]
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    (claim,) = json.loads(out)["claims"]
+    assert claim["verdict"] == "SKIPPED"
+    assert claim["detail"].startswith("cap exceeded:") and "cap 100" in claim["detail"]
 
 
 def test_usage_errors(capsys):

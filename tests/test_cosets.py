@@ -13,6 +13,7 @@ from fixitylab.cosets import (
     chain_canonicalizer,
     check_homomorphism,
     coset_stabilizer_tables,
+    cyclic_normalizer_order,
     fix_by_class_sum,
     fix_by_normalizer_formula,
     fix_direct,
@@ -220,12 +221,34 @@ def test_witness_attains_max(group_cache):
             continue
         rep = fixity(g, sc.representative)
         nontrivial = [
-            fx for c, fx in zip(ctx.classes, rep.per_class_fix) if c.element_order > 1
+            fix_direct(rep.action, c.representative)
+            for c in ctx.classes
+            if c.element_order > 1
         ]
         assert rep.fixity == max(nontrivial)
         assert rep.witness_class is not None
-        wid = ctx.classes.index(rep.witness_class)
-        assert rep.per_class_fix[wid] == rep.fixity
+        assert fix_direct(rep.action, rep.witness_class.representative) == rep.fixity
+
+
+@pytest.mark.parametrize("sel", ["sym_4", "alt_5", "psl2_7"])
+def test_stabilizer_classes_decide_fixity(group_cache, sel):
+    # an element that fixes the coset U r is conjugate into U, so the
+    # maximum over U's classes equals the maximum over G's; and the cosets
+    # that each y in U fixes give |N_G(<y>)| with no context of G
+    g = group_cache(sel)
+    ctx = as_context(g)
+    for sc in ctx.subgroup_classes():
+        if sc.order in (1, g.order):
+            continue
+        u = sc.representative
+        rep = fixity(g, u)
+        over_g = [fix_direct(rep.action, c.representative) for c in ctx.classes]
+        assert rep.fixity == max(fx for c, fx in zip(ctx.classes, over_g) if c.element_order > 1)
+        u_ctx = as_context(u.group)
+        for b in u_ctx.bundles:
+            y = u_ctx.elements[b.rep_index]
+            gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ctx.index_of(y)]]]
+            assert cyclic_normalizer_order(rep.action, u_ctx, y) == gb.normalizer_order
 
 
 def test_counting_routes_agree(sym4, alt5):
@@ -270,7 +293,9 @@ def test_burnside_count(group_cache):
         ctx = as_context(g)
         for sc in as_context(g).subgroup_classes():
             rep = fixity(g, sc.representative)
-            total = sum(c.size * fx for c, fx in zip(ctx.classes, rep.per_class_fix))
+            total = sum(
+                c.size * fix_direct(rep.action, c.representative) for c in ctx.classes
+            )
             # orbit counting: average fixed points = number of orbits, and the
             # coset action is transitive
             assert total == g.order

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ import fixitylab.cosets
 import fixitylab.verifier
 from fixitylab.cosets import Caps, build_coset_action, coset_stabilizer_tables, fixed_cosets
 from fixitylab.enumeration import (
+    GroupContext,
     as_context,
     normalizer,
     normalizer_brute,
@@ -694,6 +696,18 @@ def test_load_claims_validation(tmp_path):
         p.write_text(text)
         with pytest.raises(GroupDataError, match="catalog"):
             load_claims(p)
+    # values of the wrong shape are data errors too, naming the claim
+    for bad, what in (
+        ({"id": "s", "mode": "stabilizers", "group": "psl2_7", "stabilizers": 5}, "not a list"),
+        ({"id": "s", "mode": "search", "group": "psl2_7", "expected": 5}, "'expected'"),
+        (
+            {"id": "s", "mode": "stabilizers", "group": "psl2_7", "stabilizers": ["source"]},
+            "'source' is not an object",
+        ),
+    ):
+        p.write_text(json.dumps([bad]))
+        with pytest.raises(GroupDataError, match=f"'s'.*{what}"):
+            load_claims(p)
 
 
 _BAD_CAPS = [
@@ -729,6 +743,45 @@ def test_good_caps_are_merged(tmp_path):
     assert fixitylab.verifier._merge_caps(Caps(cosets=7), claim["caps"], "capped") == Caps(
         elements=1000, subgroups=50, cosets=7
     )
+
+
+def test_claims_build_no_context_of_the_claim_group(monkeypatch):
+    # stabilizer and family rows within the element cap are judged from the
+    # coset action and U alone: every context built is one of a subgroup
+    # smaller than the claim's group
+    built = []
+    init = GroupContext.__init__
+
+    def spy(self, group):
+        built.append(group.order)
+        init(self, group)
+
+    monkeypatch.setattr(GroupContext, "__init__", spy)
+    catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
+    claims = {c["id"]: c for c in load_claims(catalog)}
+    # |M12|, |PSU4(2)|, |PSL2(17)|, |PSL2(19)|
+    for cid, order in (
+        ("m12_stabs", 95040),
+        ("psu4_2_stabs", 25920),
+        ("psl2_family_q17", 2448),
+        ("psl2_family_q19", 3420),
+    ):
+        built.clear()
+        r = run_claim(claims[cid])
+        assert r.verdict == "PASS"
+        assert all(row["sylow3_case"] in {"a", "b", "c", "d", "e"} for row in r.rows)
+        assert built and max(built) < order
+
+
+def test_given_cap_bounds_the_claim_cap():
+    merge = fixitylab.verifier._merge_caps
+    # a cap given bounds the claim's, whether the claim raises or lowers it
+    assert merge(Caps(subgroups=100), {"subgroups": 40000}, "c").subgroups == 100
+    assert merge(Caps(subgroups=100), {"subgroups": 50}, "c").subgroups == 50
+    # a cap not given leaves the claim's cap, or else the default
+    given = replace(fixitylab.verifier.CAPS_NOT_GIVEN, cosets=7)
+    assert merge(given, {"subgroups": 40000}, "c") == Caps(subgroups=40000, cosets=7)
+    assert merge(fixitylab.verifier.CAPS_NOT_GIVEN, None, "c") == Caps()
 
 
 def _tiny_catalog(tmp_path):
