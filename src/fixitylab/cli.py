@@ -49,15 +49,26 @@ from .verifier import (
 from .zoo import ENV_DATA_DIR, load_spec, resolve_group, zoo_names
 
 
+def _positive_int(text: str) -> int:
+    """A cap flag's value: a positive int, as a catalog cap must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fixitylab")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add_outputs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--element-cap", type=int)
-        p.add_argument("--subgroup-cap", type=int)
-        p.add_argument("--coset-cap", type=int)
+        p.add_argument("--element-cap", type=_positive_int)
+        p.add_argument("--subgroup-cap", type=_positive_int)
+        p.add_argument("--coset-cap", type=_positive_int)
 
     def add_common(p: argparse.ArgumentParser, stab: bool) -> None:
         p.add_argument("--group", required=True, help="group selector, see `zoo`")

@@ -13,6 +13,7 @@ enumerated.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -320,26 +321,45 @@ class GroupContext:
         return orbit_stabilizer(self.group, fs, apply_fs, chain.gen_tables)
 
     def _compute_subgroup_classes(self) -> None:
+        # Two shortcuts spare the saturation below chains whose result is
+        # already known; neither changes which y is tried, in what order, or
+        # the chain built for a proper extension, so the lattice is the same.
+        # - Inherited generation: ``full`` marks the cyclic subgroups <y> with
+        #   <A, y> = G.  A class first found as <P, y0> has a representative
+        #   containing P's, so it starts from P's finished marks; N(A)
+        #   conjugates <A, y>, so one marked member settles a whole N(A)-orbit
+        #   and an orbit that reaches G marks all its members.
+        # - Overgroups as ambient: a proper extension S already built from A
+        #   contains <A, y> whenever it contains y, so extend_chain runs with
+        #   ambient S (the smallest such S), whose known-order stop returns S
+        #   exactly when <A, y> = S: a duplicate, neither enumerated nor hashed.
+        #   Below S the stop never fires, so the chain is the one built
+        #   without an ambient.
         n = self.n
         g = self.group
         records: list[dict] = []
-        seen: dict[frozenset[int], int] = {}
+        # every conjugate of every class, keyed by its sorted index tuple
+        # (the class's canonical form is the least of them): several times
+        # smaller than a frozenset, and the largest store of the saturation
+        seen: dict[tuple[int, ...], int] = {}
         queue: deque[int] = deque()
 
-        def add_class(fs: frozenset[int], chain: PermGroup) -> None:
+        def add_class(fs: frozenset[int], chain: PermGroup, parent: int | None = None) -> None:
             orbit_sets, norm_chain = self._subgroup_orbit(fs, chain)
+            keys = [tuple(sorted(m)) for m in orbit_sets]
             cid = len(records)
             records.append(
                 {
                     "chain": chain,
                     "indices": fs,
-                    "canonical": canonical_form(orbit_sets),
+                    "canonical": min(keys),
                     "class_size": len(orbit_sets),
                     "normalizer": norm_chain,
+                    "parent": parent,
                 }
             )
-            for member in orbit_sets:
-                seen[member] = cid
+            for key in keys:
+                seen[key] = cid
             queue.append(cid)
 
         # seeds: trivial subgroup, the whole group, one cyclic subgroup per
@@ -349,7 +369,7 @@ class GroupContext:
         for b in self.bundles:
             t = self.elements[b.rep_index]
             fs = frozenset(self.index[tab] for tab in _cyclic_tables(t, g.degree))
-            if fs not in seen:
+            if tuple(sorted(fs)) not in seen:
                 add_class(fs, build_bsgs([t], degree=g.degree))
 
         # saturate: extend each known class representative A by one element y
@@ -373,9 +393,16 @@ class GroupContext:
         while queue:
             cid = queue.popleft()
             rec = records[cid]
-            if rec["chain"].order == n:
+            chain = rec["chain"]
+            if chain.order == n:
                 continue
-            fs = rec["indices"]
+            fs, parent = rec["indices"], rec["parent"]
+            # the parent was dequeued first, so its marks are final
+            full = rec["full"] = (
+                bytearray(len(rep)) if parent is None else bytearray(records[parent]["full"])
+            )
+            # (index set, chain) of the proper extensions of A, by order
+            overgroups: list[tuple[frozenset[int], PermGroup]] = []
             maps = [
                 list(map(cyc_of.__getitem__, self.conj_map(t, rep_tables)))
                 for t in rec["normalizer"].gen_tables
@@ -383,21 +410,27 @@ class GroupContext:
             for members in orbit_partition(len(rep), maps)[1]:
                 i = rep[members[0]]
                 # N(A) fixes A, so an orbit lies inside A or outside it
-                if i in fs:
+                if i in fs or any(map(full.__getitem__, members)):
                     continue
-                y = self.elements[i]
-                ext = extend_chain(rec["chain"], [y], ambient=g)
-                if ext.order == n:
+                amb = next((s for s_fs, s in overgroups if i in s_fs), g)
+                ext = extend_chain(chain, [self.elements[i]], ambient=amb)
+                # <A, y> <= amb: equal orders mean <A, y> = amb, whether the
+                # known-order stop returned amb or the chain completed first
+                if ext.order == amb.order:
+                    if amb is g:
+                        for s in members:
+                            full[s] = 1
                     continue
-                # the index set needs no sorted, cached element list of a
-                # chain that is usually discarded
+                # a chain that is usually discarded needs no cached element
+                # list for its index set
                 fs2 = frozenset(map(index.__getitem__, ext.iter_element_tables()))
                 if len(fs2) != ext.order:
                     raise MembershipError(
                         f"extension enumerated {len(fs2)} elements, BSGS order is {ext.order}"
                     )
-                if fs2 not in seen:
-                    add_class(fs2, ext)
+                if tuple(sorted(fs2)) not in seen:
+                    add_class(fs2, ext, cid)
+                insort(overgroups, (fs2, ext), key=lambda p: p[1].order)
 
         records.sort(key=lambda r: (r["chain"].order, r["canonical"]))
         out = []
@@ -506,9 +539,18 @@ def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup
     set of element tables: U is enumerated, G never."""
     grp, ug = _group_of(g), _group_of(u)
     gens = grp.gen_tables
+    if grp.degree <= 255:
+        # conjugate_table with each generator padded once per call, not once
+        # per conjugated table
+        d, ops = grp.degree, [padded(h) for h in gens]
 
-    def conj(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
-        return frozenset(conjugate_table(t, gens[j]) for t in s)
+        def conj(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
+            h, ph = gens[j], ops[j]
+            return frozenset([bytes.maketrans(h, t.translate(ph))[:d] for t in s])
+    else:
+
+        def conj(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
+            return frozenset(conjugate_table(t, gens[j]) for t in s)
 
     _, chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), conj, ug.gen_tables)
     return Subgroup(chain, grp)

@@ -268,3 +268,15 @@ def test_unknown_group(capsys):
     code, _, err = run(capsys, ["fixity", "--group", "nope_9", "--stab-order", "2"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--element-cap", "--subgroup-cap", "--coset-cap"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_cap_flag_is_a_usage_error(capsys, flag, value):
+    # a cap flag is held to the rule of a catalog cap: a positive int
+    catalog = str(Path(fixitylab.__file__).parent / "data" / "claims.json")
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--catalog", catalog, "--only", "psl2_7_search", flag, value])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "positive" in err
