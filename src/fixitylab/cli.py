@@ -50,7 +50,7 @@ from .zoo import ENV_DATA_DIR, load_spec, resolve_group, zoo_names
 
 
 def _positive_int(text: str) -> int:
-    """A cap flag's value: a positive int, as a catalog cap must be."""
+    """A cap or ``--jobs`` value: a positive int, as a catalog cap must be."""
     try:
         value = int(text)
     except ValueError:
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify")
     p.add_argument("--catalog", required=True, help="claim catalog JSON file")
     p.add_argument("--only", help="comma-separated claim ids to run")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     add_outputs(p)
 
     p = sub.add_parser("zoo")
@@ -111,6 +111,8 @@ def _stabilizers(
     """All stabilizers the flags select; ambiguity yields several."""
     if args.stab_file and args.stab_order is not None:
         raise PreconditionError("--stab-order and --stab-file are exclusive")
+    if args.stab_descriptor is not None and args.stab_order is None:
+        raise PreconditionError("--stab-descriptor narrows --stab-order, which is not given")
     if args.stab_file:
         spec = load_spec(Path(args.stab_file), Path(args.stab_file).stem)
         loaded = spec.build()

@@ -42,10 +42,11 @@ from .enumeration import (
     SUBGROUP_CAP,
     ConjClass,
     GroupContext,
-    _cyclic_generators,
     _cyclic_tables,
     as_context,
     canonical_form,
+    canonical_generator,
+    cyclic_conjugation,
     structure_predicates,
 )
 from .errors import (
@@ -63,6 +64,7 @@ from .perm import (
     build_bsgs,
     compose_tables,
     conjugate_table,
+    conjugator,
     identity_table,
     invert_table,
     orbit_walk,
@@ -272,9 +274,7 @@ def _in_u(action: CosetAction, t: ImageTable, right: list[ImageTable]) -> Iterat
 
 def coset_stabilizer_tables(action: CosetAction, i: int) -> list[ImageTable]:
     """Element tables of the stabilizer of coset i: r_i^-1 U r_i."""
-    r = action.canonical_reps[i]
-    ri = invert_table(r)
-    return [compose_tables(compose_tables(ri, t), r) for t in action.u_tables]
+    return list(map(conjugator(action.canonical_reps[i]), action.u_tables))
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +435,6 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
         fixity=per[w] if w else 0, witness_class=classes[w] if w else None,
         per_class_fix=per, action=action,
     )
-
-
-def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
-    """The lexicographically least generator of <t>.
-
-    Conjugation commutes with taking powers, so this is a stable label for
-    the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
-    """
-    return min(_cyclic_generators(t, degree))
-
-
-def cyclic_conjugation(g: PermGroup):
-    """G acting on its cyclic subgroups by conjugation, each labelled by its
-    canonical generator: ``act(c, j)`` is the label of <c>^(g_j)."""
-    gens = g.gen_tables
-    return lambda c, j: canonical_generator(conjugate_table(c, gens[j]), g.degree)
 
 
 def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:

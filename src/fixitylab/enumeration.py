@@ -6,7 +6,8 @@ Conjugacy classes, centralizers and the subgroup lattice up to conjugacy
 reduce to orbit computations on element indices (or on frozensets of them)
 under that conjugation action, with Schreier generators supplying the
 stabilizers.  ``normalizer`` and ``sylow`` need no context: they label a
-subgroup's conjugates by their sets of element tables, so G is never
+subgroup's conjugates, a cyclic subgroup given by one generator by its least
+generator and any other by its set of element tables, so G is never
 enumerated.
 """
 
@@ -31,12 +32,12 @@ from .perm import (
     build_bsgs,
     compose_tables,
     conjugate_table,
+    conjugator,
     extend_chain,
     identity_table,
     invert_table,
     orbit_partition,
     orbit_stabilizer,
-    padded,
     table_action,
     table_order,
     table_power,
@@ -147,14 +148,9 @@ class GroupContext:
         """Conjugation by a member h: the index of h^-1 * e * h for each table
         e of ``members`` (default: all elements, giving the index map
         i -> index of h^-1 * e_i * h)."""
-        index = self.index
         if members is None:
             members = self.elements
-        if type(h) is bytes:
-            # conjugate_table with the translate table of h padded once
-            ph, d = padded(h), len(h)
-            return [index[bytes.maketrans(h, e.translate(ph))[:d]] for e in members]
-        return [index[conjugate_table(e, h)] for e in members]
+        return list(map(self.index.__getitem__, map(conjugator(h), members)))
 
     @cached_property
     def conj_tables(self) -> list[list[int]]:
@@ -499,10 +495,10 @@ def _cyclic_tables(t: ImageTable, degree: int) -> list[ImageTable]:
 
 
 @lru_cache(maxsize=128)
-def _coprime_mask(n: int) -> bytes:
-    """Byte k is 1 iff gcd(k, n) = 1: the exponents of the generators of a
-    cyclic group of order n."""
-    return bytes(math.gcd(k, n) == 1 for k in range(n))
+def _coprime_mask(n: int) -> tuple[bool, ...]:
+    """Entry k is true iff gcd(k, n) = 1: the exponents of the generators of
+    a cyclic group of order n."""
+    return tuple(math.gcd(k, n) == 1 for k in range(n))
 
 
 def _cyclic_generators(t: ImageTable, degree: int) -> list[ImageTable]:
@@ -510,6 +506,22 @@ def _cyclic_generators(t: ImageTable, degree: int) -> list[ImageTable]:
     increasing k."""
     powers = _cyclic_tables(t, degree)
     return list(compress(powers, _coprime_mask(len(powers))))
+
+
+def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
+    """The lexicographically least generator of <t>.
+
+    Conjugation commutes with taking powers, so this is a stable label for
+    the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
+    """
+    return min(_cyclic_generators(t, degree))
+
+
+def cyclic_conjugation(g: PermGroup):
+    """G acting on its cyclic subgroups by conjugation, each labelled by its
+    canonical generator: ``act(c, j)`` is the label of <c>^(g_j)."""
+    conj, degree = [conjugator(h) for h in g.gen_tables], g.degree
+    return lambda c, j: canonical_generator(conj[j](c), degree)
 
 
 def subgroup_from_tables(
@@ -535,24 +547,24 @@ def centralizer(
 
 
 def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup:
-    """N_G(U), via the conjugation orbit of U, each conjugate labelled by its
-    set of element tables: U is enumerated, G never."""
+    """N_G(U), via the conjugation orbit of U with Schreier generators for its
+    stabilizer; G is never enumerated.  A U given by one generator y has its
+    conjugates labelled by their least generators (:func:`cyclic_conjugation`),
+    any other U by their sets of element tables, which enumerates U.  Both
+    labellings respect the G-action, so the orbit walk, and the chain, is
+    the same whichever is taken."""
     grp, ug = _group_of(g), _group_of(u)
-    gens = grp.gen_tables
-    if grp.degree <= 255:
-        # conjugate_table with each generator padded once per call, not once
-        # per conjugated table
-        d, ops = grp.degree, [padded(h) for h in gens]
-
-        def conj(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
-            h, ph = gens[j], ops[j]
-            return frozenset([bytes.maketrans(h, t.translate(ph))[:d] for t in s])
+    if len(ug.generators) == 1:
+        start = canonical_generator(ug.gen_tables[0], grp.degree)
+        act = cyclic_conjugation(grp)
     else:
+        conj = [conjugator(h) for h in grp.gen_tables]
+        start = frozenset(ug.element_tables())
 
-        def conj(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
-            return frozenset(conjugate_table(t, gens[j]) for t in s)
+        def act(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
+            return frozenset(map(conj[j], s))
 
-    _, chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), conj, ug.gen_tables)
+    _, chain = orbit_stabilizer(grp, start, act, ug.gen_tables)
     return Subgroup(chain, grp)
 
 
@@ -743,9 +755,8 @@ def _frobenius_cyclic_check(
         if y is None:
             continue
         fpf = all(
-            conjugate_table(k, j) != k
-            for j in _cyclic_tables(y, degree)
-            if j != ident
+            conj(k) != k
+            for conj in map(conjugator, _cyclic_tables(y, degree)[1:])
             for k in kernel
             if k != ident
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -91,17 +91,23 @@ def invert_table(a: ImageTable) -> ImageTable:
     return tuple(out)
 
 
-def conjugate_table(x: ImageTable, g: ImageTable) -> ImageTable:
-    """Image table of g^-1 * x * g, computed in one pass without inverting g:
-    ``table[g[i]] = g[x[i]]``."""
-    if type(x) is bytes:
+def conjugator(g: ImageTable) -> Callable[[ImageTable], ImageTable]:
+    """The map x -> g^-1 * x * g on tables of g's degree, with g prepared
+    once: ``table[g[i]] = g[x[i]]``, no length check or padding per call."""
+    d = len(g)
+    if type(g) is bytes:
         # maketrans(frm, to) sets table[frm[i]] = to[i] and is the identity
-        # elsewhere, so its first len(x) bytes are the conjugate
-        return bytes.maketrans(g, x.translate(padded(g)))[: len(x)]
-    out = [0] * len(x)
-    for i, v in enumerate(x):
-        out[g[i]] = g[v]
-    return tuple(out)
+        # elsewhere, so its first d bytes are the conjugate
+        pg, maketrans = padded(g), bytes.maketrans
+        return lambda x: maketrans(g, x.translate(pg))[:d]
+    # table[i] = g[x[g^-1[i]]]: two lookups through C per entry
+    g_inv = invert_table(g)
+    return lambda x: tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))
+
+
+def conjugate_table(x: ImageTable, g: ImageTable) -> ImageTable:
+    """Image table of g^-1 * x * g."""
+    return conjugator(g)(x)
 
 
 def table_order(a: ImageTable) -> int:

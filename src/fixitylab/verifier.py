@@ -44,9 +44,7 @@ from .cosets import (
     DEFAULT_CAPS,
     FixityReport,
     build_coset_action,
-    canonical_generator,
     coset_stabilizer_tables,
-    cyclic_conjugation,
     cyclic_normalizer_order,
     fixed_cosets,
     fixity,
@@ -60,6 +58,7 @@ from .enumeration import (
     _normalized_by,
     as_context,
     is_simple_group,
+    normalizer,
     structure_predicates,
     subgroup_closure,
     sylow,
@@ -876,14 +875,6 @@ def _merge_caps(base: Caps, spec: dict | None, cid: str) -> Caps:
     return Caps(**given)
 
 
-def _normalizer_of_cyclic(g: PermGroup, y: ImageTable) -> Subgroup:
-    """N_G(<y>) without enumerating G: conjugation orbit of the canonical
-    generator of <y> with Schreier generators for the stabilizer."""
-    start = canonical_generator(y, g.degree)
-    _, chain = orbit_stabilizer(g, start, cyclic_conjugation(g), [y])
-    return Subgroup(chain, g)
-
-
 def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
     kind, _, arg = source.partition(":")
     if kind == "point_stabilizer":
@@ -896,14 +887,10 @@ def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
         if y is None:
             raise GroupDataError(f"group has no element of order {n}")
         return subgroup_closure(g, [Permutation(y, _trusted=True)])
-    if kind == "cyclic_search":
-        n = int(arg)
-        y = _find_element_of_order(g, n, caps.elements)
-        return subgroup_closure(g, [Permutation(y, _trusted=True)])
-    if kind == "cyclic_normalizer_search":
-        n = int(arg)
-        y = _find_element_of_order(g, n, caps.elements)
-        return _normalizer_of_cyclic(g, y)
+    if kind in ("cyclic_search", "cyclic_normalizer_search"):
+        y = _find_element_of_order(g, int(arg), caps.elements)
+        cyc = subgroup_closure(g, [Permutation(y, _trusted=True)])
+        return cyc if kind == "cyclic_search" else normalizer(g, cyc)
     raise GroupDataError(f"unknown stabilizer source {source!r}")
 
 
@@ -1009,10 +996,10 @@ def _all_str(value) -> bool:
 
 def load_claims(path: str | Path) -> list[dict]:
     """The claims of a catalog file, each checked for an id unique in the
-    file, for the keys its mode reads, the shape of ``expected`` and of
-    ``stabilizers``, and its ``caps``.  A file that is
-    not a list of claim objects, or a claim that sets ``k`` (every claim
-    decides fixity 4), raises GroupDataError."""
+    file, for the keys its mode reads, the types of ``group`` and ``q``,
+    the shape of ``expected`` and of ``stabilizers``, and its ``caps``.  A
+    file that is not a list of claim objects, or a claim that sets ``k``
+    (every claim decides fixity 4), raises GroupDataError."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -1034,6 +1021,11 @@ def load_claims(path: str | Path) -> list[dict]:
         for key in _REQUIRED_KEYS.get(mode, ()):
             if key not in c:
                 raise GroupDataError(f"{what} lacks the key {key!r}")
+        if "group" in _REQUIRED_KEYS.get(mode, ()) and not isinstance(c["group"], str):
+            raise GroupDataError(f"{what}: 'group' is not a string")
+        # bool is an int subclass, so the type is compared exactly
+        if mode == "psl2_family" and type(c["q"]) is not int:
+            raise GroupDataError(f"{what}: 'q' is not an int")
         if mode == "search" and c["expected"] != "none" and not _all_str(c["expected"]):
             raise GroupDataError(f"{what}: 'expected' is not \"none\" or a list of strings")
         entries = c["stabilizers"] if mode == "stabilizers" else []

@@ -202,7 +202,7 @@ def mathieu_spec(name: str) -> GroupSpec:
         return GroupSpec("m11", 11, [c11, o4], 7920)
     if key == "m12":
         ext = [
-            Permutation(g.images + bytes([11]), _trusted=True) for g in (c11, o4)
+            Permutation(pack_table([*g.images, 11]), _trusted=True) for g in (c11, o4)
         ]
         swap = Permutation.from_cycles(
             12, [(0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)]

@@ -76,6 +76,20 @@ def test_stab_flags_exclusive(capsys, tmp_path):
     assert "exclusive" in err
 
 
+def test_stab_descriptor_needs_stab_order(capsys, tmp_path):
+    # the descriptor narrows the lattice classes of one order; with a
+    # generator file alone there is nothing for it to narrow
+    p = tmp_path / "s3.grp"
+    p.write_text("degree 4\n2 1 3 4\n2 3 1 4\n")
+    code, out, err = run(
+        capsys,
+        ["fixity", "--group", "sym_4", "--stab-file", str(p), "--stab-descriptor", "C5"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--stab-order" in err
+
+
 def test_stab_flags_required(capsys):
     code, _, err = run(capsys, ["fixity", "--group", "sym_4"])
     assert code == 2
@@ -233,6 +247,9 @@ def test_verify_malformed_claim_values(capsys, tmp_path):
     for claim in (
         {"id": "st", "mode": "stabilizers", "group": "psl2_7", "stabilizers": 5},
         {"id": "st", "mode": "search", "group": "psl2_7", "expected": 5},
+        {"id": "st", "mode": "search", "group": 5, "expected": "none"},
+        {"id": "st", "mode": "psl2_family", "q": "17"},
+        {"id": "st", "mode": "psl2_family", "q": True},
     ):
         cat.write_text(json.dumps({"claims": [claim]}))
         code, out, err = run(capsys, ["verify", "--catalog", str(cat)])
@@ -270,10 +287,11 @@ def test_unknown_group(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("flag", ["--element-cap", "--subgroup-cap", "--coset-cap"])
+@pytest.mark.parametrize("flag", ["--element-cap", "--subgroup-cap", "--coset-cap", "--jobs"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_cap_flag_is_a_usage_error(capsys, flag, value):
-    # a cap flag is held to the rule of a catalog cap: a positive int
+    # a cap flag, and --jobs, is held to the rule of a catalog cap: a
+    # positive int; the parser rejects it before any claim runs
     catalog = str(Path(fixitylab.__file__).parent / "data" / "claims.json")
     with pytest.raises(SystemExit) as e:
         main(["verify", "--catalog", catalog, "--only", "psl2_7_search", flag, value])

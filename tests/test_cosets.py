@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fixitylab.cosets import (
     Caps,
     build_coset_action,
-    canonical_generator,
     chain_canonicalizer,
     check_homomorphism,
     coset_stabilizer_tables,
@@ -27,6 +26,7 @@ from fixitylab.cosets import (
 )
 from fixitylab.enumeration import (
     as_context,
+    canonical_generator,
     structure_predicates,
     subgroup_closure,
 )

@@ -9,10 +9,10 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fixitylab import enumeration
-from fixitylab.cosets import canonical_generator
 from fixitylab.enumeration import (
     _cyclic_generators,
     as_context,
+    canonical_generator,
     centralizer,
     euler_phi,
     is_prime_power,
@@ -118,6 +118,23 @@ def test_normalizer_matches_brute(group_cache):
             brute = normalizer_brute(g, sc.representative)
             assert fast.group.order == brute.group.order == sc.normalizer_order
             assert fast.group.element_tables() == brute.group.element_tables()
+
+
+def test_normalizer_label_routes_match_brute(group_cache):
+    # a U with one generator takes the cyclic label, any other its set of
+    # element tables; on tuple tables (degree 300) both agree with the scan
+    # of G, and a cyclic U given by its generator twice takes the set label
+    g = group_cache("dihedral_300")
+    r, s = g.generators
+    cases = [[r**60], [s], [r**50 * s], [r**60, s]]
+    for gens in cases:
+        u = build_bsgs(gens, degree=g.degree)
+        fast = normalizer(g, u)
+        brute = normalizer_brute(g, u)
+        assert fast.group.element_tables() == brute.group.element_tables()
+        if len(gens) == 1:
+            twice = normalizer(g, build_bsgs(gens * 2, degree=g.degree))
+            assert twice.group.element_tables() == fast.group.element_tables()
 
 
 def test_sylow(group_cache):

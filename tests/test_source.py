@@ -18,6 +18,41 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
+def _representation_leaks(tree: ast.AST) -> list[int]:
+    """Lines that use the bytes-or-tuple table representation: any mention
+    of ``bytes`` (a type test, a table built as bytes, bytes.maketrans), the
+    padded translate table, ``.translate``, or a comparison with the degree
+    255 that decides the representation."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("bytes", "padded"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in ("padded", "maketrans", "translate"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.alias) and node.name == "padded":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(x, ast.Constant) and x.value == 255
+            for x in (node.left, *node.comparators)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_table_representation_stays_in_perm():
+    # perm.py alone knows that a table is bytes up to degree 255 and a tuple
+    # above; every other module builds, composes and conjugates tables
+    # through its primitives
+    src = Path(fixitylab.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "perm.py"
+        for line in _representation_leaks(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offenders == []
+
+
 def test_perfbench_probes_resolve():
     # the benchmark's tracer wraps the library functions named in its
     # PROBES table; a rename or removal here must not leave a probe dangling

@@ -11,7 +11,6 @@ from fixitylab.cosets import Caps, build_coset_action, coset_stabilizer_tables, 
 from fixitylab.enumeration import (
     GroupContext,
     as_context,
-    normalizer,
     normalizer_brute,
     subgroup_closure,
     subgroup_from_tables,
@@ -41,7 +40,6 @@ from fixitylab.verifier import (
     _build_stabilizer,
     _find_element_of_order,
     _is_maximal_class,
-    _normalizer_of_cyclic,
     catalog_report_json,
     check_order27_lemma,
     check_psl2_family,
@@ -377,18 +375,6 @@ def test_find_element_of_order_stopped_by_the_cap(group_cache):
     }
     r = run_claim(claim)
     assert r.verdict == "SKIPPED" and "words" in r.detail
-
-
-def test_normalizer_of_cyclic_matches_enumeration(group_cache):
-    g = group_cache("sym_5")
-    ctx = as_context(g)
-    for c in ctx.classes:
-        if c.element_order == 1:
-            continue
-        y = c.representative.images
-        fast = _normalizer_of_cyclic(g, y)
-        ref = normalizer(g, subgroup_closure(g, [c.representative]))
-        assert fast.group.element_tables() == ref.group.element_tables()
 
 
 def test_build_stabilizer(sym4, alt5):
