@@ -19,6 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from fixitylab.cli import _positive_int
 from fixitylab.cosets import Caps, DEFAULT_CAPS, stabilizer_bundle_fixes
 from fixitylab.enumeration import as_context
 from fixitylab.verifier import search_fixity_k
@@ -55,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--groups", nargs="+", required=True)
     ap.add_argument("--highlight", type=int, default=4)
-    ap.add_argument("--subgroup-cap", type=int, default=DEFAULT_CAPS.subgroups)
+    ap.add_argument("--subgroup-cap", type=_positive_int, default=DEFAULT_CAPS.subgroups)
     args = ap.parse_args(argv)
     caps = Caps(
         elements=DEFAULT_CAPS.elements,

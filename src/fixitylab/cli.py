@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .cosets import (
     Caps,
+    build_coset_action,
     fixity,
     marks_row,
     profile,
@@ -156,9 +157,7 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
     chunks = []
     for u in _stabilizers(g, args, caps):
         if args.subcommand == "fixity":
-            rep = fixity(g, u, caps)
-            prof = profile(g, u, caps)
-            chunks.append(report_json(name, rep.action, rep, prof))
+            chunks.append(report_json(name, fixity(g, u, caps), profile(g, u, caps)))
             continue
         obj = {"group": name, "stabilizer_order": u.order, "degree": g.order // u.order}
         if args.subcommand == "profile":
@@ -167,7 +166,8 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
             classes = as_context(g, caps.elements).subgroup_classes(caps.subgroups)
             obj["marks"] = marks_row(g, u, classes, caps)
         else:
-            cls = classify_sylow3_orbits(g, u, caps=caps)
+            action = build_coset_action(g, u, caps.cosets, caps.elements)
+            cls = classify_sylow3_orbits(action, caps)
             obj["case"] = cls.case
             obj["sylow3_order"] = cls.p_order
             obj["delta_size"] = cls.delta_size
@@ -184,9 +184,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     obj = {
         "group": name,
         "k": args.k,
-        "classes": [
-            action_row(g, h.subgroup_class.representative, h.report) for h in hits
-        ],
+        "classes": [action_row(h.report) for h in hits],
     }
     _emit(json.dumps(obj, indent=2), args.out)
     return 0

@@ -127,9 +127,11 @@ class CosetAction:
 
 @dataclass(eq=False)
 class FixityReport:
-    """Fixity of one coset action, its witness class and count per class of U,
-    and the action it was counted on (None on the slow path, which builds none)."""
+    """Fixity of ``group`` on the cosets of ``stabilizer``, its witness class and
+    count per class of U, and the action it was counted on (None on the slow path)."""
 
+    group: PermGroup
+    stabilizer: Subgroup
     fixity: int
     witness_class: ConjClass | None
     per_class_fix: list[int]
@@ -294,11 +296,14 @@ def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
     return len(fixed_cosets(action, t))
 
 
-def cyclic_normalizer_order(action: CosetAction, u_ctx: GroupContext, y: ImageTable) -> int:
-    """|N_G(Y)| for Y = <y> <= U, from the cosets y fixes (``u_ctx`` is U's
-    context).  Each fixed coset U r puts r Y r^-1 inside U, and every
-    G-conjugate of Y inside U arises so: they fill the U-bundles of those
-    r y r^-1, n subgroups in all, and |fix(y)| = n |N_G(Y)| / |U|."""
+def cyclic_normalizer_order(
+    action: CosetAction, y: ImageTable, element_cap: int = ELEMENT_CAP
+) -> int:
+    """|N_G(Y)| for Y = <y> <= U, from the cosets y fixes.  Each fixed coset
+    U r puts r Y r^-1 inside U, and every G-conjugate of Y inside U arises
+    so: they fill the U-bundles of those r y r^-1, n subgroups in all, and
+    |fix(y)| = n |N_G(Y)| / |U|."""
+    u_ctx = as_context(action.stabilizer.group, element_cap)
     fixed = fixed_cosets(action, y)
     inside = [conjugate_table(y, invert_table(action.canonical_reps[lam])) for lam in fixed]
     met = {u_ctx.bundle_of_class[u_ctx.class_of[u_ctx.index_of(t)]] for t in inside}
@@ -432,8 +437,8 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
     # class 0 is the identity's; max keeps the first class that attains it
     w = max(range(1, len(per)), key=per.__getitem__, default=0)
     return FixityReport(
-        fixity=per[w] if w else 0, witness_class=classes[w] if w else None,
-        per_class_fix=per, action=action,
+        group=g, stabilizer=u, fixity=per[w] if w else 0,
+        witness_class=classes[w] if w else None, per_class_fix=per, action=action,
     )
 
 
@@ -461,7 +466,7 @@ def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
         fx = val // uo
         if fx > best:
             best = fx
-    return FixityReport(fixity=best, witness_class=None, per_class_fix=[])
+    return FixityReport(group=g, stabilizer=u, fixity=best, witness_class=None, per_class_fix=[])
 
 
 def profile(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixedPointProfile:
@@ -518,16 +523,11 @@ def marks_row(
 # golden-file serialization
 # ---------------------------------------------------------------------------
 
-def report_json(
-    group_name: str,
-    action: CosetAction,
-    rep: FixityReport,
-    prof: FixedPointProfile,
-) -> str:
+def report_json(group_name: str, rep: FixityReport, prof: FixedPointProfile) -> str:
     obj = {
         "group": group_name,
-        "stabilizer_order": action.stabilizer.order,
-        "degree": action.degree,
+        "stabilizer_order": rep.stabilizer.order,
+        "degree": rep.group.order // rep.stabilizer.order,
         "fixity": rep.fixity,
         "profile": [list(r) for r in prof.rows],
     }

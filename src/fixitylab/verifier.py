@@ -8,9 +8,9 @@ tool:
   check_structural_lemmas  normalizer-index bounds, TI property of four-point
                          stabilizers, Sylow containment for p >= 5
   classify_sylow3_orbits conclude which of five orbit shapes a Sylow
-                         3-subgroup exhibits on the coset space
-  evaluate_action        fixity, descriptor, structural side conditions and
-                         Sylow-3 case of one action, the last two only on a
+                         3-subgroup exhibits on one coset action
+  evaluate_action        descriptor, structural side conditions and Sylow-3
+                         case of one fixity report, the last two only on a
                          fixity-4 action with a matching descriptor and a
                          materialized coset action
   check_psl2_family      reproduce the fixity-4 stabilizer rows of PSL2(q)
@@ -42,8 +42,8 @@ from pathlib import Path
 from .cosets import (
     Caps,
     DEFAULT_CAPS,
+    CosetAction,
     FixityReport,
-    build_coset_action,
     coset_stabilizer_tables,
     cyclic_normalizer_order,
     fixed_cosets,
@@ -310,18 +310,13 @@ def _missing_sylow(what: str, order: int, n: int) -> list[str]:
     ]
 
 
-def check_structural_lemmas(
-    g: PermGroup | GroupContext,
-    u: Subgroup,
-    report: FixityReport | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> StructuralChecks:
+def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> StructuralChecks:
     """Side conditions every fixity-4 action must satisfy.
 
     H is the four-point stabilizer: the elements fixing the four cosets F
     that the witness element fixes.  Every check reads only the coset
-    action the fixity report was counted on (computed when not given) and
-    U's context; G is never enumerated.
+    action the fixity report was counted on and U's context; G is never
+    enumerated.
 
     (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
           subgroups Y <= U, |N_G(Y)| taken from the cosets y fixes;
@@ -336,10 +331,7 @@ def check_structural_lemmas(
 
     Failures are collected in the returned record, never silently dropped.
     """
-    g = _group_of(g)
-    if report is None:
-        report = fixity(g, u, caps)
-    action = report.action
+    g, u, action = report.group, report.stabilizer, report.action
     if report.fixity != 4 or action is None or report.witness_class is None:
         raise PreconditionError(
             "structural checks apply to a confirmed fixity-4 action with a witness"
@@ -350,7 +342,7 @@ def check_structural_lemmas(
     u_ctx = as_context(u.group, caps.elements)
     cyclic_indices: list[tuple[int, int]] = []
     for b in u_ctx.bundles:
-        ng_order = cyclic_normalizer_order(action, u_ctx, u_ctx.elements[b.rep_index])
+        ng_order = cyclic_normalizer_order(action, u_ctx.elements[b.rep_index], caps.elements)
         if ng_order % b.normalizer_order:
             raise FalsificationError(
                 "N_U(Y) order does not divide N_G(Y) order; index computation broken"
@@ -479,13 +471,8 @@ def _is_maximal_class(degree: int, tables: list[ImageTable], p: int) -> bool:
     return e == 2 or _nilpotency_class(degree, tables) == e - 1
 
 
-def classify_sylow3_orbits(
-    g: PermGroup | GroupContext,
-    u: Subgroup,
-    report: FixityReport | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> Sylow3Classification:
-    """Orbit shape of a Sylow 3-subgroup P on the coset space G/U.
+def classify_sylow3_orbits(action: CosetAction, caps: Caps = DEFAULT_CAPS) -> Sylow3Classification:
+    """Orbit shape of a Sylow 3-subgroup P on the coset space G/U of ``action``.
 
     The P-orbits are taken from the coset rows of P's generators alone.
     Delta is the union of the P-orbits of length at most 3.  The first of
@@ -502,13 +489,9 @@ def classify_sylow3_orbits(
           orbit outside Delta is regular.
 
     A fixity-4 action must show one of them; none matching is reported as
-    a falsification with the orbit data.  The coset action is taken from
-    ``report`` when it carries one, and built otherwise.
+    a falsification with the orbit data.
     """
-    g = _group_of(g)
-    action = report.action if report is not None else None
-    if action is None:
-        action = build_coset_action(g, u, caps.cosets, caps.elements)
+    g, u = action.group, action.stabilizer
     p_order = p_part(g.order, 3)
     p_sub = sylow(g, 3, caps.elements) if p_order > 1 else subgroup_closure(g, [])
     p_grp = p_sub.group
@@ -588,25 +571,19 @@ class ActionEvaluation:
 
 
 def evaluate_action(
-    g: PermGroup,
-    u: Subgroup,
-    descriptor: str | None = None,
-    report: FixityReport | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    report: FixityReport, descriptor: str | None = None, caps: Caps = DEFAULT_CAPS
 ) -> ActionEvaluation:
-    """The judgment of G acting on G/U (see ActionEvaluation), with the
-    coset action built once.  The fixity report is computed unless given
-    (a search hit carries one); ``descriptor`` is checked when given."""
-    if report is None:
-        report = fixity(g, u, caps)
+    """The judgment of the action a fixity report was counted on (see
+    ActionEvaluation), ``descriptor`` checked when given; it builds no action."""
     ev = ActionEvaluation(report, [], None)
     if report.fixity != 4:
         ev.failures.append(f"fixity {report.fixity}, wanted 4")
-    if descriptor is not None and not descriptor_matches(descriptor, StabView(u.group)):
+    view = StabView.of(report.stabilizer)
+    if descriptor is not None and not descriptor_matches(descriptor, view):
         ev.failures.append(f"does not match {descriptor}")
     if not ev.failures and report.action is not None:
-        ev.failures = check_structural_lemmas(g, u, report, caps).failures
-        ev.sylow3_case = classify_sylow3_orbits(g, u, report, caps).case
+        ev.failures = check_structural_lemmas(report, caps).failures
+        ev.sylow3_case = classify_sylow3_orbits(report.action, caps).case
     return ev
 
 
@@ -666,7 +643,7 @@ def _family_descriptor_borel_half(q: int) -> str:
 def _family_row(
     g: PermGroup, u: Subgroup, descriptor: str, caps: Caps, failures: list[str]
 ) -> FamilyRow:
-    ev = evaluate_action(g, u, descriptor, caps=caps)
+    ev = evaluate_action(fixity(g, u, caps), descriptor, caps)
     failures.extend(f"constructed stabilizer of order {u.order}: {f}" for f in ev.failures)
     return FamilyRow(
         descriptor=descriptor,
@@ -875,28 +852,41 @@ def _merge_caps(base: Caps, spec: dict | None, cid: str) -> Caps:
     return Caps(**given)
 
 
-def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
+# a stabilizer recipe is "<kind>:<n>"; n may be 0 only for a point stabilizer
+_RECIPE_KINDS = ("point_stabilizer", "cyclic_least", "cyclic_search", "cyclic_normalizer_search")
+
+
+def _parse_recipe(source: str, what: str) -> tuple[str, int]:
+    """(kind, n) of a stabilizer recipe, or GroupDataError led by ``what``."""
     kind, _, arg = source.partition(":")
+    ok = kind in _RECIPE_KINDS and re.fullmatch("[0-9]+", arg)
+    if not ok or (int(arg) == 0 and kind != "point_stabilizer"):
+        raise GroupDataError(f"{what}: {source!r} is not a stabilizer recipe <kind>:<n>")
+    return kind, int(arg)
+
+
+def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
+    kind, n = _parse_recipe(source, "bad source")
     if kind == "point_stabilizer":
-        return point_stabilizer(g, int(arg))
+        if n >= g.degree:
+            raise GroupDataError(f"{source}: the group acts on points 0..{g.degree - 1}")
+        return point_stabilizer(g, n)
     if kind == "cyclic_least":
-        n = int(arg)
         if g.order > caps.elements:
             raise CapExceededError(f"group order {g.order} exceeds element cap {caps.elements}")
         y = next((t for t in g.element_tables() if table_order(t) == n), None)
         if y is None:
             raise GroupDataError(f"group has no element of order {n}")
         return subgroup_closure(g, [Permutation(y, _trusted=True)])
-    if kind in ("cyclic_search", "cyclic_normalizer_search"):
-        y = _find_element_of_order(g, int(arg), caps.elements)
-        cyc = subgroup_closure(g, [Permutation(y, _trusted=True)])
-        return cyc if kind == "cyclic_search" else normalizer(g, cyc)
-    raise GroupDataError(f"unknown stabilizer source {source!r}")
+    y = _find_element_of_order(g, n, caps.elements)
+    cyc = subgroup_closure(g, [Permutation(y, _trusted=True)])
+    return cyc if kind == "cyclic_search" else normalizer(g, cyc)
 
 
-def action_row(g: PermGroup, u: Subgroup, report: FixityReport) -> dict:
+def action_row(report: FixityReport) -> dict:
     """The head every output row of an action G/U starts with."""
-    return {"order": u.order, "degree": g.order // u.order, "fixity": report.fixity}
+    u = report.stabilizer
+    return {"order": u.order, "degree": report.group.order // u.order, "fixity": report.fixity}
 
 
 def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
@@ -904,7 +894,7 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
     hits, descriptors, detail = _search_and_assign(
         g, [] if expected == "none" else expected, caps
     )
-    rows = [action_row(g, h.subgroup_class.representative, h.report) for h in hits]
+    rows = [action_row(h.report) for h in hits]
     if expected == "none":
         if hits:
             found = sorted(r["order"] for r in rows)
@@ -917,7 +907,7 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
     for row, d in zip(rows, descriptors):
         row["descriptor"] = d
     for row, h in zip(rows, hits):
-        ev = evaluate_action(g, h.subgroup_class.representative, report=h.report, caps=caps)
+        ev = evaluate_action(h.report, caps=caps)
         if ev.failures:
             return ClaimResult(cid, "FAIL", "; ".join(ev.failures), rows)
         if ev.sylow3_case is not None:
@@ -930,8 +920,8 @@ def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> Cl
     for entry in claim["stabilizers"]:
         source, descriptor = entry["source"], entry["descriptor"]
         u = _build_stabilizer(g, source, caps)
-        ev = evaluate_action(g, u, descriptor, caps=caps)
-        row = action_row(g, u, ev.report)
+        ev = evaluate_action(fixity(g, u, caps), descriptor, caps)
+        row = action_row(ev.report)
         row["descriptor"] = descriptor
         row["source"] = source
         rows.append(row)
@@ -1036,6 +1026,7 @@ def load_claims(path: str | Path) -> list[dict]:
                 raise GroupDataError(f"{what}: stabilizer entry {e!r} is not an object")
             if not _all_str([e.get("source"), e.get("descriptor")]):
                 raise GroupDataError(f"{what}: an entry lacks a string 'source' or 'descriptor'")
+            _parse_recipe(e["source"], what)
         _merge_caps(DEFAULT_CAPS, c.get("caps"), c["id"])
     return claims
 
@@ -1050,8 +1041,7 @@ def run_claim_catalog(
 
     ``only`` selects claims by id; an id the catalog lacks raises
     GroupDataError.  Claims are independent, so jobs > 1 fans them out to
-    worker processes; results are merged back by claim id into the
-    deterministic order.
+    worker processes, whose results the pool returns in catalog order.
     """
     claims = load_claims(path)
     if only is not None:
@@ -1062,9 +1052,7 @@ def run_claim_catalog(
     if jobs <= 1 or len(claims) <= 1:
         return [run_claim(c, caps) for c in claims]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(functools.partial(run_claim, caps=caps), claims))
-    by_id = {r.claim_id: r for r in results}
-    return [by_id[c["id"]] for c in claims]
+        return list(pool.map(functools.partial(run_claim, caps=caps), claims))
 
 
 def catalog_report_json(results: list[ClaimResult]) -> str:

@@ -205,11 +205,9 @@ def test_structural_lemma_suite(
     hits, _ = psl2_9_hits
     cases = []
     for h in hits:
-        checks = check_structural_lemmas(
-            psl2_9, h.subgroup_class.representative, h.report
-        )
+        checks = check_structural_lemmas(h.report)
         assert checks.ok, checks.failures
-        cls = classify_sylow3_orbits(psl2_9, h.subgroup_class.representative)
+        cls = classify_sylow3_orbits(h.report.action)
         cases.append(cls.case)
     assert cases == ["a", "b", "b", "e", "a", "e"]
 

@@ -250,6 +250,14 @@ def test_verify_malformed_claim_values(capsys, tmp_path):
         {"id": "st", "mode": "search", "group": 5, "expected": "none"},
         {"id": "st", "mode": "psl2_family", "q": "17"},
         {"id": "st", "mode": "psl2_family", "q": True},
+        *(
+            {"id": "st", "mode": "stabilizers", "group": "psl2_7",
+             "stabilizers": [{"source": source, "descriptor": "C7:C3"}]}
+            for source in (
+                "cyclic_least:abc", "point_stabilizer:", "cyclic_search:0",
+                "cyclic_normalizer_search:-3", "point_stabilizer:-1", "frobenius:3",
+            )
+        ),
     ):
         cat.write_text(json.dumps({"claims": [claim]}))
         code, out, err = run(capsys, ["verify", "--catalog", str(cat)])

@@ -248,7 +248,7 @@ def test_stabilizer_classes_decide_fixity(group_cache, sel):
         for b in u_ctx.bundles:
             y = u_ctx.elements[b.rep_index]
             gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ctx.index_of(y)]]]
-            assert cyclic_normalizer_order(rep.action, u_ctx, y) == gb.normalizer_order
+            assert cyclic_normalizer_order(rep.action, y) == gb.normalizer_order
 
 
 def test_counting_routes_agree(sym4, alt5):
@@ -410,10 +410,9 @@ def test_canonical_generator(sym4):
 
 def test_report_json(sym4):
     u = point_stabilizer(sym4, 0)
-    action = build_coset_action(sym4, u)
     rep = fixity(sym4, u)
     prof = profile(sym4, u)
-    obj = json.loads(report_json("sym_4", action, rep, prof))
+    obj = json.loads(report_json("sym_4", rep, prof))
     assert obj == {
         "group": "sym_4",
         "stabilizer_order": 6,

@@ -2,6 +2,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import fixitylab
 
 
@@ -82,3 +84,9 @@ def test_fixity_survey_script(capsys):
     assert "  fixity   4:    2 classes  <-- highlighted" in lines
     listed = [line.split() for line in lines if line.startswith("    order")]
     assert [(row[1], row[3], row[5]) for row in listed] == [("2", "84", "8"), ("6", "28", "6")]
+
+    # a subgroup cap of 0 is a usage error, as the CLI's cap flags are
+    with pytest.raises(SystemExit) as e:
+        survey.main(["--groups", "psl2_7", "--subgroup-cap", "0"])
+    assert e.value.code == 2
+    assert "positive" in capsys.readouterr().err

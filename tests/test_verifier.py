@@ -193,16 +193,14 @@ def test_search_excludes_non_faithful(sym4):
 
 def test_structural_checks_precondition(sym4):
     with pytest.raises(PreconditionError):
-        check_structural_lemmas(sym4, point_stabilizer(sym4, 0))
+        check_structural_lemmas(fixitylab.cosets.fixity(sym4, point_stabilizer(sym4, 0)))
 
 
 def test_structural_checks_on_fixity4(psl2_9):
     hits = search_fixity_k(psl2_9, 4)
     assert [h.subgroup_class.order for h in hits] == [2, 6, 6, 9, 10, 18]
     h = hits[0]
-    checks = check_structural_lemmas(
-        psl2_9, h.subgroup_class.representative, h.report
-    )
+    checks = check_structural_lemmas(h.report)
     assert checks.ok
     assert checks.failures == []
     assert checks.stabilizer_order == 2
@@ -216,12 +214,12 @@ def test_structural_checks_on_fixity4(psl2_9):
 def test_sylow3_cases(psl2_9, group_cache):
     hits = search_fixity_k(psl2_9, 4)
     by_order = {h.subgroup_class.order: h for h in hits}
-    cls = classify_sylow3_orbits(psl2_9, by_order[18].subgroup_class.representative)
+    cls = classify_sylow3_orbits(by_order[18].report.action)
     assert cls.case == "e"
     assert cls.p_order == 9
     assert cls.delta_size == 2
     assert cls.orbit_sizes == ((1, 2), (9, 2))
-    cls2 = classify_sylow3_orbits(psl2_9, by_order[2].subgroup_class.representative)
+    cls2 = classify_sylow3_orbits(by_order[2].report.action)
     assert cls2.case == "a"
     assert cls2.delta_size == 0
 
@@ -229,7 +227,7 @@ def test_sylow3_cases(psl2_9, group_cache):
     c9 = group_cache("cyclic_9")
     u3 = subgroup_closure(c9, [c9.generators[0] ** 3])
     assert u3.order == 3
-    d = classify_sylow3_orbits(c9, u3)
+    d = classify_sylow3_orbits(build_coset_action(c9, u3))
     assert d.case == "d" and d.delta_size == 3
 
 
@@ -309,7 +307,7 @@ def test_sylow3_matches_the_per_element_classifier(group_cache):
     pairs.append((m12, u, fixitylab.cosets.fixity(m12, u)))
     cases = []
     for g, u, report in pairs:
-        got = classify_sylow3_orbits(g, u, report)
+        got = classify_sylow3_orbits(report.action)
         assert got == _sylow3_by_elements(g, u, report.action)
         cases.append(got.case)
     assert cases[-1] == "c"
@@ -323,12 +321,13 @@ def test_sylow3_matches_the_per_element_classifier_on_every_action(group_cache):
     cases = []
     for sc in as_context(g).subgroup_classes()[1:-1]:
         u = sc.representative
-        want = _sylow3_by_elements(g, u, build_coset_action(g, u))
+        action = build_coset_action(g, u)
+        want = _sylow3_by_elements(g, u, action)
         if want.case is None:
             with pytest.raises(FalsificationError):
-                classify_sylow3_orbits(g, u)
+                classify_sylow3_orbits(action)
         else:
-            assert classify_sylow3_orbits(g, u) == want
+            assert classify_sylow3_orbits(action) == want
         cases.append(want.case)
     assert {None, "a", "c"} == set(cases)
 
@@ -338,7 +337,7 @@ def test_sylow3_no_case_is_falsification(group_cache):
     u = subgroup_closure(c27, [c27.generators[0] ** 9])
     assert u.order == 3
     with pytest.raises(FalsificationError):
-        classify_sylow3_orbits(c27, u)
+        classify_sylow3_orbits(build_coset_action(c27, u))
 
 
 def test_order27_lemma():
@@ -448,6 +447,26 @@ def test_run_claim_missing_element_fails():
     assert "order divisible by 5" in r.detail
 
 
+def test_run_claim_point_out_of_range_fails():
+    # a point beyond the group's degree is bad data found at run time, so the
+    # claim FAILs; the last point still builds its row
+    g = resolve_group("psl2_7")[1]
+    degree = g.degree
+
+    def claim(source):
+        stabs = [{"source": source, "descriptor": "C7:C3"}]
+        return {"id": "c", "mode": "stabilizers", "group": "psl2_7", "stabilizers": stabs}
+
+    r = run_claim(claim(f"point_stabilizer:{degree}"))
+    assert r.verdict == "FAIL" and r.rows == []
+    assert r.detail == f"point_stabilizer:{degree}: the group acts on points 0..{degree - 1}"
+    last = run_claim(claim(f"point_stabilizer:{degree - 1}"))
+    assert [row["order"] for row in last.rows] == [g.order // degree]
+    # run_claim takes claims that no loader checked
+    bad = run_claim(claim("cyclic_search:0"))
+    assert bad.verdict == "FAIL" and "is not a stabilizer recipe" in bad.detail
+
+
 def test_run_claim_documented_skips():
     r = run_claim({"id": "c", "mode": "documented", "note": "out of scope"})
     assert r.verdict == "SKIPPED"
@@ -516,7 +535,7 @@ def test_stabilizer_claim_on_the_slow_path():
     u = _build_stabilizer(g, "cyclic_search:3", caps)
     report = fixitylab.cosets.fixity(g, u, caps)
     assert report.action is None
-    ev = evaluate_action(g, u, "C3", report, caps=caps)
+    ev = evaluate_action(report, "C3", caps=caps)
     assert ev.sylow3_case is None and ev.failures == []
     assert not ev.ok
 
@@ -530,8 +549,7 @@ def test_h_normalizer_index_matches_brute_force(group_cache, name):
     ctx = as_context(g)
     nontrivial = 0
     for h in search_fixity_k(g, 4):
-        u = h.subgroup_class.representative
-        checks = check_structural_lemmas(g, u, h.report)
+        checks = check_structural_lemmas(h.report)
         action = h.report.action
         fixed = fixed_cosets(action, h.report.witness_class.representative.images)
         h_set = set(coset_stabilizer_tables(action, fixed[0]))
@@ -574,7 +592,7 @@ def test_ti_matches_every_conjugator(group_cache):
         h_tables = _four_point_stabilizer(
             report.action, report.witness_class.representative.images
         )
-        checks = check_structural_lemmas(g, u, report)
+        checks = check_structural_lemmas(report)
         assert checks.failures == []
         assert checks.four_point_order == len(h_tables)
         assert checks.ti_samples == len(h_tables) - 1
@@ -599,7 +617,7 @@ def test_ti_failure_names_the_element(group_cache):
     three = next(c for c in as_context(g).classes if c.element_order == 3 and c.size == 70)
     witness = replace(three, representative=_perm_mod([1, 2, 0, 3, 4, 5, 6]))
     forged = replace(report, fixity=4, witness_class=witness)
-    checks = check_structural_lemmas(g, u, forged)
+    checks = check_structural_lemmas(forged)
     assert checks.four_point_order == 6
     ti = [f for f in checks.failures if f.startswith("TI")]
     assert ti == ["TI not shown: an element of order 2 in H fixes 5 cosets, more than the fixity 4"]
@@ -815,17 +833,16 @@ def test_evaluate_action_builds_one_action(psl2_9, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fixitylab.cosets, "build_coset_action", counting)
-    monkeypatch.setattr(fixitylab.verifier, "build_coset_action", counting)
     by_order = {h.subgroup_class.order: h for h in search_fixity_k(psl2_9, 4)}
     u = by_order[18].subgroup_class.representative
     built.clear()
-    ev = evaluate_action(psl2_9, u, "(C3xC3):C2")
+    ev = evaluate_action(fixitylab.cosets.fixity(psl2_9, u), "(C3xC3):C2")
     assert built == [18]
     assert ev.report.fixity == 4 and ev.ok
     assert ev.failures == [] and ev.sylow3_case == "e"
 
     built.clear()
-    wrong = evaluate_action(psl2_9, u, "D18")
+    wrong = evaluate_action(fixitylab.cosets.fixity(psl2_9, u), "D18")
     assert built == [18]
     assert wrong.failures == ["does not match D18"]
     assert not wrong.ok and wrong.sylow3_case is None
