@@ -7,6 +7,9 @@ fixity listed in full.
 
     python3 scripts/fixity_survey.py --groups sym_5 alt_6 psl2_7 psl2_11
     python3 scripts/fixity_survey.py --groups m11 --highlight 4
+
+A group that cannot be resolved or a cap the lattice exceeds ends the
+survey with an ``error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from fixitylab.cli import _positive_int
 from fixitylab.cosets import Caps, DEFAULT_CAPS, stabilizer_bundle_fixes
 from fixitylab.enumeration import as_context
+from fixitylab.errors import FixityError
 from fixitylab.verifier import search_fixity_k
 from fixitylab.zoo import resolve_group
 
@@ -63,8 +67,12 @@ def main(argv: list[str] | None = None) -> int:
         subgroups=args.subgroup_cap,
         cosets=DEFAULT_CAPS.cosets,
     )
-    for sel in args.groups:
-        survey(sel, args.highlight, caps)
+    try:
+        for sel in args.groups:
+            survey(sel, args.highlight, caps)
+    except FixityError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -39,7 +39,6 @@ from .errors import FalsificationError, FixityError, GroupDataError, Preconditio
 from .perm import PermGroup, Subgroup
 from .verifier import (
     CAPS_NOT_GIVEN,
-    StabView,
     action_row,
     catalog_report_json,
     classify_sylow3_orbits,
@@ -126,7 +125,7 @@ def _stabilizers(
         if sc.order != args.stab_order:
             continue
         if args.stab_descriptor and not descriptor_matches(
-            args.stab_descriptor, StabView.of(sc)
+            args.stab_descriptor, sc.representative.group
         ):
             continue
         out.append(sc.representative)

@@ -47,7 +47,6 @@ from .enumeration import (
     canonical_form,
     canonical_generator,
     cyclic_conjugation,
-    structure_predicates,
 )
 from .errors import (
     CapExceededError,
@@ -392,7 +391,7 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
 
 def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
     """|N_G(<x>)| / |J| for U = K : J Frobenius, x in U outside K."""
-    rec = structure_predicates(u)
+    rec = as_context(u.group).predicates
     if not rec.is_frobenius_cyclic_complement:
         raise PreconditionError(
             "stabilizer is not Frobenius with nilpotent kernel and cyclic complement"

@@ -72,7 +72,6 @@ class CyclicBundle:
     rep_index: int
     element_order: int
     centralizer_order: int
-    class_ids: tuple[int, ...]
     n_generators: int
     n_subgroups: int
     normalizer_order: int
@@ -113,16 +112,12 @@ class SubgroupClass:
     order: int
     indices: frozenset[int]
     canonical: tuple[int, ...]
-    normalizer: Subgroup
-
-    @cached_property
-    def predicates(self) -> StructureRecord:
-        """Structure flags of the representative, computed on first read."""
-        return structure_predicates(self.representative)
 
 
 class GroupContext:
-    """Cached exhaustive data for one fully enumerated group."""
+    """Cached exhaustive data for one fully enumerated group: its conjugacy
+    classes and classes of cyclic subgroups, computed when it is built; its
+    structure record and subgroup lattice, computed on first use."""
 
     def __init__(self, group: PermGroup):
         self.group = group
@@ -135,11 +130,10 @@ class GroupContext:
             raise FalsificationError(
                 f"least element {self.elements[0]!r} is not the identity"
             )
-        self._classes: list[ConjClass] | None = None
-        self._class_of: list[int] | None = None
-        self._element_orders: list[int] | None = None
-        self._bundles: list[CyclicBundle] | None = None
-        self._bundle_of_class: list[int] | None = None
+        # called through self, so a wrapper set on the class (perfbench's
+        # tracer) sees the work
+        self._compute_classes()
+        self._compute_bundles()
         self._subgroup_classes: list[SubgroupClass] | None = None
 
     # -- conjugation action on element indices --------------------------------
@@ -200,27 +194,9 @@ class GroupContext:
             raise FalsificationError(
                 f"class sizes {[c.size for c in classes]} do not sum to |G| = {n}"
             )
-        self._classes = classes
-        self._class_of = class_of
-        self._element_orders = orders
-
-    @property
-    def classes(self) -> list[ConjClass]:
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
-
-    @property
-    def class_of(self) -> list[int]:
-        if self._class_of is None:
-            self._compute_classes()
-        return self._class_of
-
-    @property
-    def element_orders(self) -> list[int]:
-        if self._element_orders is None:
-            self._compute_classes()
-        return self._element_orders
+        self.classes = classes
+        self.class_of = class_of
+        self.element_orders = orders
 
     # -- classes of cyclic subgroups -------------------------------------------
 
@@ -254,27 +230,19 @@ class GroupContext:
                     rep_index=c0.rep_index,
                     element_order=o,
                     centralizer_order=c0.centralizer_order,
-                    class_ids=tuple(cids),
                     n_generators=n_gen,
                     n_subgroups=n_gen // phi,
                     normalizer_order=self.n * phi // n_gen,
                 )
             )
-        self._bundles = bundles
-        self._bundle_of_class = bundle_of_class
+        self.bundles = bundles
+        # class id -> bundle id; -1 for the identity class
+        self.bundle_of_class = bundle_of_class
 
-    @property
-    def bundles(self) -> list[CyclicBundle]:
-        if self._bundles is None:
-            self._compute_bundles()
-        return self._bundles
-
-    @property
-    def bundle_of_class(self) -> list[int]:
-        """Class id -> bundle id; -1 for the identity class."""
-        if self._bundle_of_class is None:
-            self._compute_bundles()
-        return self._bundle_of_class
+    @cached_property
+    def predicates(self) -> StructureRecord:
+        """Structure flags of the group, computed on first read."""
+        return structure_predicates(self)
 
     @cached_property
     def pp_cyclics(self) -> tuple[list[int], list[int]]:
@@ -440,7 +408,6 @@ class GroupContext:
                     order=rec["chain"].order,
                     indices=rec["indices"],
                     canonical=rec["canonical"],
-                    normalizer=Subgroup(rec["normalizer"], g),
                 )
             )
         for c in out:
@@ -648,13 +615,13 @@ def _group_of(u: Subgroup | PermGroup | GroupContext) -> PermGroup:
     return u if isinstance(u, PermGroup) else u.group
 
 
-def structure_predicates(u: Subgroup | PermGroup) -> StructureRecord:
-    """Structure flags computed by definition on the full element list."""
-    grp = _group_of(u)
-    tables = grp.element_tables()
+def structure_predicates(u: Subgroup | PermGroup | GroupContext) -> StructureRecord:
+    """Structure flags computed by definition on the element list of u's
+    context; ``as_context(u).predicates`` keeps them."""
+    ctx = as_context(u.group if isinstance(u, Subgroup) else u)
+    grp, tables, orders = ctx.group, ctx.elements, ctx.element_orders
     n = len(tables)
     degree = grp.degree
-    orders = [table_order(t) for t in tables]
     counts = Counter(orders)
     exponent = math.lcm(*counts.keys())
     max_order = max(orders)

@@ -54,12 +54,10 @@ from .enumeration import (
     GroupContext,
     SubgroupClass,
     _find_element_of_order,
-    _group_of,
     _normalized_by,
     as_context,
     is_simple_group,
     normalizer,
-    structure_predicates,
     subgroup_closure,
     sylow,
 )
@@ -110,36 +108,6 @@ _NAMED_ORDERS = {
 }
 
 
-class StabView:
-    """Lazy bundle of everything a descriptor check may interrogate."""
-
-    def __init__(self, grp: PermGroup, record=None):
-        self.grp = grp
-        self.order = grp.order
-        if record is not None:
-            self.record = record
-
-    @classmethod
-    def of(cls, u) -> "StabView":
-        if isinstance(u, SubgroupClass):
-            return cls(u.representative.group, record=u.predicates)
-        return cls(_group_of(u))
-
-    @functools.cached_property
-    def record(self):
-        return structure_predicates(self.grp)
-
-    @functools.cached_property
-    def is_simple(self) -> bool:
-        return is_simple_group(self.grp)
-
-    def normal_sylow(self, p: int) -> tuple[bool, "StabView"]:
-        """(is the Sylow p-subgroup normal, its view)."""
-        syl = sylow(self.grp, p).group
-        norm = _normalized_by(self.grp.gen_tables, syl.gen_tables, set(syl.element_tables()))
-        return norm, StabView(syl)
-
-
 def parse_descriptor(name: str) -> tuple[str, tuple[int, ...]]:
     """(form, params) of a descriptor string: a named group is its own form
     with no params."""
@@ -158,12 +126,18 @@ def descriptor_order(name: str) -> int:
     return _NAMED_ORDERS[form] if form in _NAMED_ORDERS else math.prod(params)
 
 
-def descriptor_matches(name: str, view: StabView) -> bool:
-    """Does the subgroup behind ``view`` satisfy the descriptor?"""
-    if view.order != descriptor_order(name):
+def _normal_sylow(grp: PermGroup, p: int) -> tuple[bool, PermGroup]:
+    """(is the Sylow p-subgroup of grp normal, that subgroup)."""
+    syl = sylow(grp, p).group
+    return _normalized_by(grp.gen_tables, syl.gen_tables, set(syl.element_tables())), syl
+
+
+def descriptor_matches(name: str, group: PermGroup) -> bool:
+    """Does the group satisfy the descriptor?"""
+    if group.order != descriptor_order(name):
         return False
     form, params = parse_descriptor(name)
-    rec = view.record
+    rec = as_context(group).predicates
     if form == "cyclic":
         return rec.is_cyclic
     if form in ("dihedral", "S3"):
@@ -194,8 +168,8 @@ def descriptor_matches(name: str, view: StabView) -> bool:
     if form == "((C3xC3):C3):C8":
         if rec.count_of_order(8) == 0:
             return False
-        norm, syl_view = view.normal_sylow(3)
-        srec = syl_view.record
+        norm, syl = _normal_sylow(group, 3)
+        srec = as_context(syl).predicates
         return (
             norm
             and srec.order == 27
@@ -203,15 +177,15 @@ def descriptor_matches(name: str, view: StabView) -> bool:
             and srec.exponent == 3
         )
     # A5, A6, PSL2(11), M11: among these orders the simple group is unique
-    return view.is_simple
+    return is_simple_group(group)
 
 
-def match_descriptors(expected: list[str], views: list[StabView]) -> list[int] | None:
-    """Perfect assignment expected[i] -> views[assign[i]], or None."""
+def match_descriptors(expected: list[str], groups: list[PermGroup]) -> list[int] | None:
+    """Perfect assignment expected[i] -> groups[assign[i]], or None."""
     n = len(expected)
-    if n != len(views):
+    if n != len(groups):
         return None
-    compat = [[descriptor_matches(d, v) for v in views] for d in expected]
+    compat = [[descriptor_matches(d, u) for u in groups] for d in expected]
     assign = [-1] * n
     used = [False] * n
 
@@ -578,8 +552,7 @@ def evaluate_action(
     ev = ActionEvaluation(report, [], None)
     if report.fixity != 4:
         ev.failures.append(f"fixity {report.fixity}, wanted 4")
-    view = StabView.of(report.stabilizer)
-    if descriptor is not None and not descriptor_matches(descriptor, view):
+    if descriptor is not None and not descriptor_matches(descriptor, report.stabilizer.group):
         ev.failures.append(f"does not match {descriptor}")
     if not ev.failures and report.action is not None:
         ev.failures = check_structural_lemmas(report, caps).failures
@@ -599,7 +572,7 @@ def _search_and_assign(
     if found_orders != want_orders:
         detail = f"stabilizer orders {found_orders} differ from expected {want_orders}"
         return hits, [], detail
-    assign = match_descriptors(expected, [StabView.of(h.subgroup_class) for h in hits])
+    assign = match_descriptors(expected, [h.subgroup_class.representative.group for h in hits])
     if assign is None:
         return hits, [], "no assignment of descriptors to found classes"
     descriptors = [""] * len(hits)
@@ -765,14 +738,13 @@ def check_order27_lemma() -> Order27Result:
     """
     pairs: list[Order27Pair] = []
     for name, g in (("exponent3", _unitriangular27()), ("exponent9", _affine27())):
-        tables = g.element_tables()
-        rec = structure_predicates(g)
+        ctx = as_context(g)
+        tables, rec = ctx.elements, ctx.predicates
         want_exp = 3 if name == "exponent3" else 9
         if rec.is_abelian or rec.exponent != want_exp:
             raise GroupDataError(f"{name} construction has the wrong shape")
         if _nilpotency_class(g.degree, tables) != 2:
             raise GroupDataError(f"{name} construction is not of class 2")
-        ctx = as_context(g)
         index3 = [sc for sc in ctx.subgroup_classes() if sc.order == 9]
         if len(index3) != 4 or any(sc.class_size != 1 for sc in index3):
             raise GroupDataError(
@@ -985,11 +957,12 @@ def _all_str(value) -> bool:
 
 
 def load_claims(path: str | Path) -> list[dict]:
-    """The claims of a catalog file, each checked for an id unique in the
-    file, for the keys its mode reads, the types of ``group`` and ``q``,
-    the shape of ``expected`` and of ``stabilizers``, and its ``caps``.  A
-    file that is not a list of claim objects, or a claim that sets ``k``
-    (every claim decides fixity 4), raises GroupDataError."""
+    """The claims of a catalog file, each checked for a string id unique in
+    the file, a string ``mode`` if it has one, the keys its mode reads, the
+    types of ``group`` and ``q``, the shape of ``expected`` and of
+    ``stabilizers``, and its ``caps``.  A file that is not a list of claim
+    objects, or a claim that sets ``k`` (every claim decides fixity 4),
+    raises GroupDataError."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -999,14 +972,16 @@ def load_claims(path: str | Path) -> list[dict]:
         raise GroupDataError(f"catalog {path} does not hold a list of claim objects")
     seen: set[str] = set()
     for c in claims:
-        if "id" not in c:
-            raise GroupDataError("claim without an id")
+        if not isinstance(c.get("id"), str):
+            raise GroupDataError(f"claim id {c.get('id')!r} is not a string")
         if "k" in c:
             raise GroupDataError(f"claim {c['id']!r} sets 'k'; every claim decides fixity 4")
         if c["id"] in seen:
             raise GroupDataError(f"duplicate claim id {c['id']!r}")
         seen.add(c["id"])
         mode = c.get("mode")
+        if mode is not None and not isinstance(mode, str):
+            raise GroupDataError(f"claim {c['id']!r}: 'mode' {mode!r} is not a string")
         what = f"{mode} claim {c['id']!r}"
         for key in _REQUIRED_KEYS.get(mode, ()):
             if key not in c:

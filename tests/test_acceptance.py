@@ -31,7 +31,6 @@ from fixitylab.enumeration import (
 )
 from fixitylab.perm import Permutation, table_order, table_power
 from fixitylab.verifier import (
-    StabView,
     check_order27_lemma,
     check_structural_lemmas,
     classify_sylow3_orbits,
@@ -124,9 +123,9 @@ def test_fixity4_search_table(psl2_9_hits):
         (60, 6),
         (180, 2),
     ]
-    views = [StabView.of(h.subgroup_class) for h in hits]
+    groups = [h.subgroup_class.representative.group for h in hits]
     expected = ["C2", "S3", "S3", "C3xC3", "D10", "(C3xC3):C2"]
-    assert match_descriptors(expected, views) is not None
+    assert match_descriptors(expected, groups) is not None
 
 
 def test_small_simple_groups_positive(positive_results):
@@ -187,7 +186,7 @@ def test_counting_routes_agree_and_burnside_sweep(group_cache):
             # fixed cosets over the group is exactly 1
             assert total == g.order
             checked_actions += 1
-            rec = sc.predicates
+            rec = as_context(u.group).predicates
             if rec.is_frobenius_cyclic_complement:
                 for t in u.group.element_tables():
                     o = table_order(t)

@@ -250,6 +250,7 @@ def test_verify_malformed_claim_values(capsys, tmp_path):
         {"id": "st", "mode": "search", "group": 5, "expected": "none"},
         {"id": "st", "mode": "psl2_family", "q": "17"},
         {"id": "st", "mode": "psl2_family", "q": True},
+        {"id": "st", "mode": ["search"]},
         *(
             {"id": "st", "mode": "stabilizers", "group": "psl2_7",
              "stabilizers": [{"source": source, "descriptor": "C7:C3"}]}
@@ -264,6 +265,17 @@ def test_verify_malformed_claim_values(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "'st'" in err
+
+
+def test_verify_claim_id_not_a_string(capsys, tmp_path):
+    # --only selects claims by string id, so any other id is a data error
+    cat = tmp_path / "cat.json"
+    for cid in (["st"], 7):
+        cat.write_text(json.dumps({"claims": [{"id": cid, "mode": "order27"}]}))
+        code, out, err = run(capsys, ["verify", "--catalog", str(cat)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and repr(cid) in err
 
 
 def test_verify_cap_flag_bounds_the_claim_cap(capsys):

@@ -287,14 +287,20 @@ def test_cyclic_generators(group_cache, sel):
 
 
 def test_lattice_predicates_computed_when_read():
-    # structure predicates are computed for the classes that are read, once
+    # structure predicates are computed for the classes that are read, once,
+    # and kept on the representative's context
     g = resolve_group("psl2_7")[1]
     classes = as_context(g).subgroup_classes()
-    assert not any("predicates" in vars(sc) for sc in classes)
-    rec = classes[3].predicates
-    assert classes[3].predicates is rec
+
+    def has_record(sc):
+        ctx = sc.representative.group._context
+        return ctx is not None and "predicates" in vars(ctx)
+
+    assert not any(map(has_record, classes))
+    rec = as_context(classes[3].representative.group).predicates
+    assert as_context(classes[3].representative.group).predicates is rec
     assert rec == structure_predicates(classes[3].representative)
-    assert [("predicates" in vars(sc)) for sc in classes].count(True) == 1
+    assert list(map(has_record, classes)).count(True) == 1
 
 
 @pytest.mark.parametrize("sel", ["alt_5", "psl2_7", "m11"])

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import fixitylab
+from fixitylab import enumeration, zoo
 
 
 def test_library_has_no_assert_statements():
@@ -64,9 +65,19 @@ def test_perfbench_probes_resolve():
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    # instrumented() looks every probe up and fails on a dangling one
-    with tracer.instrumented(tracer.Tracer()):
-        pass
+    # instrumented() looks every probe up and fails on a dangling one.  The
+    # probes must also see the work: a context fills its classes and
+    # bundles through the two probed methods when as_context builds it, and
+    # the lattice hook counts a lattice once, reading _subgroup_classes
+    t = tracer.Tracer()
+    with tracer.instrumented(t):
+        ctx = enumeration.as_context(zoo.resolve_group("sym_4")[1])
+        ctx.subgroup_classes()
+        assert t.calls["enumeration.context"] > 0
+        assert t.edges[("enumeration.context", "enumeration.context")] == 2
+        assert t.counts["enumeration.lattice_classes"] == 11
+        ctx.subgroup_classes()
+        assert t.counts["enumeration.lattice_classes"] == 11
 
 
 def test_fixity_survey_script(capsys):
@@ -90,3 +101,14 @@ def test_fixity_survey_script(capsys):
         survey.main(["--groups", "psl2_7", "--subgroup-cap", "0"])
     assert e.value.code == 2
     assert "positive" in capsys.readouterr().err
+
+    # a cap the lattice exceeds and an unknown group are data errors, as
+    # in the CLI: an error line and exit 2, no traceback
+    for argv, text in (
+        (["--groups", "psl2_7", "--subgroup-cap", "3"], "subgroup-enumeration cap 3"),
+        (["--groups", "nosuch"], "nosuch"),
+    ):
+        assert survey.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and text in captured.err

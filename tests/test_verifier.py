@@ -35,11 +35,11 @@ from fixitylab.perm import (
     table_order,
 )
 from fixitylab.verifier import (
-    StabView,
     Sylow3Classification,
     _build_stabilizer,
     _find_element_of_order,
     _is_maximal_class,
+    _normal_sylow,
     catalog_report_json,
     check_order27_lemma,
     check_psl2_family,
@@ -100,8 +100,8 @@ def test_descriptor_order():
 
 
 def test_descriptor_matches_cyclic_vs_dihedral(group_cache):
-    c6 = StabView(group_cache("cyclic_6"))
-    s3 = StabView(group_cache("sym_3"))
+    c6 = group_cache("cyclic_6")
+    s3 = group_cache("sym_3")
     assert descriptor_matches("C6", c6)
     assert not descriptor_matches("C6", s3)
     assert descriptor_matches("S3", s3)
@@ -113,16 +113,16 @@ def test_descriptor_matches_cyclic_vs_dihedral(group_cache):
 
 def test_descriptor_same_order_disambiguation(group_cache):
     # two order-18 groups told apart by kernel shape and exponent
-    d18 = StabView(group_cache("dihedral_9"))
-    gd = StabView(_gen_dihedral_9())
+    d18 = group_cache("dihedral_9")
+    gd = _gen_dihedral_9()
     assert descriptor_matches("D18", d18)
     assert not descriptor_matches("D18", gd)
     assert descriptor_matches("(C3xC3):C2", gd)
     assert not descriptor_matches("(C3xC3):C2", d18)
 
     # two order-39 groups told apart by the Frobenius split
-    f39 = StabView(_frobenius_13_3())
-    c39 = StabView(group_cache("cyclic_39"))
+    f39 = _frobenius_13_3()
+    c39 = group_cache("cyclic_39")
     assert descriptor_matches("C13:C3", f39)
     assert not descriptor_matches("C13:C3", c39)
     assert descriptor_matches("C39", c39)
@@ -130,10 +130,10 @@ def test_descriptor_same_order_disambiguation(group_cache):
 
 
 def test_descriptor_matches_named(group_cache):
-    assert descriptor_matches("A4", StabView(group_cache("alt_4")))
-    assert not descriptor_matches("A4", StabView(group_cache("dihedral_6")))
-    assert descriptor_matches("A5", StabView(group_cache("alt_5")))
-    assert not descriptor_matches("A5", StabView(group_cache("cyclic_60")))
+    assert descriptor_matches("A4", group_cache("alt_4"))
+    assert not descriptor_matches("A4", group_cache("dihedral_6"))
+    assert descriptor_matches("A5", group_cache("alt_5"))
+    assert not descriptor_matches("A5", group_cache("cyclic_60"))
 
 
 def test_elementary_abelian_descriptor():
@@ -141,33 +141,23 @@ def test_elementary_abelian_descriptor():
     translations = next(
         sc for sc in as_context(gd).subgroup_classes() if sc.order == 9
     )
-    assert descriptor_matches("C3xC3", StabView.of(translations))
-    assert not descriptor_matches("C3xC3", StabView(resolve_group("cyclic_9")[1]))
+    assert descriptor_matches("C3xC3", translations.representative.group)
+    assert not descriptor_matches("C3xC3", resolve_group("cyclic_9")[1])
 
 
 def test_match_descriptors(group_cache):
-    views = [StabView(group_cache("cyclic_6")), StabView(group_cache("sym_3"))]
-    assert match_descriptors(["S3", "C6"], views) == [1, 0]
-    assert match_descriptors(["C6", "S3"], views) == [0, 1]
-    assert match_descriptors(["C6", "C6"], views) is None
-    assert match_descriptors(["C6"], views) is None
-
-
-def test_stab_view_of(sym4):
-    sc = as_context(sym4).subgroup_classes()[3]
-    view = StabView.of(sc)
-    assert view.record is sc.predicates
-    assert view.order == sc.order
-    u = point_stabilizer(sym4, 0)
-    assert StabView.of(u).order == 6
-    assert StabView.of(sym4).order == 24
+    groups = [group_cache("cyclic_6"), group_cache("sym_3")]
+    assert match_descriptors(["S3", "C6"], groups) == [1, 0]
+    assert match_descriptors(["C6", "S3"], groups) == [0, 1]
+    assert match_descriptors(["C6", "C6"], groups) is None
+    assert match_descriptors(["C6"], groups) is None
 
 
 def test_normal_sylow(sym4, group_cache):
-    norm, syl = StabView(sym4).normal_sylow(2)
+    norm, syl = _normal_sylow(sym4, 2)
     assert not norm and syl.order == 8
-    norm, syl = StabView(group_cache("alt_4")).normal_sylow(2)
-    assert norm and syl.order == 4 and syl.record.is_elementary_abelian
+    norm, syl = _normal_sylow(group_cache("alt_4"), 2)
+    assert norm and syl.order == 4 and as_context(syl).predicates.is_elementary_abelian
 
 
 def test_search_fixity_4_psl2_7(group_cache):
@@ -179,8 +169,8 @@ def test_search_fixity_4_psl2_7(group_cache):
     assert [h.subgroup_class.canonical for h in hits] == [
         h.subgroup_class.canonical for h in again
     ]
-    views = [StabView.of(h.subgroup_class) for h in hits]
-    assert match_descriptors(["C2", "S3"], views) == [0, 1]
+    groups = [h.subgroup_class.representative.group for h in hits]
+    assert match_descriptors(["C2", "S3"], groups) == [0, 1]
 
 
 def test_search_excludes_non_faithful(sym4):
