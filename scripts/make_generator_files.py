@@ -1,17 +1,22 @@
 """Build the packaged generator files from matrix constructions.
 
-Writes src/fixitylab/data/{psl3_3,psu3_3,psu4_2,sz8}.grp.  Each group is
+Writes src/fixitylab/data/{psl3_3,psu3_3,psu4_2,sz8,m22}.grp.  Each group is
 constructed from first principles over its defining field, the permutation
-action is extracted on the natural point set, and the known group order is
-asserted before anything is written:
+action is extracted on the natural point set, and the known point counts
+and group order are checked (GroupDataError otherwise) before anything is
+written:
 
     psl3_3   SL3(3) on the 13 points of PG(2,3), order 5616
     psu3_3   SU3(3) on the 28 isotropic points of a Hermitian form, order 6048
     psu4_2   Sp4(3) modulo center on the 40 points of PG(3,3), order 25920
              (the symplectic group over GF(3) is isomorphic to PSU4(2))
     sz8      Suzuki group on the 65 ovoid points over GF(8), order 29120
+    m22      two-point stabilizer of M24 on 22 points, order 443520
 
-Cheap by design; rerunning overwrites the files in place.
+Cheap by design.  A packaged file that already holds the group built (same
+order, each generator list lying in the other group) is left alone, so a
+rerun writes only missing or different groups and keeps the packaged
+generator lists, on which claims and timings depend.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fixitylab.errors import NotBijectionError
+from fixitylab.errors import GroupDataError, NotBijectionError
 from fixitylab.ffield import Field, FieldElement, make_field, primitive_element
 from fixitylab.perm import PermGroup, Permutation, build_bsgs, pack_table, point_stabilizer
-from fixitylab.zoo import save_group
+from fixitylab.zoo import load_group, save_group
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "fixitylab" / "data"
 
@@ -89,19 +94,25 @@ def scalars(f: Field, entries: list[list[int]]) -> Matrix:
     return tuple(tuple(f.scalar(e) for e in row) for row in entries)
 
 
+def check(what: str, got, want) -> None:
+    """Raise GroupDataError unless a construction step gave what it must."""
+    if got != want:
+        raise GroupDataError(f"{what} is {got}, expected {want}")
+
+
 # ---------------------------------------------------------------------------
 
 
 def make_psl3_3() -> PermGroup:
     f = make_field(3, 1)
     points = projective_points(f, 3)
-    assert len(points) == 13
+    check("number of points", len(points), 13)
     transvection = scalars(f, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     shift = scalars(f, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert mat_det3(transvection) == f.one and mat_det3(shift) == f.one
+    check("determinants", (mat_det3(transvection), mat_det3(shift)), (f.one, f.one))
     gens = [matrix_to_perm(m, points) for m in (transvection, shift)]
     g = build_bsgs(gens)
-    assert g.order == 5616, g.order
+    check("order of PSL3(3)", g.order, 5616)
     return g
 
 
@@ -114,7 +125,7 @@ def make_psu3_3() -> PermGroup:
         return x[0] * conj(y[2]) + x[1] * conj(y[1]) + x[2] * conj(y[0])
 
     points = [v for v in projective_points(f, 3) if herm(v, v).is_zero()]
-    assert len(points) == 28, len(points)
+    check("number of points", len(points), 28)
 
     def is_unitary(m: Matrix) -> bool:
         basis = [
@@ -139,7 +150,7 @@ def make_psu3_3() -> PermGroup:
                 )
                 if is_unitary(m):
                     unipotents.append(m)
-    assert len(unipotents) == 27, len(unipotents)
+    check("number of unipotents", len(unipotents), 27)
 
     w = primitive_element(f)
     torus = None
@@ -153,7 +164,8 @@ def make_psu3_3() -> PermGroup:
         if is_unitary(m) and mat_det3(m) == f.one and (d * d * d * d) != f.one:
             torus = m
             break
-    assert torus is not None
+    if torus is None:
+        raise GroupDataError("no torus element of SU3(3) found")
 
     weyl = None
     for alpha in elems:
@@ -172,19 +184,20 @@ def make_psu3_3() -> PermGroup:
                 break
         if weyl:
             break
-    assert weyl is not None
+    if weyl is None:
+        raise GroupDataError("no Weyl element of SU3(3) found")
 
     # weyl and torus first so the spanning prefix _shrink finds stays short
     gens = [matrix_to_perm(m, points) for m in [weyl, torus] + unipotents]
     g = build_bsgs(gens)
-    assert g.order == 6048, g.order
+    check("order of PSU3(3)", g.order, 6048)
     return _shrink(g)
 
 
 def make_psu4_2() -> PermGroup:
     f = make_field(3, 1)
     points = projective_points(f, 4)
-    assert len(points) == 40
+    check("number of points", len(points), 40)
 
     def sympl(x: tuple, y: tuple) -> FieldElement:
         return x[0] * y[3] - x[3] * y[0] + x[1] * y[2] - x[2] * y[1]
@@ -212,7 +225,7 @@ def make_psu4_2() -> PermGroup:
     ]
     gens = [matrix_to_perm(transvection(s), points) for s in seeds]
     g = build_bsgs(gens)
-    assert g.order == 25920, g.order
+    check("order of PSp4(3)", g.order, 25920)
     return _shrink(g)
 
 
@@ -221,7 +234,7 @@ def make_sz8() -> PermGroup:
     theta = lambda x: (x * x) * (x * x)  # noqa: E731  x -> x^4; theta^2 = squaring
     elems = f.elements()
     points: list = ["inf"] + [(x, y) for x in elems for y in elems]
-    assert len(points) == 65
+    check("number of points", len(points), 65)
     index = {p: i for i, p in enumerate(points)}
 
     def perm_of(fn) -> Permutation:
@@ -262,7 +275,7 @@ def make_sz8() -> PermGroup:
     gens = [perm_of(trans(f.one, f.zero)), perm_of(trans(f.zero, f.one)),
             perm_of(torus), perm_of(inversion)]
     g = build_bsgs(gens)
-    assert g.order == 29120, g.order
+    check("order of Sz(8)", g.order, 29120)
     return g
 
 
@@ -272,7 +285,7 @@ def make_m22() -> PermGroup:
 
     M24 is generated by z -> z+1 and z -> -1/z (the natural PSL2(23)) plus
     the cubing map z -> z^3/9 on nonzero squares, z -> 9z^3 on nonsquares;
-    the order assertion pins the construction.
+    the order checks pin the construction.
     """
     INF = 23
     squares = {pow(z, 2, 23) for z in range(1, 23)}
@@ -291,16 +304,17 @@ def make_m22() -> PermGroup:
         return (c * ninth) % 23 if z in squares else (c * 9) % 23
 
     m24 = build_bsgs([s, t, perm_from(cubing)])
-    assert m24.order == 244823040, m24.order
+    check("order of M24", m24.order, 244823040)
     m23 = point_stabilizer(m24, INF)
-    assert m23.order == 10200960, m23.order
+    check("order of M23", m23.order, 10200960)
     m22 = point_stabilizer(m23.group, 0)
-    assert m22.order == 443520, m22.order
+    check("order of M22", m22.order, 443520)
 
     moved = sorted(
         {i for p in m22.group.generators for i, x in enumerate(p.images) if x != i}
     )
-    assert len(moved) == 22 and 0 not in moved and INF not in moved
+    if len(moved) != 22 or 0 in moved or INF in moved:
+        raise GroupDataError(f"M22 generators move {len(moved)} points, wanted the 22 of 1..22")
     relabel = {old: new for new, old in enumerate(moved)}
     gens = []
     for p in m22.group.generators:
@@ -309,7 +323,7 @@ def make_m22() -> PermGroup:
             images[new] = relabel[p.images[old]]
         gens.append(Permutation(pack_table(images, 22), _trusted=True))
     g = build_bsgs(gens)
-    assert g.order == 443520, g.order
+    check("order of the relabeled M22", g.order, 443520)
     return _shrink(g)
 
 
@@ -320,6 +334,21 @@ def _shrink(g: PermGroup) -> PermGroup:
         if h.order == g.order:
             return h
     return g
+
+
+def holds_group(path: Path, g: PermGroup) -> bool:
+    """Does the generator file at ``path`` hold the group g: the same order,
+    and each generator list lying in the other group?  A missing or
+    unreadable file holds nothing."""
+    try:
+        h = load_group(path)
+    except GroupDataError:
+        return False
+    return (
+        h.order == g.order
+        and all(p in h for p in g.generators)
+        and all(p in g for p in h.generators)
+    )
 
 
 def main() -> None:
@@ -333,10 +362,13 @@ def main() -> None:
     ):
         try:
             g = make()
-        except (AssertionError, NotBijectionError) as exc:
+        except (GroupDataError, NotBijectionError) as exc:
             print(f"{name}: construction failed ({exc}); file not written")
             continue
         path = OUT_DIR / f"{name}.grp"
+        if holds_group(path, g):
+            print(f"{name}: {path.name} already holds this group; left as it is")
+            continue
         save_group(g, path)
         print(f"{name}: degree {g.degree} order {g.order} "
               f"gens {len(g.generators)} -> {path.name}")

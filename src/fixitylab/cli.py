@@ -162,8 +162,7 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
         if args.subcommand == "profile":
             obj["profile"] = [list(r) for r in profile(g, u, caps).rows]
         elif args.subcommand == "marks":
-            classes = as_context(g, caps.elements).subgroup_classes(caps.subgroups)
-            obj["marks"] = marks_row(g, u, classes, caps)
+            obj["marks"] = marks_row(g, u, caps)
         else:
             action = build_coset_action(g, u, caps.cosets, caps.elements)
             cls = classify_sylow3_orbits(action, caps)

@@ -493,15 +493,12 @@ def mark(g: PermGroup, u: Subgroup, v: Subgroup, caps: Caps = DEFAULT_CAPS) -> i
     return mark_on_action(action, v.group.gen_tables)
 
 
-def marks_row(
-    g: PermGroup | GroupContext,
-    u: Subgroup,
-    classes,
-    caps: Caps = DEFAULT_CAPS,
-) -> list[int]:
-    """Marks of G/U on each subgroup class representative, for the classes
-    up to and including U's own class in the given (order, canonical) order."""
+def marks_row(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
+    """Marks of G/U on each representative of G's subgroup classes, for the
+    classes up to and including U's own class in the (order, canonical)
+    order of G's lattice."""
     ctx = as_context(g, caps.elements)
+    classes = ctx.subgroup_classes(caps.subgroups)
     action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
     orbit_u, _ = ctx._subgroup_orbit(frozenset(ctx.indices_of(u.group)), u.group)
     canon_u = canonical_form(orbit_u)
@@ -511,7 +508,7 @@ def marks_row(
             pos = i
             break
     if pos is None:
-        raise MembershipError("stabilizer class not present in the given class list")
+        raise FalsificationError("the stabilizer's class is missing from the group's lattice")
     return [
         mark_on_action(action, c.representative.group.gen_tables)
         for c in classes[: pos + 1]

@@ -326,10 +326,11 @@ class GroupContext:
                 seen[key] = cid
             queue.append(cid)
 
-        # seeds: trivial subgroup, the whole group, one cyclic subgroup per
-        # bundle of element classes
+        # seeds: trivial subgroup, the whole group (when it is not the
+        # trivial one), one cyclic subgroup per bundle of element classes
         add_class(frozenset({0}), build_bsgs([], degree=g.degree))
-        add_class(frozenset(range(n)), g)
+        if n > 1:
+            add_class(frozenset(range(n)), g)
         for b in self.bundles:
             t = self.elements[b.rep_index]
             fs = frozenset(self.index[tab] for tab in _cyclic_tables(t, g.degree))

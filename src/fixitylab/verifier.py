@@ -14,7 +14,7 @@ tool:
                          fixity-4 action with a matching descriptor and a
                          materialized coset action
   check_psl2_family      reproduce the fixity-4 stabilizer rows of PSL2(q)
-                         for odd prime powers q >= 17 by direct construction
+                         for an odd prime power q >= 17 by direct construction
                          of the quarter-torus and half-Borel subgroups (the
                          small q are catalog lattice searches)
   check_order27_lemma    conjugation identity y^U = P'y in both nonabelian
@@ -259,14 +259,10 @@ def search_fixity_k(
 class StructuralChecks:
     """Outcome of the structural side conditions on one fixity-4 action."""
 
-    group_order: int
-    stabilizer_order: int
-    degree: int
     cyclic_indices: list[tuple[int, int]]
     four_point_order: int
     ti_samples: int
     h_normalizer_index: int | None
-    sylow_primes: tuple[int, ...]
     failures: list[str]
 
     @property
@@ -329,7 +325,6 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
             )
 
     # (iii) for p >= 5 the stabilizer contains a full Sylow p-subgroup
-    sylow_primes = [p for p in prime_divisors(u.order) if p >= 5]
     failures += _missing_sylow("stabilizer", u.order, g.order)
 
     # the four-point stabilizer cut out by the witness element
@@ -384,14 +379,10 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
                 )
 
     return StructuralChecks(
-        group_order=g.order,
-        stabilizer_order=u.order,
-        degree=action.degree,
         cyclic_indices=cyclic_indices,
         four_point_order=h_order,
         ti_samples=ti_samples,
         h_normalizer_index=h_norm_index,
-        sylow_primes=tuple(sylow_primes),
         failures=failures,
     )
 
@@ -560,48 +551,9 @@ def evaluate_action(
     return ev
 
 
-def _search_and_assign(
-    g: PermGroup, expected: list[str], caps: Caps
-) -> tuple[list[FixityHit], list[str], str]:
-    """Fixity-4 hits of G, the expected descriptor assigned to each hit, and
-    a failure detail ("" on success) when the orders or the structures
-    cannot be matched one to one."""
-    hits = search_fixity_k(g, 4, caps)
-    found_orders = sorted(h.subgroup_class.order for h in hits)
-    want_orders = sorted(descriptor_order(d) for d in expected)
-    if found_orders != want_orders:
-        detail = f"stabilizer orders {found_orders} differ from expected {want_orders}"
-        return hits, [], detail
-    assign = match_descriptors(expected, [h.subgroup_class.representative.group for h in hits])
-    if assign is None:
-        return hits, [], "no assignment of descriptors to found classes"
-    descriptors = [""] * len(hits)
-    for i, d in enumerate(expected):
-        descriptors[assign[i]] = d
-    return hits, descriptors, ""
-
-
 # ---------------------------------------------------------------------------
 # the PSL2 family
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class FamilyRow:
-    descriptor: str
-    order: int
-    degree: int
-    fixity: int
-    sylow3_case: str
-    structural_ok: bool
-
-
-@dataclass(eq=False)
-class FamilyResult:
-    q: int
-    verdict: str
-    rows: list[FamilyRow]
-    failures: list[str]
-
 
 def _family_descriptor_borel_half(q: int) -> str:
     p, n = prime_power(q)
@@ -615,20 +567,31 @@ def _family_descriptor_borel_half(q: int) -> str:
 
 def _family_row(
     g: PermGroup, u: Subgroup, descriptor: str, caps: Caps, failures: list[str]
-) -> FamilyRow:
+) -> dict:
     ev = evaluate_action(fixity(g, u, caps), descriptor, caps)
     failures.extend(f"constructed stabilizer of order {u.order}: {f}" for f in ev.failures)
-    return FamilyRow(
-        descriptor=descriptor,
-        order=u.order,
-        degree=g.order // u.order,
-        fixity=ev.report.fixity,
-        sylow3_case=ev.sylow3_case or "-",
-        structural_ok=ev.ok,
-    )
+    return {
+        "descriptor": descriptor,
+        **action_row(ev.report),
+        "sylow3_case": ev.sylow3_case or "-",
+        "structural_ok": ev.ok,
+    }
 
 
-def _family_result(q: int, caps: Caps) -> FamilyResult:
+def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], list[str]]:
+    """The fixity-4 stabilizer rows of PSL2(q), for an odd prime power
+    q >= 17, and the failures found on them.
+
+    The claimed stabilizers are constructed directly (the quarter-torus,
+    plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
+    each is checked for fixity 4, its descriptor, the structural side
+    conditions and the Sylow-3 case.  A PSL2(q) larger than the element
+    cap raises CapExceededError: there fixity takes the subgroup-orbit
+    route, which builds no coset action for those checks to read.
+    The small q are decided by the catalog's lattice-search claims instead.
+    """
+    if q < 17 or q % 2 == 0 or not prime_power(q):
+        raise PreconditionError(f"q = {q} is outside the covered family range")
     g = psl2_spec(q).build()
     if g.order > caps.elements:
         raise CapExceededError(
@@ -657,28 +620,7 @@ def _family_result(q: int, caps: Caps) -> FamilyResult:
         stabs = [(u1, f"C{(q + 1) // 4}")]
     failures: list[str] = []
     rows = [_family_row(g, u, d, caps, failures) for u, d in stabs]
-    verdict = "PASS" if not failures else "FAIL"
-    return FamilyResult(q=q, verdict=verdict, rows=rows, failures=failures)
-
-
-def check_psl2_family(q_list, caps: Caps = DEFAULT_CAPS) -> list[FamilyResult]:
-    """Fixity-4 stabilizer rows of PSL2(q) for each listed odd prime power
-    q >= 17.
-
-    The claimed stabilizers are constructed directly (the quarter-torus,
-    plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
-    each is checked for fixity 4, its descriptor, the structural side
-    conditions and the Sylow-3 case.  A PSL2(q) larger than the element
-    cap raises CapExceededError: there fixity takes the subgroup-orbit
-    route, which builds no coset action for those checks to read.
-    The small q are decided by the catalog's lattice-search claims instead.
-    """
-    out = []
-    for q in q_list:
-        if q < 17 or q % 2 == 0 or not prime_power(q):
-            raise PreconditionError(f"q = {q} is outside the covered family range")
-        out.append(_family_result(q, caps))
-    return out
+    return rows, failures
 
 
 # ---------------------------------------------------------------------------
@@ -711,32 +653,15 @@ def _affine27() -> PermGroup:
     return GroupSpec("exponent9", 9, [a, b], 27).build()
 
 
-@dataclass(frozen=True)
-class Order27Pair:
-    group: str
-    subgroup_index: int
-    elements_checked: int
-    ok: bool
-
-
-@dataclass(eq=False)
-class Order27Result:
-    pairs: list[Order27Pair]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(p.ok for p in self.pairs)
-
-
-def check_order27_lemma() -> Order27Result:
+def check_order27_lemma() -> list[dict]:
     """In both nonabelian groups P of order 27: for every index-3 subgroup U
     and every y in P - U with |C_P(y)| = 9, the class y^U is the coset P'y.
 
     Both groups have nilpotency class exactly 2 (the abelian candidates are
     excluded by that filter), and each has exactly four index-3 subgroups,
-    all normal, giving eight (group, subgroup) pairs in total.
+    all normal, giving eight (group, subgroup) pairs in total: one row each.
     """
-    pairs: list[Order27Pair] = []
+    rows: list[dict] = []
     for name, g in (("exponent3", _unitriangular27()), ("exponent9", _affine27())):
         ctx = as_context(g)
         tables, rec = ctx.elements, ctx.predicates
@@ -771,12 +696,10 @@ def check_order27_lemma() -> Order27Result:
                 if y_class != coset:
                     ok = False
                     break
-            pairs.append(
-                Order27Pair(
-                    group=name, subgroup_index=si, elements_checked=checked, ok=ok
-                )
+            rows.append(
+                {"group": name, "subgroup_index": si, "elements_checked": checked, "ok": ok}
             )
-    return Order27Result(pairs=pairs)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -863,21 +786,24 @@ def action_row(report: FixityReport) -> dict:
 
 def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
     expected = claim["expected"]
-    hits, descriptors, detail = _search_and_assign(
-        g, [] if expected == "none" else expected, caps
-    )
+    hits = search_fixity_k(g, 4, caps)
     rows = [action_row(h.report) for h in hits]
+    found = sorted(r["order"] for r in rows)
     if expected == "none":
         if hits:
-            found = sorted(r["order"] for r in rows)
             return ClaimResult(
                 cid, "FAIL", f"expected no fixity-4 action, found orders {found}", rows
             )
         return ClaimResult(cid, "PASS", "", rows)
-    if detail:
+    want = sorted(descriptor_order(d) for d in expected)
+    if found != want:
+        detail = f"stabilizer orders {found} differ from expected {want}"
         return ClaimResult(cid, "FAIL", detail, rows)
-    for row, d in zip(rows, descriptors):
-        row["descriptor"] = d
+    assign = match_descriptors(expected, [h.subgroup_class.representative.group for h in hits])
+    if assign is None:
+        return ClaimResult(cid, "FAIL", "no assignment of descriptors to found classes", rows)
+    for i, d in enumerate(expected):
+        rows[assign[i]]["descriptor"] = d
     for row, h in zip(rows, hits):
         ev = evaluate_action(h.report, caps=caps)
         if ev.failures:
@@ -930,16 +856,13 @@ def run_claim(claim: dict, caps: Caps = CAPS_NOT_GIVEN) -> ClaimResult:
     try:
         ccaps = _merge_caps(caps, claim.get("caps"), cid)
         if mode == "order27":
-            res = check_order27_lemma()
-            rows = [asdict(p) for p in res.pairs]
-            if res.all_ok and len(res.pairs) == 8:
+            rows = check_order27_lemma()
+            if len(rows) == 8 and all(r["ok"] for r in rows):
                 return ClaimResult(cid, "PASS", "", rows)
             return ClaimResult(cid, "FAIL", "a pair failed the coset identity", rows)
         if mode == "psl2_family":
-            fam = check_psl2_family([claim["q"]], ccaps)[0]
-            return ClaimResult(
-                cid, fam.verdict, "; ".join(fam.failures), [asdict(r) for r in fam.rows]
-            )
+            rows, failures = check_psl2_family(claim["q"], ccaps)
+            return ClaimResult(cid, "FAIL" if failures else "PASS", "; ".join(failures), rows)
         name, g = resolve_group(claim["group"])
         if mode == "search":
             return _run_search_claim(cid, claim, g, ccaps)

@@ -132,6 +132,20 @@ def test_marks_row(capsys):
     assert obj["marks"] == [4, 2, 0, 1, 0, 0, 0, 1]
 
 
+def test_trivial_group_reports_one_action(capsys):
+    # the trivial group has one subgroup class, so one stabilizer of order 1
+    code, out, _ = run(capsys, ["fixity", "--group", "sym_1", "--stab-order", "1"])
+    assert code == 0
+    assert json.loads(out) == {
+        "group": "sym_1", "stabilizer_order": 1, "degree": 1, "fixity": 0, "profile": [],
+    }
+    code, out, _ = run(capsys, ["marks", "--group", "cyclic_1", "--stab-order", "1"])
+    assert code == 0
+    assert json.loads(out) == {
+        "group": "cyclic_1", "stabilizer_order": 1, "degree": 1, "marks": [1],
+    }
+
+
 def test_sylow_case(capsys):
     code, out, _ = run(capsys, ["sylow", "--group", "psl2_9", "--stab-order", "18"])
     assert code == 0

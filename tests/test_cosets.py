@@ -339,11 +339,10 @@ def test_profile(sym4, group_cache):
 
 def test_mark_values(sym4):
     u = point_stabilizer(sym4, 0)
-    classes = as_context(sym4).subgroup_classes()
     assert mark(sym4, u, _trivial(sym4)) == 4
     # m_U(U) = |N(U):U|; a point stabilizer of Sym(4) is self-normalizing
     assert mark(sym4, u, u) == 1
-    row = marks_row(sym4, u, classes)
+    row = marks_row(sym4, u)
     assert row[0] == 4
     assert row[-1] == 1
     assert all(0 <= r <= 4 for r in row)
@@ -353,16 +352,10 @@ def test_marks_row_endpoints(sym4):
     classes = as_context(sym4).subgroup_classes()
     whole = classes[-1]
     assert whole.order == 24
-    row = marks_row(sym4, whole.representative, classes)
+    row = marks_row(sym4, whole.representative)
     assert row == [1] * len(classes)
-    row0 = marks_row(sym4, _trivial(sym4), classes)
+    row0 = marks_row(sym4, _trivial(sym4))
     assert row0 == [24]
-
-
-def test_marks_row_missing_class(sym4, alt5):
-    classes = as_context(sym4).subgroup_classes()
-    with pytest.raises(MembershipError):
-        marks_row(alt5, point_stabilizer(alt5, 0), classes)
 
 
 def test_mark_on_action_trivial_gens(sym4):

@@ -209,6 +209,13 @@ def test_lattice_orders(sym4, alt5):
     ]
 
 
+@pytest.mark.parametrize("sel", ["cyclic_1", "sym_1"])
+def test_trivial_group_lattice_has_one_class(sel):
+    # the trivial subgroup is the whole group: one class, listed once
+    lattice = as_context(resolve_group(sel)[1]).subgroup_classes()
+    assert [(sc.order, sc.class_size) for sc in lattice] == [(1, 1)]
+
+
 def _f20():
     # Frobenius group of order 20: x -> x+1 and x -> 2x on Z/5
     return build_bsgs(

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,24 @@ import fixitylab
 from fixitylab import enumeration, zoo
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, and with them any cross-check
-    # written as one; the library raises instead
-    src = Path(fixitylab.__file__).parent
+    # written as one; the library and the scripts raise instead
+    paths = sorted(Path(fixitylab.__file__).parent.glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
     offenders = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
@@ -59,9 +71,8 @@ def test_table_representation_stays_in_perm():
 def test_perfbench_probes_resolve():
     # the benchmark's tracer wraps the library functions named in its
     # PROBES table; a rename or removal here must not leave a probe dangling
-    root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", root / "perfbench" / "tracer.py"
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -83,12 +94,7 @@ def test_perfbench_probes_resolve():
 def test_fixity_survey_script(capsys):
     # the exploration script lists the fixity-4 classes that the lattice
     # search confirms: orders 2 and 6 for psl2_7
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "fixity_survey", root / "scripts" / "fixity_survey.py"
-    )
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
+    survey = _load_script("fixity_survey")
     assert survey.main(["--groups", "psl2_7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("psl2_7: order 168, 13 faithful actions")
@@ -112,3 +118,22 @@ def test_fixity_survey_script(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and text in captured.err
+
+
+def test_generator_files_script_keeps_packaged_groups(tmp_path, monkeypatch, capsys):
+    # the five constructions build the packaged groups: a rerun leaves each
+    # packaged file as it is, and writes a missing or different group anew
+    make = _load_script("make_generator_files")
+    packaged = Path(fixitylab.__file__).parent / "data"
+    names = ["psl3_3", "psu3_3", "psu4_2", "sz8", "m22"]
+    for name in names:
+        shutil.copy(packaged / f"{name}.grp", tmp_path)
+    (tmp_path / "psl3_3.grp").unlink()
+    shutil.copy(packaged / "psu3_3.grp", tmp_path / "sz8.grp")
+    monkeypatch.setattr(make, "OUT_DIR", tmp_path)
+    make.main()
+    out = capsys.readouterr().out.splitlines()
+    kept = [line.split(":")[0] for line in out if "left as it is" in line]
+    assert kept == ["psu3_3", "psu4_2", "m22"]
+    for name in names:
+        assert (tmp_path / f"{name}.grp").read_bytes() == (packaged / f"{name}.grp").read_bytes()

@@ -193,8 +193,8 @@ def test_structural_checks_on_fixity4(psl2_9):
     checks = check_structural_lemmas(h.report)
     assert checks.ok
     assert checks.failures == []
-    assert checks.stabilizer_order == 2
-    assert checks.degree == 180
+    assert h.report.stabilizer.order == 2
+    assert h.report.action.degree == 180
     assert checks.four_point_order >= 2
     assert checks.ti_samples > 0
     assert checks.h_normalizer_index in (2, 4)
@@ -331,13 +331,13 @@ def test_sylow3_no_case_is_falsification(group_cache):
 
 
 def test_order27_lemma():
-    res = check_order27_lemma()
-    assert res.all_ok
-    assert len(res.pairs) == 8
-    names = [p.group for p in res.pairs]
+    rows = check_order27_lemma()
+    assert all(r["ok"] for r in rows)
+    assert len(rows) == 8
+    names = [r["group"] for r in rows]
     assert names.count("exponent3") == 4
     assert names.count("exponent9") == 4
-    assert all(p.elements_checked > 0 for p in res.pairs)
+    assert all(r["elements_checked"] > 0 for r in rows)
 
 
 def test_find_element_of_order(sym4, alt5):
@@ -620,17 +620,29 @@ def test_run_claim_order27():
     assert len(r.rows) == 8
 
 
+@pytest.mark.parametrize("cid", ["psl2_family_q17", "order27_lemma"])
+def test_claim_rows_match_reference_bytes(cid):
+    # the family and order-27 rows keep their keys, key order and values:
+    # the dumped result equals the benchmark's recorded reference output
+    catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
+    claim = next(c for c in load_claims(catalog) if c["id"] == cid)
+    reference_dir = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+    reference = json.loads((reference_dir / "constructive_stabs.json").read_text())
+    want = next(c for c in reference["claims"] if c["id"] == cid)
+    assert json.dumps(run_claim(claim).to_dict(), indent=2) == json.dumps(want, indent=2)
+
+
 def test_run_claim_unknown_mode_skips():
     r = run_claim({"id": "c", "mode": "telepathy"})
     assert r.verdict == "SKIPPED"
 
 
 def test_family_generic_q17():
-    fam = check_psl2_family([17])[0]
-    assert fam.verdict == "PASS"
-    assert [r.descriptor for r in fam.rows] == ["C4", "C17:C4"]
-    assert [r.order for r in fam.rows] == [4, 68]
-    assert all(r.fixity == 4 for r in fam.rows)
+    rows, failures = check_psl2_family(17)
+    assert failures == []
+    assert [r["descriptor"] for r in rows] == ["C4", "C17:C4"]
+    assert [r["order"] for r in rows] == [4, 68]
+    assert all(r["fixity"] == 4 for r in rows)
 
 
 @pytest.mark.parametrize("q", [17, 19])
@@ -642,7 +654,7 @@ def test_family_above_the_element_cap_is_skipped(q):
     assert res.verdict == "SKIPPED" and res.rows == []
     assert res.detail.startswith("cap exceeded: group order")
     with pytest.raises(CapExceededError):
-        check_psl2_family([q], Caps(elements=1000))
+        check_psl2_family(q, Caps(elements=1000))
     full = run_claim(claim)
     assert full.verdict == "PASS"
     assert all(r["structural_ok"] and r["sylow3_case"] != "-" for r in full.rows)
@@ -650,13 +662,13 @@ def test_family_above_the_element_cap_is_skipped(q):
 
 def test_family_rejects_bad_q():
     with pytest.raises(PreconditionError):
-        check_psl2_family([15])
+        check_psl2_family(15)
     with pytest.raises(PreconditionError):
-        check_psl2_family([4])
+        check_psl2_family(4)
     # the small q are decided by the catalog's lattice searches
     for q in (7, 13):
         with pytest.raises(PreconditionError):
-            check_psl2_family([q])
+            check_psl2_family(q)
 
 
 def test_load_claims_validation(tmp_path):
