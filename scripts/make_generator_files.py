@@ -17,10 +17,17 @@ Cheap by design.  A packaged file that already holds the group built (same
 order, each generator list lying in the other group) is left alone, so a
 rerun writes only missing or different groups and keeps the packaged
 generator lists, on which claims and timings depend.
+
+    python3 scripts/make_generator_files.py
+
+It takes no arguments; ``--help`` prints this text and builds nothing, and
+an unknown argument exits 2.  A construction that fails is reported on
+stderr, the other groups are still built, and the script exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -351,8 +358,13 @@ def holds_group(path: Path, g: PermGroup) -> bool:
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.parse_args(argv)
     OUT_DIR.mkdir(parents=True, exist_ok=True)
+    failed = False
     for name, make in (
         ("psl3_3", make_psl3_3),
         ("psu3_3", make_psu3_3),
@@ -363,7 +375,8 @@ def main() -> None:
         try:
             g = make()
         except (GroupDataError, NotBijectionError) as exc:
-            print(f"{name}: construction failed ({exc}); file not written")
+            print(f"{name}: construction failed ({exc}); file not written", file=sys.stderr)
+            failed = True
             continue
         path = OUT_DIR / f"{name}.grp"
         if holds_group(path, g):
@@ -372,7 +385,8 @@ def main() -> None:
         save_group(g, path)
         print(f"{name}: degree {g.degree} order {g.order} "
               f"gens {len(g.generators)} -> {path.name}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -60,6 +60,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _claim_ids(text: str) -> set[str]:
+    """An ``--only`` value: comma-separated claim ids, none of them empty."""
+    ids = text.split(",")
+    if "" in ids:
+        raise argparse.ArgumentTypeError(f"empty claim id in {text!r}")
+    return set(ids)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fixitylab")
     sub = top.add_subparsers(dest="subcommand", required=True)
@@ -90,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify")
     p.add_argument("--catalog", required=True, help="claim catalog JSON file")
-    p.add_argument("--only", help="comma-separated claim ids to run")
+    p.add_argument("--only", type=_claim_ids, help="comma-separated claim ids to run")
     p.add_argument("--jobs", type=_positive_int, default=1)
     add_outputs(p)
 
@@ -191,8 +199,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     # a cap given here bounds the claim's own cap
     caps = replace(CAPS_NOT_GIVEN, **_caps_of(args))
-    only = set(args.only.split(",")) if args.only else None
-    results = run_claim_catalog(args.catalog, jobs=args.jobs, caps=caps, only=only)
+    results = run_claim_catalog(args.catalog, jobs=args.jobs, caps=caps, only=args.only)
     _emit(catalog_report_json(results), args.out)
     for r in results:
         print(f"{r.verdict:8s} {r.claim_id}", file=sys.stderr)

@@ -14,6 +14,7 @@ enumerated.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -318,7 +319,9 @@ class GroupContext:
                     "indices": fs,
                     "canonical": min(keys),
                     "class_size": len(orbit_sets),
-                    "normalizer": norm_chain,
+                    # N(A)'s chain is dropped: its generators and order suffice
+                    "normalizer_gens": norm_chain.gen_tables,
+                    "normalizer_order": norm_chain.order,
                     "parent": parent,
                 }
             )
@@ -355,6 +358,17 @@ class GroupContext:
         index = self.index
         cyc_of, rep = self.pp_cyclics
         rep_tables = [self.elements[i] for i in rep]
+        # each generator's map on the numbered subgroups, built once: N(A)'s
+        # generators begin with A's, and A's with its parent's.  The maps
+        # live for the whole saturation, so they are kept as C int arrays.
+        pp_maps: dict[ImageTable, array] = {}
+
+        def pp_map(t: ImageTable) -> array:
+            m = pp_maps.get(t)
+            if m is None:
+                m = pp_maps[t] = array("I", map(cyc_of.__getitem__, self.conj_map(t, rep_tables)))
+            return m
+
         while queue:
             cid = queue.popleft()
             rec = records[cid]
@@ -368,10 +382,7 @@ class GroupContext:
             )
             # (index set, chain) of the proper extensions of A, by order
             overgroups: list[tuple[frozenset[int], PermGroup]] = []
-            maps = [
-                list(map(cyc_of.__getitem__, self.conj_map(t, rep_tables)))
-                for t in rec["normalizer"].gen_tables
-            ]
+            maps = [pp_map(t) for t in rec["normalizer_gens"]]
             for members in orbit_partition(len(rep), maps)[1]:
                 i = rep[members[0]]
                 # N(A) fixes A, so an orbit lies inside A or outside it
@@ -404,7 +415,7 @@ class GroupContext:
             out.append(
                 SubgroupClass(
                     representative=sub,
-                    normalizer_order=rec["normalizer"].order,
+                    normalizer_order=rec["normalizer_order"],
                     class_size=rec["class_size"],
                     order=rec["chain"].order,
                     indices=rec["indices"],

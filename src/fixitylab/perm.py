@@ -14,9 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -305,7 +305,7 @@ class PermGroup:
             nxt: list[ImageTable] = []
             # map keeps the per-element loop in C
             for u in self.transversals[i].values():
-                nxt.extend(map(act, level_elems, repeat(as_operand(u))))
+                nxt.extend(map(act, level_elems, itertools.repeat(as_operand(u))))
             level_elems = nxt
         return iter(level_elems)
 
@@ -525,17 +525,21 @@ def extend_chain(
 
 def _greedy_chain(
     degree: int,
-    tables: list[ImageTable],
+    tables: Iterable[ImageTable],
     target_order: int | None = None,
 ) -> PermGroup:
-    """BSGS from a redundant table list, keeping only non-member generators;
-    the kept tables are the generators of the result."""
+    """BSGS from a redundant table sequence, keeping only non-member
+    generators; the kept tables are the generators of the result.  No table
+    is drawn once the chain has ``target_order``, so a lazy sequence stops
+    being formed there."""
     chain = _trivial_chain(degree)
+    if chain.order == target_order:
+        return chain
     for t in tables:
-        if target_order is not None and chain.order == target_order:
-            break
         if not chain.contains_table(t):
             chain = extend_chain(chain, [t])
+            if chain.order == target_order:
+                break
     return chain
 
 
@@ -586,38 +590,78 @@ def orbit_stabilizer(
     by the Schreier generators in discovery order, kept greedily until the
     order |G| / |orbit| is reached; any other order contradicts the
     orbit-stabilizer theorem and raises FalsificationError.
+
+    The orbit is walked first, calling ``act`` once per edge e, from the
+    point numbered e // n_gens by generator e % n_gens: each edge records
+    the index of its target, and each point the edge that found it.  The
+    Schreier generators are then formed lazily, so none is composed once
+    the stabilizer is complete (Seress, ch. 4).
     """
-    gen_tables = g.gen_tables
-    ident = g.identity_table()
-    trans = {start: ident}
-    # the inverse of each transversal element, taken once per orbit point
-    inv_trans = {start: ident}
+    n_gens = len(g.generators)
+    index = {start: 0}
     members = [start]
-    schreier: dict[ImageTable, None] = {}
+    found_by = [-1]
+    targets: list[int] = []
     for cur in members:
-        t_cur = trans[cur]
-        for j, gt in enumerate(gen_tables):
+        for j in range(n_gens):
             nxt = act(cur, j)
-            x = compose_tables(t_cur, gt)
-            if nxt not in trans:
-                trans[nxt] = x
-                inv_trans[nxt] = invert_table(x)
+            k = index.get(nxt)
+            if k is None:
+                k = index[nxt] = len(members)
                 members.append(nxt)
-                continue
-            s = compose_tables(x, inv_trans[nxt])
-            if s != ident:
-                schreier[s] = None
+                found_by.append(len(targets))
+            targets.append(k)
     if g.order % len(members):
         raise FalsificationError(
             f"orbit length {len(members)} does not divide |G| = {g.order}"
         )
     target = g.order // len(members)
-    chain = _greedy_chain(g.degree, [*seed, *schreier], target_order=target)
+    schreier = _schreier_generators(g, found_by, targets)
+    chain = _greedy_chain(g.degree, itertools.chain(seed, schreier), target_order=target)
     if chain.order != target:
         raise FalsificationError(
             f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{len(members)}"
         )
     return members, chain
+
+
+def _schreier_generators(
+    g: PermGroup, found_by: list[int], targets: list[int]
+) -> Iterator[ImageTable]:
+    """The distinct nontrivial Schreier generators u_p * g_j * u_q^-1 of an
+    orbit walked by :func:`orbit_stabilizer`, one per edge (p, j) -> q that
+    did not find q, in edge order.  The transversal element u_q is the
+    product of the generators along the edges that found q and its
+    ancestors, formed on first use and kept with its inverse."""
+    gen_tables = g.gen_tables
+    n_gens = len(gen_tables)
+    ident = g.identity_table()
+    trans: list[ImageTable | None] = [None] * len(found_by)
+    trans[0] = ident
+    inv_trans: dict[int, ImageTable] = {}
+
+    def transversal(q: int) -> ImageTable:
+        path = []
+        while trans[q] is None:
+            path.append(q)
+            q = found_by[q] // n_gens
+        u = trans[q]
+        for p in reversed(path):
+            u = trans[p] = compose_tables(u, gen_tables[found_by[p] % n_gens])
+        return u
+
+    seen: set[ImageTable] = set()
+    for e, q in enumerate(targets):
+        if found_by[q] == e:
+            continue
+        u_inv = inv_trans.get(q)
+        if u_inv is None:
+            u_inv = inv_trans[q] = invert_table(transversal(q))
+        x = compose_tables(transversal(e // n_gens), gen_tables[e % n_gens])
+        s = compose_tables(x, u_inv)
+        if s != ident and s not in seen:
+            seen.add(s)
+            yield s
 
 
 @dataclass(eq=False)

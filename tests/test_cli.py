@@ -229,6 +229,19 @@ def test_verify_only_filter(capsys, tmp_path):
     assert "error:" in err and "dco" in err and "doc" not in err.replace(str(cat), "")
 
 
+@pytest.mark.parametrize("only", ["", "a,", ",doc", "doc,,bad"])
+def test_verify_empty_claim_id_is_a_usage_error(capsys, only):
+    # an empty selection would run the whole catalog, and an empty id names
+    # no claim: the parser rejects both before any claim runs
+    catalog = str(Path(fixitylab.__file__).parent / "data" / "claims.json")
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--catalog", catalog, "--only", only])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--only" in captured.err and "empty claim id" in captured.err
+
+
 def test_verify_missing_catalog(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", "--catalog", str(tmp_path / "nope.json")])
     assert code == 2

@@ -8,8 +8,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from fixitylab import enumeration
+from fixitylab import enumeration, perm
 from fixitylab.enumeration import (
+    GroupContext,
     _cyclic_generators,
     as_context,
     canonical_generator,
@@ -415,6 +416,33 @@ def test_saturation_skips_known_extensions(monkeypatch):
     assert len(ctx.subgroup_classes()) == 39
     assert calls["extend_chain"] <= 1816
     assert calls["iter_element_tables"] <= 243
+
+
+def test_saturation_skips_repeated_conjugation_work(monkeypatch):
+    # each normalizer generator's map on the numbered cyclic subgroups is
+    # built once per saturation, and orbit_stabilizer composes Schreier
+    # generators only until the stabilizer is complete; m11 took 109 such
+    # maps and 25,992 table products when every class rebuilt its maps and
+    # every Schreier generator was formed
+    ctx = as_context(resolve_group("m11")[1])
+    calls = Counter()
+    conj_map, compose_tables = GroupContext.conj_map, perm.compose_tables
+
+    def counted_conj_map(self, h, members=None):
+        if members is not None:
+            calls["conj_map"] += 1
+        return conj_map(self, h, members)
+
+    def counted_compose(a, b):
+        calls["compose_tables"] += 1
+        return compose_tables(a, b)
+
+    monkeypatch.setattr(GroupContext, "conj_map", counted_conj_map)
+    monkeypatch.setattr(perm, "compose_tables", counted_compose)
+    monkeypatch.setattr(enumeration, "compose_tables", counted_compose)
+    assert len(ctx.subgroup_classes()) == 39
+    assert calls["conj_map"] <= 50
+    assert calls["compose_tables"] <= 436
 
 
 def _subgroup_counts(g):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixitylab import perm
+from fixitylab.enumeration import canonical_generator, cyclic_conjugation
 from fixitylab.errors import (
     DegreeMismatchError,
     FalsificationError,
@@ -30,7 +32,7 @@ from fixitylab.perm import (
     table_order,
     table_power,
 )
-from fixitylab.zoo import alt, sym
+from fixitylab.zoo import alt, resolve_group, sym
 
 
 def random_table(degree: int, seed: int):
@@ -235,6 +237,90 @@ def test_orbit_stabilizer_cross_check():
     )
     with pytest.raises(FalsificationError):
         orbit_stabilizer(g, 0, lambda s, j: (s + 1) % 5)
+
+
+def _eager_orbit_stabilizer(g, start, act, seed=()):
+    """The eager algorithm that orbit_stabilizer replaced: every transversal
+    element, its inverse and every Schreier generator formed during the
+    walk, then fed to the greedy loop."""
+    gen_tables = g.gen_tables
+    ident = g.identity_table()
+    trans = {start: ident}
+    inv_trans = {start: ident}
+    members = [start]
+    schreier = {}
+    for cur in members:
+        for j, gt in enumerate(gen_tables):
+            nxt = act(cur, j)
+            x = compose_tables(trans[cur], gt)
+            if nxt not in trans:
+                trans[nxt] = x
+                inv_trans[nxt] = invert_table(x)
+                members.append(nxt)
+                continue
+            s = compose_tables(x, inv_trans[nxt])
+            if s != ident:
+                schreier[s] = None
+    target = g.order // len(members)
+    chain = perm._trivial_chain(g.degree)
+    for t in [*seed, *schreier]:
+        if chain.order == target:
+            break
+        if not chain.contains_table(t):
+            chain = extend_chain(chain, [t])
+    return members, chain
+
+
+def _assert_matches_eager(g, start, act, seed=()):
+    members, chain = orbit_stabilizer(g, start, act, seed)
+    old_members, old_chain = _eager_orbit_stabilizer(g, start, act, seed)
+    assert members == old_members
+    assert chain.gen_tables == old_chain.gen_tables
+    assert _snapshot(chain) == _snapshot(old_chain)
+    assert chain.order * len(members) == g.order
+
+
+_ORACLE_GROUPS = ("sym_6", "alt_7", "psl2_11", "m11")
+
+
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+def test_orbit_stabilizer_matches_eager_on_points(name):
+    g = resolve_group(name)[1]
+    tables = g.gen_tables
+    for p in (0, g.degree - 1):
+        _assert_matches_eager(g, p, lambda q, j: tables[j][q])
+
+
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+def test_orbit_stabilizer_matches_eager_on_4_subsets(name):
+    g = resolve_group(name)[1]
+    tables = g.gen_tables
+    start = frozenset(range(4))
+    _assert_matches_eager(g, start, lambda s, j: frozenset(tables[j][q] for q in s))
+
+
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+def test_orbit_stabilizer_matches_eager_on_cyclic_conjugation(name):
+    # the normalizer of <c>, seeded with c as normalizer() seeds it
+    g = resolve_group(name)[1]
+    a, b = g.gen_tables[:2]
+    for t in (a, b, compose_tables(a, b), compose_tables(compose_tables(a, b), b)):
+        if t != g.identity_table():
+            start = canonical_generator(t, g.degree)
+            _assert_matches_eager(g, start, cyclic_conjugation(g), [t])
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 8), st.lists(st.integers(0, 10**6), min_size=1, max_size=3), st.data())
+def test_orbit_stabilizer_matches_eager_on_random_groups(degree, seeds, data):
+    # small powers too, so that orbits and stabilizers take many sizes
+    gens = [table_power(random_table(degree, s), 1 + s % 3) for s in seeds]
+    g = build_bsgs(gens, degree=degree)
+    tables = g.gen_tables
+    p = data.draw(st.integers(0, degree - 1))
+    _assert_matches_eager(g, p, lambda q, j: tables[j][q])
+    pair = frozenset((p, (p + 1) % degree))
+    _assert_matches_eager(g, pair, lambda s, j: frozenset(tables[j][q] for q in s))
 
 
 @settings(max_examples=25)

@@ -7,6 +7,7 @@ import pytest
 
 import fixitylab
 from fixitylab import enumeration, zoo
+from fixitylab.errors import GroupDataError
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,9 +132,42 @@ def test_generator_files_script_keeps_packaged_groups(tmp_path, monkeypatch, cap
     (tmp_path / "psl3_3.grp").unlink()
     shutil.copy(packaged / "psu3_3.grp", tmp_path / "sz8.grp")
     monkeypatch.setattr(make, "OUT_DIR", tmp_path)
-    make.main()
+    # an explicit argv: main would otherwise parse pytest's own arguments
+    assert make.main([]) == 0
     out = capsys.readouterr().out.splitlines()
     kept = [line.split(":")[0] for line in out if "left as it is" in line]
     assert kept == ["psu3_3", "psu4_2", "m22"]
     for name in names:
         assert (tmp_path / f"{name}.grp").read_bytes() == (packaged / f"{name}.grp").read_bytes()
+
+
+def test_generator_files_script_reports_a_failed_construction(tmp_path, monkeypatch, capsys):
+    # a construction that fails is named on stderr and the script exits 1;
+    # the other groups are still built
+    make = _load_script("make_generator_files")
+    monkeypatch.setattr(make, "OUT_DIR", tmp_path)
+
+    def broken():
+        raise GroupDataError("point count 12, expected 13")
+
+    monkeypatch.setattr(make, "make_psl3_3", broken)
+    assert make.main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("psl3_3: construction failed (point count 12")
+    assert "psl3_3" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "m22.grp", "psu3_3.grp", "psu4_2.grp", "sz8.grp",
+    ]
+
+
+def test_generator_files_script_usage(tmp_path, monkeypatch, capsys):
+    # --help prints the usage and builds nothing; an unknown argument exits 2
+    make = _load_script("make_generator_files")
+    monkeypatch.setattr(make, "OUT_DIR", tmp_path)
+    for argv, code in ((["--help"], 0), (["--bogus"], 2)):
+        with pytest.raises(SystemExit) as e:
+            make.main(argv)
+        assert e.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:") and "--bogus" in captured.err
+    assert list(tmp_path.iterdir()) == []
