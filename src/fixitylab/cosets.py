@@ -41,12 +41,12 @@ from .enumeration import (
     ELEMENT_CAP,
     SUBGROUP_CAP,
     ConjClass,
+    CyclicOrbit,
     GroupContext,
     _cyclic_tables,
     as_context,
     canonical_form,
-    canonical_generator,
-    cyclic_conjugation,
+    cyclic_orbit,
 )
 from .errors import (
     CapExceededError,
@@ -442,29 +442,25 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
 
 
 def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
-    """Maximum of the normalizer-formula counts over cyclic subgroups of U,
-    with conjugates of <y> tracked by least generator; G never enumerated."""
+    """Maximum over the G-classes of cyclic subgroups <y> of U of the
+    normalizer-formula count |{<y>^g <= U}| |N_G(<y>)| / |U|.  The conjugates
+    of <y> inside U fill the U-bundles whose representatives lie in <y>'s
+    G-orbit, so the first factor is the sum of their ``n_subgroups``.  Each
+    orbit is the record :func:`cyclic_orbit` keeps on G, walked once per
+    class whichever U asks; G is never enumerated."""
     u_ctx = as_context(u.group, caps.elements)
-    uo = u.group.order
-    act = cyclic_conjugation(g)
-    best = 0
-    seen: set[ImageTable] = set()
+    in_u: dict[CyclicOrbit, int] = {}
     for b in u_ctx.bundles:
-        start = canonical_generator(u_ctx.elements[b.rep_index], g.degree)
-        if start in seen:
-            continue
-        orbit = orbit_walk(start, act, len(g.generators))
-        seen.update(orbit)
-        # <c> lies inside U exactly when its generator does
-        in_u = sum(1 for c in orbit if c in u_ctx.index)
-        if g.order % len(orbit):
-            raise FalsificationError("subgroup orbit length does not divide |G|")
-        val = in_u * (g.order // len(orbit))
+        rec = cyclic_orbit(g, u_ctx.elements[b.rep_index])
+        in_u[rec] = in_u.get(rec, 0) + b.n_subgroups
+    uo = u.group.order
+    best = 0
+    for rec, n in in_u.items():
+        # orbit_stabilizer checked that the orbit length divides |G|
+        val = n * (g.order // rec.length)
         if val % uo:
             raise FalsificationError(f"{val} not divisible by |U| = {uo}")
-        fx = val // uo
-        if fx > best:
-            best = fx
+        best = max(best, val // uo)
     return FixityReport(group=g, stabilizer=u, fixity=best, witness_class=None, per_class_fix=[])
 
 

@@ -8,7 +8,8 @@ under that conjugation action, with Schreier generators supplying the
 stabilizers.  ``normalizer`` and ``sylow`` need no context: they label a
 subgroup's conjugates, a cyclic subgroup given by one generator by its least
 generator and any other by its set of element tables, so G is never
-enumerated.
+enumerated.  The conjugation orbit of a cyclic subgroup is walked once per
+group and kept on it (``cyclic_orbit``), beside the context.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import accumulate, compress, repeat
+from typing import Callable
 
 from .errors import CapExceededError, FalsificationError, GroupDataError
 from .errors import MembershipError, PreconditionError
@@ -487,20 +489,75 @@ def _cyclic_generators(t: ImageTable, degree: int) -> list[ImageTable]:
     return list(compress(powers, _coprime_mask(len(powers))))
 
 
+def _least_generator(order: int, degree: int) -> Callable[[ImageTable], ImageTable]:
+    """The map t -> least generator of <t> on tables t of the given order:
+    the powers t, t^2, ..., t^(order-1) come from one chain of products run
+    in C (``accumulate`` over ``table_action``'s act), and the least power
+    with exponent coprime to the order is taken.  The identity, of order 1,
+    is its own label."""
+    act, as_operand = table_action(degree)
+    coprime = _coprime_mask(order)[1:]
+    steps = order - 2
+
+    def least(t: ImageTable) -> ImageTable:
+        powers = accumulate(repeat(as_operand(t), steps), act, initial=t)
+        return min(compress(powers, coprime), default=t)
+
+    return least
+
+
 def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
     """The lexicographically least generator of <t>.
 
     Conjugation commutes with taking powers, so this is a stable label for
     the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
     """
-    return min(_cyclic_generators(t, degree))
+    return _least_generator(table_order(t), degree)(t)
 
 
-def cyclic_conjugation(g: PermGroup):
-    """G acting on its cyclic subgroups by conjugation, each labelled by its
-    canonical generator: ``act(c, j)`` is the label of <c>^(g_j)."""
-    conj, degree = [conjugator(h) for h in g.gen_tables], g.degree
-    return lambda c, j: canonical_generator(conj[j](c), degree)
+def cyclic_conjugation(g: PermGroup, order: int):
+    """G acting by conjugation on its cyclic subgroups of one order, each
+    labelled by its canonical generator: ``act(c, j)`` is the label of
+    <c>^(g_j).  A conjugate keeps the order, so the label is read off its
+    powers without finding the order again (:func:`_least_generator`)."""
+    conj = [conjugator(h) for h in g.gen_tables]
+    least = _least_generator(order, g.degree)
+    return lambda c, j: least(conj[j](c))
+
+
+@dataclass(eq=False)
+class CyclicOrbit:
+    """The conjugation orbit of a cyclic subgroup <y> of a group G, walked
+    from ``start``, the canonical generator of <y>: its length, and the
+    chain of N_G(<y>) built from ``seed`` (y itself) followed by the walk's
+    Schreier generators."""
+
+    start: ImageTable
+    length: int
+    seed: ImageTable
+    normalizer: PermGroup
+
+
+def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
+    """The record of <y>'s conjugation orbit under g.  Each walk is kept on
+    g under the label of every conjugate, so any later call for a conjugate
+    of <y> returns the kept record; only a subgroup of a class not yet
+    walked is walked, from its own label with seed y."""
+    start = canonical_generator(y, g.degree)
+    rec = (g._cyclic_orbits or {}).get(start)
+    return rec if rec is not None else _walk_cyclic_orbit(g, start, y)
+
+
+def _walk_cyclic_orbit(g: PermGroup, start: ImageTable, y: ImageTable) -> CyclicOrbit:
+    """Walk the orbit of <y>, labelled ``start``, with seed y; the record
+    replaces any earlier one under every label of the orbit."""
+    act = cyclic_conjugation(g, table_order(y))
+    members, chain = orbit_stabilizer(g, start, act, [y])
+    rec = CyclicOrbit(start, len(members), y, chain)
+    if g._cyclic_orbits is None:
+        g._cyclic_orbits = {}
+    g._cyclic_orbits.update(zip(members, repeat(rec)))
+    return rec
 
 
 def subgroup_from_tables(
@@ -527,23 +584,28 @@ def centralizer(
 
 def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup:
     """N_G(U), via the conjugation orbit of U with Schreier generators for its
-    stabilizer; G is never enumerated.  A U given by one generator y has its
-    conjugates labelled by their least generators (:func:`cyclic_conjugation`),
-    any other U by their sets of element tables, which enumerates U.  Both
-    labellings respect the G-action, so the orbit walk, and the chain, is
-    the same whichever is taken."""
+    stabilizer, seeded with U's generators; G is never enumerated.  A U given
+    by one generator y has its conjugates labelled by their least generators
+    (:func:`cyclic_conjugation`), any other U by their sets of element
+    tables, which enumerates U.  Both labellings respect the G-action, so the
+    orbit walk, and the chain, is the same whichever is taken.  The cyclic
+    walk is kept on G (:func:`cyclic_orbit`); a kept chain is reused only
+    when its walk started at y's label with seed y, so the chain returned
+    does not depend on what was walked before."""
     grp, ug = _group_of(g), _group_of(u)
     if len(ug.generators) == 1:
-        start = canonical_generator(ug.gen_tables[0], grp.degree)
-        act = cyclic_conjugation(grp)
-    else:
-        conj = [conjugator(h) for h in grp.gen_tables]
-        start = frozenset(ug.element_tables())
+        y = ug.gen_tables[0]
+        start = canonical_generator(y, grp.degree)
+        rec = (grp._cyclic_orbits or {}).get(start)
+        if rec is None or rec.start != start or rec.seed != y:
+            rec = _walk_cyclic_orbit(grp, start, y)
+        return Subgroup(rec.normalizer, grp)
+    conj = [conjugator(h) for h in grp.gen_tables]
 
-        def act(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
-            return frozenset(map(conj[j], s))
+    def act(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
+        return frozenset(map(conj[j], s))
 
-    _, chain = orbit_stabilizer(grp, start, act, ug.gen_tables)
+    _, chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), act, ug.gen_tables)
     return Subgroup(chain, grp)
 
 

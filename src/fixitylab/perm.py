@@ -272,6 +272,10 @@ class PermGroup:
     # the enumeration.GroupContext of this group, built by as_context; held
     # here so that it lives exactly as long as the group
     _context: object = field(default=None, repr=False, compare=False)
+    # enumeration.cyclic_orbit's records: the least generator of every
+    # conjugate of each cyclic subgroup walked -> its orbit's record.  Not
+    # part of the context, which enumerates the group; this never does
+    _cyclic_orbits: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def gen_tables(self) -> list[ImageTable]:

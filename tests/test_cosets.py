@@ -27,6 +27,7 @@ from fixitylab.cosets import (
 from fixitylab.enumeration import (
     as_context,
     canonical_generator,
+    cyclic_orbit,
     structure_predicates,
     subgroup_closure,
 )
@@ -44,6 +45,7 @@ from fixitylab.perm import (
     point_stabilizer,
     table_order,
 )
+from fixitylab.verifier import _build_stabilizer
 from fixitylab.zoo import resolve_group
 
 
@@ -312,17 +314,39 @@ def test_conjugation_invariance(alt5):
 
 
 def test_slow_path_matches_fast(group_cache):
-    g = group_cache("psl2_7")
+    # an element cap below |G| forces the subgroup-orbit route; the slow
+    # route still enumerates U, so U itself must fit the cap
     small = Caps(elements=100)
-    for sc in as_context(g).subgroup_classes():
-        # the slow route still enumerates U, so U itself must fit the cap
-        if sc.order == 1 or sc.order > small.elements:
-            continue
-        fast = fixity(g, sc.representative)
-        slow = fixity(g, sc.representative, caps=small)
+    cases = [
+        (group_cache(sel), sc.representative)
+        for sel in ("psl2_7", "alt_7")
+        for sc in as_context(group_cache(sel)).subgroup_classes()
+        if 1 < sc.order <= small.elements
+    ]
+    # the stabilizers of the psu4_2 and sz8 claims
+    claimed = (("psu4_2", ["cyclic_least:5"]), ("sz8", ["cyclic_least:5", "cyclic_least:13"]))
+    for sel, sources in claimed:
+        g = group_cache(sel)
+        cases += [(g, _build_stabilizer(g, source, Caps())) for source in sources]
+    fused = apart = 0
+    for g, u in cases:
+        fast = fixity(g, u)
+        slow = fixity(g, u, caps=small)
         assert slow.action is None and fast.action is not None
         assert slow.fixity == fast.fixity
         assert slow.per_class_fix == [] and slow.witness_class is None
+        # U-bundles whose subgroups are conjugate in G share one orbit record
+        u_ctx = as_context(u.group)
+        records = {
+            (b.element_order, id(cyclic_orbit(g, u_ctx.elements[b.rep_index])))
+            for b in u_ctx.bundles
+        }
+        fused += len(records) < len(u_ctx.bundles)
+        apart += len({o for o, _ in records}) < len(records)
+    # some stabilizers of alt_7 have U-bundles fused in G (the three C2 of a
+    # Klein four-group), some have bundles of one order that G keeps apart
+    # (C3 x C3 holds 3-cycles and products of two 3-cycles)
+    assert fused > 0 and apart > 0
 
 
 def test_profile(sym4, group_cache):

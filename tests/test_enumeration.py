@@ -9,12 +9,14 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fixitylab import enumeration, perm
+from fixitylab.cosets import Caps, _fixity_slow
 from fixitylab.enumeration import (
     GroupContext,
     _cyclic_generators,
     as_context,
     canonical_generator,
     centralizer,
+    cyclic_orbit,
     euler_phi,
     is_prime_power,
     is_simple_group,
@@ -35,7 +37,9 @@ from fixitylab.errors import (
 from fixitylab.perm import (
     PermGroup,
     Permutation,
+    Subgroup,
     build_bsgs,
+    compose_tables,
     conjugate_table,
     pack_table,
     table_order,
@@ -136,6 +140,57 @@ def test_normalizer_label_routes_match_brute(group_cache):
         if len(gens) == 1:
             twice = normalizer(g, build_bsgs(gens * 2, degree=g.degree))
             assert twice.group.element_tables() == fast.group.element_tables()
+
+
+def _chain_data(sub):
+    return sub.group.base, sub.group.strong_gens, sub.group.gen_tables
+
+
+@pytest.mark.parametrize("sel, word", [("alt_7", (0, 1)), ("dihedral_300", (1,)), ("alt_5", ())])
+def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
+    # normalizer(G, <y>) reuses a kept cyclic-orbit chain only when its walk
+    # started at y's label with seed y, so it returns the same chain on a
+    # fresh group, after _fixity_slow walked that orbit, after a walk from
+    # another start or with another seed, and on the group the other tests
+    # share; bytes tables (alt_7, alt_5), tuple tables (dihedral_300) and a
+    # trivial U given by the identity generator (alt_5)
+    def fresh():
+        return resolve_group(sel)[1]
+
+    g = fresh()
+    y = g.identity_table()
+    for j in word:
+        y = compose_tables(y, g.gen_tables[j])
+    n = table_order(y)
+    label = canonical_generator(y, g.degree)
+    want = _chain_data(normalizer(g, build_bsgs([y], degree=g.degree)))
+    assert n == {(0, 1): 7, (1,): 2, (): 1}[word]
+
+    def slow_walk(h):
+        _fixity_slow(h, Subgroup(build_bsgs([y], degree=h.degree), h), Caps())
+
+    def other_start(h):
+        cyclic_orbit(h, conjugate_table(y, h.gen_tables[0]))
+
+    def other_seed(h):
+        # y^-1 generates <y>, and differs from y above order 2
+        cyclic_orbit(h, table_power(y, -1))
+
+    for walk in (slow_walk, other_start, other_seed):
+        h = fresh()
+        walk(h)
+        # the kept record of <y>'s orbit was walked from elsewhere
+        if walk is other_start and n > 1:
+            assert h._cyclic_orbits[label].start != label
+        if walk is other_seed and n > 2:
+            kept = h._cyclic_orbits[label]
+            assert kept.start == label and kept.seed != y
+        first = normalizer(h, build_bsgs([y], degree=h.degree))
+        assert _chain_data(first) == want
+        # the chain just walked is kept, and a second call reuses it
+        assert normalizer(h, build_bsgs([y], degree=h.degree)).group is first.group
+    shared = group_cache(sel)
+    assert _chain_data(normalizer(shared, build_bsgs([y], degree=shared.degree))) == want
 
 
 def test_sylow(group_cache):

@@ -307,7 +307,7 @@ def test_orbit_stabilizer_matches_eager_on_cyclic_conjugation(name):
     for t in (a, b, compose_tables(a, b), compose_tables(compose_tables(a, b), b)):
         if t != g.identity_table():
             start = canonical_generator(t, g.degree)
-            _assert_matches_eager(g, start, cyclic_conjugation(g), [t])
+            _assert_matches_eager(g, start, cyclic_conjugation(g, table_order(t)), [t])
 
 
 @settings(max_examples=60)

@@ -6,11 +6,19 @@ from pathlib import Path
 import pytest
 
 import fixitylab.cosets
+import fixitylab.enumeration
 import fixitylab.verifier
-from fixitylab.cosets import Caps, build_coset_action, coset_stabilizer_tables, fixed_cosets
+from fixitylab.cosets import (
+    Caps,
+    build_coset_action,
+    coset_stabilizer_tables,
+    cyclic_normalizer_order,
+    fixed_cosets,
+)
 from fixitylab.enumeration import (
     GroupContext,
     as_context,
+    cyclic_orbit,
     normalizer_brute,
     subgroup_closure,
     subgroup_from_tables,
@@ -777,6 +785,61 @@ def test_claims_build_no_context_of_the_claim_group(monkeypatch):
         assert r.verdict == "PASS"
         assert all(row["sylow3_case"] in {"a", "b", "c", "d", "e"} for row in r.rows)
         assert built and max(built) < order
+
+
+def test_m22_walks_each_class_of_cyclic_subgroups_once(monkeypatch):
+    # m22_stabs meets two G-classes of cyclic subgroups, C5 (22,176
+    # conjugates) and C11 (8,064).  Walked per use, the C5 orbit would be
+    # walked once per row and the C11 orbit by normalizer and again by the
+    # fixity count: 4 walks over 60,480 conjugates.  The walks are kept on
+    # the group, so each class is walked once
+    walks, steps = Counter(), Counter()
+    conjugation = fixitylab.enumeration.cyclic_conjugation
+
+    def counted(g, order):
+        act = conjugation(g, order)
+        if g.order != 443520:
+            return act
+        walks[order] += 1
+
+        def counted_act(c, j):
+            steps[order] += 1
+            return act(c, j)
+
+        return counted_act
+
+    monkeypatch.setattr(fixitylab.enumeration, "cyclic_conjugation", counted)
+    catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
+    claim = next(c for c in load_claims(catalog) if c["id"] == "m22_stabs")
+    assert run_claim(claim).verdict == "PASS"
+    # one call of the act per generator and conjugate; M22 has 2 generators
+    assert sum(walks.values()) <= 2 and max(walks.values()) == 1
+    assert sum(steps.values()) <= 2 * 30240
+
+
+def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_cache):
+    # two routes to |N_G(<y>)| for the witness y of each fixity-4 row of
+    # psl2_family_q17 and psl2_7_search: |G| over the length of <y>'s
+    # conjugation orbit, and the cosets y fixes on the row's coset action
+    reports = []
+    fixity = fixitylab.verifier.fixity
+
+    def kept(g, u, caps):
+        reports.append(fixity(g, u, caps))
+        return reports[-1]
+
+    monkeypatch.setattr(fixitylab.verifier, "fixity", kept)
+    rows, failures = check_psl2_family(17)
+    assert failures == [] and [r["fixity"] for r in rows] == [4, 4]
+    # the search confirms each screened class through fixity too
+    assert len(search_fixity_k(group_cache("psl2_7"), 4)) == 2
+    rows = [r for r in reports if r.fixity == 4]
+    assert len(rows) == 4
+    for rep in rows:
+        y = rep.witness_class.representative.images
+        rec = cyclic_orbit(rep.group, y)
+        ng = cyclic_normalizer_order(rep.action, y)
+        assert rep.group.order // rec.length == rec.normalizer.order == ng
 
 
 def test_given_cap_bounds_the_claim_cap():
