@@ -187,8 +187,9 @@ def build_coset_action(
     """Materialize G acting on G/U by right multiplication.
 
     Each coset is labelled by its least table, computed down a chain of U
-    (:func:`chain_canonicalizer`), and the cosets are numbered in
-    breadth-first order from U.  :func:`check_homomorphism` then proves,
+    (:func:`chain_canonicalizer`), and the cosets are numbered by
+    :func:`orbit_walk` from U; generator j's image column is the targets of
+    its edges.  :func:`check_homomorphism` then proves,
     by membership in U, that the induced maps compose as the generators do
     on every generator pair; a failure raises MembershipError.
     """
@@ -210,37 +211,24 @@ def build_coset_action(
     u_tables = u.group.element_tables()
     canon = chain_canonicalizer(u.group)
     ident = identity_table(g.degree)
-    reps: list[ImageTable] = [ident]
-    index: dict[ImageTable, int] = {ident: 0}
     if canon(ident) != ident:
         raise FalsificationError(
             f"canonical representative of U is {canon(ident)!r}, not the identity"
         )
     act, as_operand = table_action(g.degree)
     gen_ops = [as_operand(t) for t in g.gen_tables]
-    image_cols: list[list[int]] = [[] for _ in gen_ops]
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        for j, op in enumerate(gen_ops):
-            c = canon(act(r, op))
-            k = index.get(c)
-            if k is None:
-                k = len(reps)
-                reps.append(c)
-                index[c] = k
-            image_cols[j].append(k)
-        i += 1
-    if len(reps) != degree:
+    n = len(gen_ops)
+    index, targets = orbit_walk(ident, lambda r, j: canon(act(r, gen_ops[j])), n)
+    if len(index) != degree:
         raise MembershipError(
-            f"reached {len(reps)} cosets, index says {degree}"
+            f"reached {len(index)} cosets, index says {degree}"
         )
     action = CosetAction(
         group=g,
         stabilizer=u,
         degree=degree,
-        images=[Permutation(pack_table(col), _trusted=True) for col in image_cols],
-        canonical_reps=reps,
+        images=[Permutation(pack_table(targets[j::n]), _trusted=True) for j in range(n)],
+        canonical_reps=list(index),
         coset_index=index,
         u_tables=u_tables,
         u_set=frozenset(u_tables),
@@ -376,7 +364,7 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
         )
         if fsy in seen:
             continue
-        orbit = orbit_walk(fsy, conj_by_u, len(u_gens))
+        orbit = orbit_walk(fsy, conj_by_u, len(u_gens))[0]
         seen.update(orbit)
         # |N_U(<y>)| = |U| / (U-orbit length), so the index is
         # |N_G| * orbit / |U|

@@ -547,18 +547,25 @@ def _greedy_chain(
     return chain
 
 
-def orbit_walk(start, act, n_gens: int) -> list:
-    """Orbit of a hashable state in breadth-first discovery order, where
-    ``act(state, j)`` is its image under the j-th of ``n_gens`` generators."""
-    seen = {start}
+def orbit_walk(start, act, n_gens: int) -> tuple[dict, list[int]]:
+    """Orbit of a hashable state, where ``act(state, j)`` is its image under
+    the j-th of ``n_gens`` generators: ``(index, targets)``.  ``index``
+    numbers the states in breadth-first discovery order (iterating it gives
+    the orbit), and ``targets[i * n_gens + j]`` is the number of the image
+    of state i under generator j.  The edge that discovered state q is the
+    first edge whose target is q."""
+    index = {start: 0}
     members = [start]
+    targets: list[int] = []
     for cur in members:
         for j in range(n_gens):
             nxt = act(cur, j)
-            if nxt not in seen:
-                seen.add(nxt)
+            k = index.get(nxt)
+            if k is None:
+                k = index[nxt] = len(members)
                 members.append(nxt)
-    return members
+            targets.append(k)
+    return index, targets
 
 
 def orbit_partition(n: int, tables: Sequence) -> tuple[list[int], list[list[int]]]:
@@ -595,54 +602,40 @@ def orbit_stabilizer(
     order |G| / |orbit| is reached; any other order contradicts the
     orbit-stabilizer theorem and raises FalsificationError.
 
-    The orbit is walked first, calling ``act`` once per edge e, from the
-    point numbered e // n_gens by generator e % n_gens: each edge records
-    the index of its target, and each point the edge that found it.  The
-    Schreier generators are then formed lazily, so none is composed once
-    the stabilizer is complete (Seress, ch. 4).
+    The orbit is walked first (:func:`orbit_walk`); the Schreier generators
+    are then formed lazily from its edges, so none is composed once the
+    stabilizer is complete (Seress, ch. 4).
     """
-    n_gens = len(g.generators)
-    index = {start: 0}
-    members = [start]
-    found_by = [-1]
-    targets: list[int] = []
-    for cur in members:
-        for j in range(n_gens):
-            nxt = act(cur, j)
-            k = index.get(nxt)
-            if k is None:
-                k = index[nxt] = len(members)
-                members.append(nxt)
-                found_by.append(len(targets))
-            targets.append(k)
-    if g.order % len(members):
+    index, targets = orbit_walk(start, act, len(g.generators))
+    if g.order % len(index):
         raise FalsificationError(
-            f"orbit length {len(members)} does not divide |G| = {g.order}"
+            f"orbit length {len(index)} does not divide |G| = {g.order}"
         )
-    target = g.order // len(members)
-    schreier = _schreier_generators(g, found_by, targets)
+    target = g.order // len(index)
+    schreier = _schreier_generators(g, targets)
     chain = _greedy_chain(g.degree, itertools.chain(seed, schreier), target_order=target)
     if chain.order != target:
         raise FalsificationError(
-            f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{len(members)}"
+            f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{len(index)}"
         )
-    return members, chain
+    return list(index), chain
 
 
-def _schreier_generators(
-    g: PermGroup, found_by: list[int], targets: list[int]
-) -> Iterator[ImageTable]:
-    """The distinct nontrivial Schreier generators u_p * g_j * u_q^-1 of an
-    orbit walked by :func:`orbit_stabilizer`, one per edge (p, j) -> q that
-    did not find q, in edge order.  The transversal element u_q is the
-    product of the generators along the edges that found q and its
-    ancestors, formed on first use and kept with its inverse."""
+def _tree_transversal(
+    g: PermGroup, targets: list[int]
+) -> tuple[list[int], Callable[[int], ImageTable]]:
+    """The spanning tree of an :func:`orbit_walk` under g's generators:
+    ``found_by[q]``, the edge that discovered state q (-1 for the start),
+    and ``transversal(q)``, the product of the generators along the tree
+    path from the start to q, formed on first use and kept."""
     gen_tables = g.gen_tables
     n_gens = len(gen_tables)
-    ident = g.identity_table()
+    found_by = [-1]
+    for e, q in enumerate(targets):
+        if q == len(found_by):
+            found_by.append(e)
     trans: list[ImageTable | None] = [None] * len(found_by)
-    trans[0] = ident
-    inv_trans: dict[int, ImageTable] = {}
+    trans[0] = g.identity_table()
 
     def transversal(q: int) -> ImageTable:
         path = []
@@ -654,6 +647,19 @@ def _schreier_generators(
             u = trans[p] = compose_tables(u, gen_tables[found_by[p] % n_gens])
         return u
 
+    return found_by, transversal
+
+
+def _schreier_generators(g: PermGroup, targets: list[int]) -> Iterator[ImageTable]:
+    """The distinct nontrivial Schreier generators u_p * g_j * u_q^-1 of an
+    :func:`orbit_walk` under g's generators, one per edge (p, j) -> q that
+    did not discover q, in edge order; u_q is the tree transversal element
+    (:func:`_tree_transversal`), whose inverse is kept once formed."""
+    gen_tables = g.gen_tables
+    n_gens = len(gen_tables)
+    ident = g.identity_table()
+    found_by, transversal = _tree_transversal(g, targets)
+    inv_trans: dict[int, ImageTable] = {}
     seen: set[ImageTable] = set()
     for e, q in enumerate(targets):
         if found_by[q] == e:
@@ -689,38 +695,22 @@ class Subgroup:
 
 @dataclass
 class OrbitTransversal:
-    """An orbit in BFS-discovery order with a transversal.
+    """An orbit in BFS-discovery order with a transversal: ``transversal[p]``
+    is a raw table carrying the orbit's first point to ``p``."""
 
-    ``transversal[p]`` carries ``point`` to ``p``; raw tables internally.
-    """
-
-    point: int
     points: list[int]
     transversal: dict[int, ImageTable]
 
-    def rep(self, p: int) -> Permutation:
-        return Permutation(self.transversal[p], _trusted=True)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def orbit(g: PermGroup, point: int) -> OrbitTransversal:
-    """Orbit of a point under the group generators, with transversal."""
+    """Orbit of a point under the group generators, with the tree
+    transversal of its walk."""
     if not 0 <= point < g.degree:
         raise ValueError(f"point {point} out of range for degree {g.degree}")
-    ident = g.identity_table()
-    trans = {point: ident}
-    queue = [point]
     tables = g.gen_tables
-    for pt in queue:
-        u = trans[pt]
-        for t in tables:
-            img = t[pt]
-            if img not in trans:
-                trans[img] = compose_tables(u, t)
-                queue.append(img)
-    return OrbitTransversal(point, queue, trans)
+    index, targets = orbit_walk(point, lambda p, j: tables[j][p], len(tables))
+    transversal = _tree_transversal(g, targets)[1]
+    return OrbitTransversal(list(index), {p: transversal(q) for p, q in index.items()})
 
 
 def point_stabilizer(g: PermGroup, point: int) -> Subgroup:

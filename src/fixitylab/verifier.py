@@ -365,7 +365,7 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
         _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
         n_gens = ngh.gen_tables
         for lam in fixed:
-            idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens)))
+            idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens))[0])
             if ngh.order % idx:
                 raise FalsificationError(
                     "orbit length of N_G(H) on a fixed point does not divide |N_G(H)|"
@@ -885,9 +885,11 @@ def load_claims(path: str | Path) -> list[dict]:
     types of ``group`` and ``q``, the shape of ``expected`` and of
     ``stabilizers``, and its ``caps``.  A file that is not a list of claim
     objects, or a claim that sets ``k`` (every claim decides fixity 4),
-    raises GroupDataError."""
+    raises GroupDataError, as does a file that cannot be read as UTF-8."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
+        raise GroupDataError(f"cannot read catalog {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise GroupDataError(f"catalog {path} is not valid JSON: {e}") from None
     claims = data.get("claims") if isinstance(data, dict) else data

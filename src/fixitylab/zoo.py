@@ -229,9 +229,11 @@ def save_group(g: PermGroup, path: str | Path) -> None:
 def load_spec(path: str | Path, name: str | None = None) -> GroupSpec:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GroupDataError(f"cannot read group file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"group file {path} is not UTF-8 text: {exc}") from exc
     degree: int | None = None
     expected: int | None = None
     gens: list[Permutation] = []

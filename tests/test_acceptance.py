@@ -8,6 +8,7 @@ identity, and the table-of-marks row.  Time budgets are asserted where the
 result is only useful if it is cheap to reproduce.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from fixitylab.verifier import (
 from fixitylab.zoo import resolve_group
 
 CLAIMS = Path(fixitylab.__file__).parent / "data" / "claims.json"
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 POSITIVE_IDS = {
     "psl2_7_search",
@@ -280,3 +282,13 @@ def test_packaged_catalog_has_no_failures(monkeypatch):
                 assert row.get("sylow3_case", "-") != "-", (r.claim_id, row)
     m22 = next(r for r in results if r.claim_id == "m22_stabs")
     assert m22.rows and all("sylow3_case" not in row for row in m22.rows)
+    # every claim the benchmark replays dumps exactly as its stored reference
+    dumped = {r.claim_id: json.dumps(r.to_dict(), indent=2) for r in results}
+    reference = [
+        c
+        for workload in ("lattice_search", "constructive_stabs")
+        for c in json.loads((REFERENCE_DIR / f"{workload}.json").read_text())["claims"]
+    ]
+    assert len(reference) == 23
+    for want in reference:
+        assert dumped[want["id"]] == json.dumps(want, indent=2), want["id"]

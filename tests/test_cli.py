@@ -114,6 +114,36 @@ def test_stab_file_not_subgroup(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--group", "--stab-file"])
+def test_group_file_not_utf8(capsys, tmp_path, flag):
+    p = tmp_path / "latin1.grp"
+    p.write_bytes(b"# caf\xe9\ndegree 4\n2 1 3 4\n")
+    argv = {"--group": ["--group", str(p), "--stab-order", "1"],
+            "--stab-file": ["--group", "sym_4", "--stab-file", str(p)]}[flag]
+    code, out, err = run(capsys, ["fixity", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
+def test_verify_group_file_not_utf8_fails_its_claim(capsys, tmp_path):
+    # the bad file fails its own claim; the claim after it still runs
+    p = tmp_path / "latin1.grp"
+    p.write_bytes(b"# caf\xe9\ndegree 4\n2 1 3 4\n")
+    cat = tmp_path / "cat.json"
+    claims = [
+        {"id": "bad_file", "mode": "search", "group": str(p), "expected": "none"},
+        {"id": "lemma", "mode": "order27"},
+    ]
+    cat.write_text(json.dumps({"claims": claims}))
+    code, out, err = run(capsys, ["verify", "--catalog", str(cat)])
+    assert code == 1
+    got = {c["id"]: c for c in json.loads(out)["claims"]}
+    assert got["bad_file"]["verdict"] == "FAIL" and "not UTF-8" in got["bad_file"]["detail"]
+    assert got["lemma"]["verdict"] == "PASS"
+    assert "Traceback" not in err
+
+
 def test_search(capsys):
     code, out, _ = run(capsys, ["search", "--group", "psl2_7"])
     assert code == 0
@@ -243,9 +273,14 @@ def test_verify_empty_claim_id_is_a_usage_error(capsys, only):
 
 
 def test_verify_missing_catalog(capsys, tmp_path):
-    code, _, err = run(capsys, ["verify", "--catalog", str(tmp_path / "nope.json")])
-    assert code == 2
-    assert "error:" in err
+    # a catalog that cannot be read, or not as UTF-8, is a data error
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"claims": [{"id": "caf\xe9"}]}')
+    for path in (tmp_path / "nope.json", tmp_path, not_utf8):
+        code, out, err = run(capsys, ["verify", "--catalog", str(path)])
+        assert code == 2, path
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_malformed_catalog(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixitylab import perm
+from fixitylab.cosets import build_coset_action, chain_canonicalizer
 from fixitylab.enumeration import canonical_generator, cyclic_conjugation
 from fixitylab.errors import (
     DegreeMismatchError,
@@ -29,6 +30,7 @@ from fixitylab.perm import (
     orbit_walk,
     pack_table,
     point_stabilizer,
+    table_action,
     table_order,
     table_power,
 )
@@ -408,7 +410,7 @@ def test_extend_chain_levels_are_valid(key, seed):
     ident = ext.identity_table()
     for i, b in enumerate(ext.base):
         trans, inv, sgens = ext.transversals[i], ext.inverses[i], ext.strong_gens[i]
-        assert set(trans) == set(orbit_walk(b, lambda p, j: sgens[j][p], len(sgens)))
+        assert set(trans) == set(orbit_walk(b, lambda p, j: sgens[j][p], len(sgens))[0])
         for p, u in trans.items():
             assert u[b] == p
             assert all(u[c] == c for c in ext.base[:i])
@@ -435,6 +437,126 @@ def test_orbit_walk_point_action():
     g = _two_orbit_group()
     tables = g.gen_tables
     for p in range(g.degree):
-        points = orbit_walk(p, lambda q, j: tables[j][q], len(tables))
+        points = list(orbit_walk(p, lambda q, j: tables[j][q], len(tables))[0])
         assert points[0] == p
         assert sorted(points) == sorted(orbit(g, p).points)
+
+
+def _eager_orbit(g, point):
+    """The loop orbit() ran before it read orbit_walk's tree transversal:
+    each new point's transversal element formed as it is discovered."""
+    ident = g.identity_table()
+    trans = {point: ident}
+    queue = [point]
+    tables = g.gen_tables
+    for pt in queue:
+        u = trans[pt]
+        for t in tables:
+            img = t[pt]
+            if img not in trans:
+                trans[img] = compose_tables(u, t)
+                queue.append(img)
+    return queue, trans
+
+
+def _eager_coset_numbering(g, u):
+    """The loop build_coset_action numbered the cosets with before it ran on
+    orbit_walk: canonical reps, their index and one image column per
+    generator, recorded as the walk goes."""
+    canon = chain_canonicalizer(u.group)
+    ident = identity_table(g.degree)
+    reps = [ident]
+    index = {ident: 0}
+    act, as_operand = table_action(g.degree)
+    gen_ops = [as_operand(t) for t in g.gen_tables]
+    image_cols = [[] for _ in gen_ops]
+    i = 0
+    while i < len(reps):
+        r = reps[i]
+        for j, op in enumerate(gen_ops):
+            c = canon(act(r, op))
+            k = index.get(c)
+            if k is None:
+                k = len(reps)
+                reps.append(c)
+                index[c] = k
+            image_cols[j].append(k)
+        i += 1
+    return reps, index, image_cols
+
+
+def _checked_walk(g, start, act):
+    """orbit_walk under g's generators, checked against a log of its calls
+    of act: each edge's target numbers act's result, and the first edge
+    with target q is the call that first returned q, which is the edge
+    _tree_transversal records as discovering q."""
+    n = len(g.generators)
+    calls = []
+
+    def logged(s, j):
+        calls.append(act(s, j))
+        return calls[-1]
+
+    index, targets = orbit_walk(start, logged, n)
+    members = list(index)
+    assert len(targets) == len(calls) == len(members) * n
+    for i, s in enumerate(members):
+        for j in range(n):
+            assert targets[i * n + j] == index[act(s, j)]
+    first_call, first_edge = {}, {}
+    for e, (s, q) in enumerate(zip(calls, targets)):
+        first_call.setdefault(s, e)
+        first_edge.setdefault(q, e)
+    first_call.pop(start, None)
+    first_edge.pop(0, None)
+    assert list(first_call) == members[1:]
+    assert [first_edge[q] for q in range(1, len(members))] == list(first_call.values())
+    found_by = perm._tree_transversal(g, targets)[0]
+    assert found_by == [-1, *first_call.values()]
+    return index, targets
+
+
+def _assert_point_orbit_matches_eager(g, p):
+    tables = g.gen_tables
+    ot = orbit(g, p)
+    points, trans = _eager_orbit(g, p)
+    assert ot.points == points
+    assert list(ot.transversal.items()) == list(trans.items())
+    _checked_walk(g, p, lambda q, j: tables[j][q])
+
+
+def _assert_coset_action_matches_eager(g, u):
+    action = build_coset_action(g, u)
+    reps, index, image_cols = _eager_coset_numbering(g, u)
+    assert action.canonical_reps == reps
+    assert list(action.coset_index.items()) == list(index.items())
+    assert [p.images for p in action.images] == [pack_table(c) for c in image_cols]
+    act, as_operand = table_action(g.degree)
+    ops = [as_operand(t) for t in g.gen_tables]
+    _, targets = _checked_walk(g, reps[0], lambda r, j: action.canon(act(r, ops[j])))
+    # the tree transversal element of each coset lies in it
+    transversal = perm._tree_transversal(g, targets)[1]
+    assert [action.canon(transversal(q)) for q in range(len(reps))] == reps
+
+
+@pytest.mark.parametrize("name", ["psl2_11", "m11", "alt_7"])
+def test_orbit_walk_matches_eager_orbit_and_coset_numbering(name):
+    g = resolve_group(name)[1]
+    for p in (0, g.degree - 1):
+        _assert_point_orbit_matches_eager(g, p)
+    _assert_coset_action_matches_eager(g, point_stabilizer(g, 0))
+    cyclic = build_bsgs(g.gen_tables[:1], degree=g.degree)
+    _assert_coset_action_matches_eager(g, Subgroup(cyclic, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.lists(st.integers(0, 10**6), min_size=1, max_size=3), st.data())
+def test_orbit_walk_matches_eager_on_random_groups(degree, seeds, data):
+    gens = [table_power(random_table(degree, s), 1 + s % 3) for s in seeds]
+    g = build_bsgs(gens, degree=degree)
+    p = data.draw(st.integers(0, degree - 1))
+    _assert_point_orbit_matches_eager(g, p)
+    _assert_coset_action_matches_eager(g, point_stabilizer(g, p))
+    h = g.gen_tables[-1]
+    if g.order // table_order(h) <= 2000:
+        _assert_coset_action_matches_eager(g, Subgroup(build_bsgs([h], degree=degree), g))

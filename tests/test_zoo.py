@@ -122,6 +122,10 @@ def test_load_spec_errors(tmp_path):
     with pytest.raises(ParseError):
         load_spec(bad)
 
+    bad.write_bytes(b"# caf\xe9\ndegree 3\n1 2 3\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_spec(bad)
+
     with pytest.raises(GroupDataError):
         load_spec(tmp_path / "missing.grp")
 
