@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except FalsificationError as e:
         print(f"falsified: {e}", file=sys.stderr)
         return 1
-    except (FixityError, FileNotFoundError) as e:
+    except (FixityError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,9 @@ itself and the remaining cosets are numbered in breadth-first discovery
 order over the generators in listed order, so coset numberings, induced
 permutations, and every downstream report are bit-exact reproducible.
 
-The induced maps are then checked to form a homomorphism by membership
-alone: r_i g_j g_k r_e^-1 must lie in U for every coset i and every
-generator pair (j, k), e being the image of i under image(g_j)image(g_k).
+The induced maps are then checked by membership alone: r_i g_j r_m^-1 must
+lie in U for every coset i and generator j, m being the image of i under
+image(g_j), so each induced map is the true action of its generator.
 
 Counting routes for the fixed points of x on G/U:
 
@@ -32,7 +32,7 @@ equal on every enumerable pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Iterator
@@ -104,6 +104,8 @@ class CosetAction:
     u_tables: list[ImageTable]
     u_set: frozenset[ImageTable]
     canon: Callable[[ImageTable], ImageTable]
+    # the answer of fixed_cosets for each element asked of it
+    fixed: dict[ImageTable, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def inv_reps(self) -> list[ImageTable]:
@@ -189,9 +191,9 @@ def build_coset_action(
     Each coset is labelled by its least table, computed down a chain of U
     (:func:`chain_canonicalizer`), and the cosets are numbered by
     :func:`orbit_walk` from U; generator j's image column is the targets of
-    its edges.  :func:`check_homomorphism` then proves,
-    by membership in U, that the induced maps compose as the generators do
-    on every generator pair; a failure raises MembershipError.
+    its edges.  :func:`check_homomorphism` then proves, by membership in U,
+    that each edge joins the cosets it claims to; a failure raises
+    MembershipError.
     """
     if u.parent is not g:
         for p in u.group.generators:
@@ -239,18 +241,17 @@ def build_coset_action(
 
 
 def check_homomorphism(action: CosetAction) -> None:
-    """Raise MembershipError unless r_i g_j g_k r_e^-1 lies in U for every
-    coset i and every generator pair (j, k), where e is the image of i under
-    image(g_j) then image(g_k): the induced maps of all products g_j g_k are
-    then the products of the induced maps."""
+    """Raise MembershipError unless r_i g_j r_m^-1 lies in U for every coset
+    i and generator j, where m is the image of i under image(g_j).
+
+    Each edge then joins U r_i to U r_i g_j, so the induced maps compose as
+    the generators do: for every pair (j, k), with m and then e the images
+    of i, r_i g_j g_k r_e^-1 = (r_i g_j r_m^-1)(r_m g_k r_e^-1) lies in U,
+    as U is closed under products.  One pass per generator covers them all."""
     inv = action.inv_reps
-    gens = action.group.gen_tables
-    cols = [img.images for img in action.images]
-    for gj, col_j in zip(gens, cols):
-        for gk, col_k in zip(gens, cols):
-            expect = [inv[col_k[m]] for m in col_j]
-            if not all(_in_u(action, compose_tables(gj, gk), expect)):
-                raise MembershipError("induced coset maps are not a homomorphism")
+    for gj, img in zip(action.group.gen_tables, action.images):
+        if not all(_in_u(action, gj, [inv[m] for m in img.images])):
+            raise MembershipError("induced coset maps are not a homomorphism")
 
 
 def _in_u(action: CosetAction, t: ImageTable, right: list[ImageTable]) -> Iterator[bool]:
@@ -270,9 +271,17 @@ def coset_stabilizer_tables(action: CosetAction, i: int) -> list[ImageTable]:
 # the four counting routes
 # ---------------------------------------------------------------------------
 
-def fixed_cosets(action: CosetAction, t: ImageTable) -> list[int]:
-    """Indices of the cosets U r with r t r^-1 in U, for a member t of G."""
-    return list(compress(range(action.degree), _in_u(action, t, action.inv_reps)))
+def fixed_cosets(action: CosetAction, t: ImageTable) -> tuple[int, ...]:
+    """Indices of the cosets U r with r t r^-1 in U, for a member t of G;
+    one pass over the cosets per action and element, kept on the action."""
+    fixed = action.fixed.get(t)
+    if fixed is None:
+        fixed = tuple(compress(range(action.degree), _in_u(action, t, action.inv_reps)))
+        # a list of every coset, the identity's, is asked for once, by
+        # fixity; kept, it would hold |G:U| ints for the life of the action
+        if len(fixed) < action.degree:
+            action.fixed[t] = fixed
+    return fixed
 
 
 def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:

@@ -443,7 +443,9 @@ def classify_sylow3_orbits(action: CosetAction, caps: Caps = DEFAULT_CAPS) -> Sy
     Delta is the union of the P-orbits of length at most 3.  The first of
     five shapes that holds is the case:
 
-      (a) every P-orbit is regular and 3 does not divide |U|;
+      (a) every P-orbit is regular and 3 does not divide |U|: read from |U|
+          alone, as the stabilizer P cap U^r of a point U r is a 3-subgroup
+          of U^r, trivial when 3 does not divide |U|;
       (b) |Delta| > 4 and |P| <= 9;
       (c) |Delta| <= 4, P is of maximal class, some orbit outside Delta is
           not regular, and on each such orbit the point stabilizers in P
@@ -458,8 +460,12 @@ def classify_sylow3_orbits(action: CosetAction, caps: Caps = DEFAULT_CAPS) -> Sy
     """
     g, u = action.group, action.stabilizer
     p_order = p_part(g.order, 3)
-    p_sub = sylow(g, 3, caps.elements) if p_order > 1 else subgroup_closure(g, [])
-    p_grp = p_sub.group
+    if u.order % 3:
+        return Sylow3Classification(
+            case="a", p_order=p_order, delta_size=action.degree if p_order <= 3 else 0,
+            orbit_sizes=((p_order, action.degree // p_order),),
+        )
+    p_grp = sylow(g, 3, caps.elements).group
     p_gens = p_grp.gen_tables
     rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
     _, orbits = orbit_partition(action.degree, rows)
@@ -483,9 +489,6 @@ def classify_sylow3_orbits(action: CosetAction, caps: Caps = DEFAULT_CAPS) -> Sy
             return False
         return len(set(fixed_cosets(action, stab.gen_tables[0])).intersection(lam)) == 3
 
-    all_regular = all(len(o) == p_order for o in orbits)
-    if all_regular and u.order % 3 != 0:
-        return result("a")
     if delta_size > 4 and p_order <= 9:
         return result("b")
     if delta_size <= 4 and _is_maximal_class(g.degree, p_grp.element_tables(), 3):

@@ -5,6 +5,8 @@ import pytest
 
 import fixitylab
 from fixitylab.cli import main
+from fixitylab.perm import table_order
+from fixitylab.zoo import resolve_group
 
 
 def run(capsys, argv):
@@ -184,6 +186,44 @@ def test_sylow_case(capsys):
     assert obj["sylow3_order"] == 9
     assert obj["delta_size"] == 2
     assert obj["orbit_sizes"] == [[1, 2], [9, 2]]
+
+
+def _write_generator(path, degree, table):
+    path.write_text(f"degree {degree}\n" + " ".join(str(v + 1) for v in table) + "\n")
+
+
+def test_sylow_output_is_pinned_when_3_does_not_divide_u(capsys, tmp_path):
+    # case (a) is read from |U| without a Sylow subgroup or coset rows; the
+    # JSON is the one the orbit-based classifier printed, byte for byte,
+    # for |P| = 1, |P| = 3 and |P| = 9
+    _, sz8 = resolve_group("sz8")
+    c5 = next(t for t in sz8.element_tables() if table_order(t) == 5)
+    _write_generator(tmp_path / "c5.grp", sz8.degree, c5)
+    want = {
+        ("sz8", "--stab-file", str(tmp_path / "c5.grp")): ("sz8", 5, 5824, 1, 5824, [1, 5824]),
+        ("psl2_7", "--stab-order", "7"): ("psl2_7", 7, 24, 3, 24, [3, 8]),
+        ("psl2_17", "--stab-order", "4", "--stab-descriptor", "C4"): (
+            "psl2_17", 4, 612, 9, 0, [9, 68]
+        ),
+    }
+    for (group, *flags), (name, order, degree, p_order, delta, sizes) in want.items():
+        code, out, _ = run(capsys, ["sylow", "--group", group, *flags])
+        assert code == 0
+        obj = {
+            "group": name, "stabilizer_order": order, "degree": degree, "case": "a",
+            "sylow3_order": p_order, "delta_size": delta, "orbit_sizes": [sizes],
+        }
+        assert out == json.dumps(obj, indent=2) + "\n"
+
+
+def test_out_on_a_directory_is_a_usage_error(capsys, tmp_path):
+    cat = tmp_path / "cat.json"
+    cat.write_text('{"claims": [{"id": "o27", "mode": "order27"}]}')
+    for argv in (["zoo"], ["verify", "--catalog", str(cat)]):
+        code, out, err = run(capsys, [*argv, "--out", str(tmp_path)])
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_zoo(capsys):

@@ -150,19 +150,60 @@ def test_check_rejects_a_wrong_action(psl2_9):
         check_homomorphism(_swap_in_column(action, 1, 2, 5))
 
 
-def test_check_covers_every_generator_pair():
-    # sym_9 on three generators, acting on the nine cosets of a point
-    # stabilizer.  A wrong column j shows only in the pairs that contain j,
-    # so each column must be caught.  At |G/U| * |U| * 9 pairs, over two
-    # million products, a check that scanned U per coset and pair would need
-    # a budget; the membership check covers every pair regardless.
-    g = build_bsgs(
+def _sym9_three_generators():
+    return build_bsgs(
         [
             Permutation.from_cycles(9, [(0, 1)]),
             Permutation.from_cycles(9, [tuple(range(9))]),
             Permutation.from_cycles(9, [(0, 1, 2)]),
         ]
     )
+
+
+def _check_generator_pairs(action):
+    """Oracle: the pair check the edge check replaced.  r_i g_j g_k r_e^-1
+    must lie in U for every coset i and generator pair (j, k), e being the
+    image of i under image(g_j) then image(g_k)."""
+    reps = action.canonical_reps
+    gens = action.group.gen_tables
+    cols = [img.images for img in action.images]
+    for gj, col_j in zip(gens, cols):
+        for gk, col_k in zip(gens, cols):
+            gjk = compose_tables(gj, gk)
+            for i, r in enumerate(reps):
+                e = col_k[col_j[i]]
+                if compose_tables(compose_tables(r, gjk), invert_table(reps[e])) not in action.u_set:
+                    raise MembershipError("induced coset maps are not a homomorphism")
+
+
+def test_edge_check_rejects_what_the_pair_check_rejects(group_cache):
+    # every edge in U implies every generator pair in U, so no action the
+    # pair check rejects gets past the edge check; swapping two entries of
+    # any column makes both reject it
+    groups = [group_cache("psl2_9"), _sym9_three_generators(), group_cache("psl2_25")]
+    swaps = 0
+    for g in groups:
+        action = build_coset_action(g, point_stabilizer(g, 0))
+        check_homomorphism(action)
+        _check_generator_pairs(action)
+        for j in range(len(g.generators)):
+            for a in range(action.degree):
+                bad = _swap_in_column(action, j, a, (a + 1) % action.degree)
+                with pytest.raises(MembershipError):
+                    _check_generator_pairs(bad)
+                with pytest.raises(MembershipError):
+                    check_homomorphism(bad)
+                swaps += 1
+    assert len(groups[1].generators) == 3 and swaps > 100
+
+
+def test_check_covers_every_generator_pair():
+    # sym_9 on three generators, acting on the nine cosets of a point
+    # stabilizer.  A wrong column j shows only on generator j's edges, so
+    # each column must be caught.  At |G/U| * |U| * 9 generator pairs, over
+    # two million products, a check that scanned U per coset and pair would
+    # need a budget; one membership test per edge covers every pair.
+    g = _sym9_three_generators()
     u = point_stabilizer(g, 0)
     action = build_coset_action(g, u)
     assert action.degree * u.order * len(g.generators) ** 2 > 2_000_000

@@ -338,6 +338,82 @@ def test_sylow3_no_case_is_falsification(group_cache):
         classify_sylow3_orbits(build_coset_action(c27, u))
 
 
+def _sylow3_by_rows(action):
+    """Oracle: the orbit-based classifier as it stood before case (a) was
+    read from |U|, for an action with 3 not dividing |U|.  The P-orbits come
+    from the coset rows of P's generators, and case (a) needs every one of
+    them regular."""
+    g, u = action.group, action.stabilizer
+    p_order = p_part(g.order, 3)
+    p_gens = sylow(g, 3).group.gen_tables if p_order > 1 else []
+    rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
+    _, orbits = orbit_partition(action.degree, rows)
+    delta_size = sum(len(o) for o in orbits if len(o) <= 3)
+    sizes = tuple(sorted(Counter(len(o) for o in orbits).items()))
+    regular = all(len(o) == p_order for o in orbits)
+    return Sylow3Classification("a" if regular and u.order % 3 else None, p_order, delta_size, sizes)
+
+
+def test_sylow3_case_a_from_u_matches_the_orbits(monkeypatch):
+    # every packaged stabilizer and family action with 3 not dividing |U|
+    # (m12's U = M11 has order 7920, so it takes the orbit route, and m22
+    # builds no action); the classifier answers from |U| alone, without a
+    # Sylow subgroup, and must equal the classification its orbits give
+    ids = ["psu4_2_stabs", "sz8_stabs"] + [f"psl2_family_q{q}" for q in (17, 19, 27, 29, 31, 41)]
+    catalog = Path(fixitylab.verifier.__file__).parent / "data" / "claims.json"
+    claims = {c["id"]: c for c in load_claims(catalog)}
+    seen = []
+    classify = fixitylab.verifier.classify_sylow3_orbits
+
+    def recorded(action, caps=Caps()):
+        seen.append((action, classify(action, caps)))
+        return seen[-1][1]
+
+    def no_sylow(*args, **kwargs):
+        raise AssertionError("case (a) needs no Sylow subgroup")
+
+    monkeypatch.setattr(fixitylab.verifier, "classify_sylow3_orbits", recorded)
+    monkeypatch.setattr(fixitylab.verifier, "sylow", no_sylow)
+    assert all(run_claim(claims[cid]).verdict == "PASS" for cid in ids)
+    monkeypatch.undo()
+    assert len(seen) == 12
+    p_orders = set()
+    for action, got in seen:
+        assert action.stabilizer.order % 3
+        assert got == _sylow3_by_rows(action)
+        p_orders.add(got.p_order)
+    assert {1, 3, 9, 27, 81} <= p_orders
+
+
+def test_each_fixed_coset_list_is_computed_once_per_action(monkeypatch, group_cache):
+    # fixity counts every class representative of U, lemma (i) asks again
+    # for each cyclic bundle's representative and lemma (ii) for the
+    # witness; the action keeps each list, so every (action, element) pair
+    # costs one pass over the cosets however often it is asked for
+    asked, passes = [], []
+    fixed_cosets, in_u = fixitylab.cosets.fixed_cosets, fixitylab.cosets._in_u
+
+    def counted_fixed(action, t):
+        asked.append((action, t))
+        return fixed_cosets(action, t)
+
+    def counted_in_u(action, t, right):
+        if right is action.inv_reps:
+            passes.append((action, t))
+        return in_u(action, t, right)
+
+    monkeypatch.setattr(fixitylab.cosets, "fixed_cosets", counted_fixed)
+    monkeypatch.setattr(fixitylab.verifier, "fixed_cosets", counted_fixed)
+    monkeypatch.setattr(fixitylab.cosets, "_in_u", counted_in_u)
+    rows, failures = check_psl2_family(25)
+    assert len(rows) == 2 and not failures
+    m12 = group_cache("m12")
+    ev = evaluate_action(fixitylab.cosets.fixity(m12, point_stabilizer(m12, 0)), "M11")
+    assert ev.ok
+    assert len({a for a, _ in asked}) == 3
+    assert len(passes) == len(set(asked)) < len(asked)
+
+
 def test_order27_lemma():
     rows = check_order27_lemma()
     assert all(r["ok"] for r in rows)
