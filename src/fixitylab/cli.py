@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search")
     add_common(p, stab=False)
-    p.add_argument("--k", type=int, default=4, help="target fixity (default 4)")
+    p.add_argument("--k", type=_positive_int, default=4, help="target fixity (default 4)")
 
     p = sub.add_parser("verify")
     p.add_argument("--catalog", required=True, help="claim catalog JSON file")

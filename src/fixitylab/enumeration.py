@@ -527,14 +527,11 @@ def cyclic_conjugation(g: PermGroup, order: int):
 
 @dataclass(eq=False)
 class CyclicOrbit:
-    """The conjugation orbit of a cyclic subgroup <y> of a group G, walked
-    from ``start``, the canonical generator of <y>: its length, and the
-    chain of N_G(<y>) built from ``seed`` (y itself) followed by the walk's
+    """The conjugation orbit of a cyclic subgroup <y> of a group G: its
+    length, and the chain of N_G(<y>) built from y followed by the walk's
     Schreier generators."""
 
-    start: ImageTable
     length: int
-    seed: ImageTable
     normalizer: PermGroup
 
 
@@ -553,7 +550,7 @@ def _walk_cyclic_orbit(g: PermGroup, start: ImageTable, y: ImageTable) -> Cyclic
     replaces any earlier one under every label of the orbit."""
     act = cyclic_conjugation(g, table_order(y))
     members, chain = orbit_stabilizer(g, start, act, [y])
-    rec = CyclicOrbit(start, len(members), y, chain)
+    rec = CyclicOrbit(len(members), chain)
     if g._cyclic_orbits is None:
         g._cyclic_orbits = {}
     g._cyclic_orbits.update(zip(members, repeat(rec)))
@@ -589,16 +586,12 @@ def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup
     (:func:`cyclic_conjugation`), any other U by their sets of element
     tables, which enumerates U.  Both labellings respect the G-action, so the
     orbit walk, and the chain, is the same whichever is taken.  The cyclic
-    walk is kept on G (:func:`cyclic_orbit`); a kept chain is reused only
-    when its walk started at y's label with seed y, so the chain returned
-    does not depend on what was walked before."""
+    walk is always made afresh, so the chain does not depend on what was
+    walked before; it is kept on G for :func:`cyclic_orbit`."""
     grp, ug = _group_of(g), _group_of(u)
     if len(ug.generators) == 1:
         y = ug.gen_tables[0]
-        start = canonical_generator(y, grp.degree)
-        rec = (grp._cyclic_orbits or {}).get(start)
-        if rec is None or rec.start != start or rec.seed != y:
-            rec = _walk_cyclic_orbit(grp, start, y)
+        rec = _walk_cyclic_orbit(grp, canonical_generator(y, grp.degree), y)
         return Subgroup(rec.normalizer, grp)
     conj = [conjugator(h) for h in grp.gen_tables]
 

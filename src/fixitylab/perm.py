@@ -257,8 +257,7 @@ class PermGroup:
     ``transversals[i]`` are the orbit of ``base[i]`` under them.  The
     transversal elements depend on the order in which the strong
     generators were found, not only on the group.  Construction is through
-    :func:`build_bsgs` and :func:`extend_chain`, or by taking levels 1.. of
-    such a chain (:func:`point_stabilizer`); instances are immutable.
+    :func:`build_bsgs` and :func:`extend_chain`; instances are immutable.
     """
 
     degree: int
@@ -714,20 +713,8 @@ def orbit(g: PermGroup, point: int) -> OrbitTransversal:
 
 
 def point_stabilizer(g: PermGroup, point: int) -> Subgroup:
-    """Stabilizer of a point: levels 1.. of a chain of g with that point
-    first, generated by the strong generators of level 1 (the identity when
-    it is trivial)."""
+    """Stabilizer of a point, through :func:`orbit_stabilizer`."""
     if not 0 <= point < g.degree:
         raise ValueError(f"point {point} out of range for degree {g.degree}")
-    chain = build_bsgs(g.generators, base_hint=[point], degree=g.degree)
-    if chain.order != g.order:
-        raise MembershipError(
-            f"chain based at {point} has order {chain.order}, the group {g.order}"
-        )
-    stab_gens = chain.strong_gens[1] if len(chain.base) > 1 else [identity_table(g.degree)]
-    stab = PermGroup(
-        g.degree, [Permutation(t, _trusted=True) for t in stab_gens], chain.base[1:],
-        chain.strong_gens[1:], chain.transversals[1:], chain.inverses[1:],
-        g.order // len(chain.transversals[0]),
-    )
-    return Subgroup(stab, g)
+    tables = g.gen_tables
+    return Subgroup(orbit_stabilizer(g, point, lambda p, j: tables[j][p])[1], g)

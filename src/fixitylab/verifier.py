@@ -262,7 +262,7 @@ class StructuralChecks:
     cyclic_indices: list[tuple[int, int]]
     four_point_order: int
     ti_samples: int
-    h_normalizer_index: int | None
+    h_normalizer_index: int
     failures: list[str]
 
     @property
@@ -284,20 +284,20 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
     """Side conditions every fixity-4 action must satisfy.
 
     H is the four-point stabilizer: the elements fixing the four cosets F
-    that the witness element fixes.  Every check reads only the coset
-    action the fixity report was counted on and U's context; G is never
-    enumerated.
+    that the witness element fixes, so H holds the witness and H != 1.
+    Every check reads only the coset action the fixity report was counted
+    on and U's context; G is never enumerated.
 
     (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
           subgroups Y <= U, |N_G(Y)| taken from the cosets y fixes;
-    (ii)  when H != 1, H is TI: every non-identity element of H fixes
-          exactly the four cosets F, which decides TI for every conjugator
-          (``ti_samples`` counts the elements of H checked);
+    (ii)  H is TI: every non-identity element of H fixes exactly the four
+          cosets F, which decides TI for every conjugator (``ti_samples``
+          counts the elements of H checked);
     (iii) for each prime p >= 5 dividing |U|, U contains a full Sylow
           p-subgroup of G, and so does H for each such p dividing |H|;
-    (iv)  when H != 1, |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four
-          cosets a, read as the length of the orbit of a under N_G(H), the
-          setwise stabilizer of F.
+    (iv)  |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four cosets a,
+          read as the length of the orbit of a under N_G(H), the setwise
+          stabilizer of F.
 
     Failures are collected in the returned record, never silently dropped.
     """
@@ -338,51 +338,47 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
     for lam in fixed[1:]:
         h_set &= set(coset_stabilizer_tables(action, lam))
     h_tables = sorted(h_set)
-    h_order = len(h_tables)
+    failures += _missing_sylow("four-point stabilizer", len(h_tables), g.order)
 
+    # (ii) TI, exactly: each h != 1 in H fixes F and, at fixity 4, nothing
+    # else; an h != 1 in H cap H^s then fixes F and Fs, so Fs = F and
+    # H^s = H.  The sorted tables start with the identity.
     ti_samples = 0
-    h_norm_index: int | None = None
-    if h_order > 1:
-        failures += _missing_sylow("four-point stabilizer", h_order, g.order)
+    for h in h_tables[1:]:
+        ti_samples += 1
+        fixed_h = fixed_cosets(action, h)
+        if fixed_h != fixed:
+            failures.append(
+                f"TI not shown: an element of order {table_order(h)} in H "
+                f"fixes {len(fixed_h)} cosets, more than the fixity 4"
+            )
+            break
 
-        # (ii) TI, exactly: each h != 1 in H fixes F and, at fixity 4,
-        # nothing else; an h != 1 in H cap H^s then fixes F and Fs, so
-        # Fs = F and H^s = H.  The sorted tables start with the identity.
-        for h in h_tables[1:]:
-            ti_samples += 1
-            fixed_h = fixed_cosets(action, h)
-            if fixed_h != fixed:
-                failures.append(
-                    f"TI not shown: an element of order {table_order(h)} in H "
-                    f"fixes {len(fixed_h)} cosets, more than the fixity 4"
-                )
-                break
-
-        # (iv) the witness lies in H and fixes only F, so N_G(H) permutes
-        # fix(H) = F; the setwise stabilizer of F normalizes H, its pointwise
-        # stabilizer, so N_G(H) is exactly the stabilizer of the 4-set F
-        img = [p.images for p in action.images]
-        _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
-        n_gens = ngh.gen_tables
-        for lam in fixed:
-            idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens))[0])
-            if ngh.order % idx:
-                raise FalsificationError(
-                    "orbit length of N_G(H) on a fixed point does not divide |N_G(H)|"
-                )
-            if h_norm_index is None:
-                h_norm_index = idx
-            if idx not in (2, 4):
-                failures.append(
-                    f"|N_G(H):N_{{G_a}}(H)| = {idx} for a fixed point of H, "
-                    "expected 2 or 4"
-                )
+    # (iv) the witness lies in H and fixes only F, so N_G(H) permutes
+    # fix(H) = F; the setwise stabilizer of F normalizes H, its pointwise
+    # stabilizer, so N_G(H) is exactly the stabilizer of the 4-set F
+    img = [p.images for p in action.images]
+    _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
+    n_gens = ngh.gen_tables
+    indices = []
+    for lam in fixed:
+        idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens))[0])
+        if ngh.order % idx:
+            raise FalsificationError(
+                "orbit length of N_G(H) on a fixed point does not divide |N_G(H)|"
+            )
+        indices.append(idx)
+        if idx not in (2, 4):
+            failures.append(
+                f"|N_G(H):N_{{G_a}}(H)| = {idx} for a fixed point of H, "
+                "expected 2 or 4"
+            )
 
     return StructuralChecks(
         cyclic_indices=cyclic_indices,
-        four_point_order=h_order,
+        four_point_order=len(h_tables),
         ti_samples=ti_samples,
-        h_normalizer_index=h_norm_index,
+        h_normalizer_index=indices[0],
         failures=failures,
     )
 
@@ -817,6 +813,8 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
 
 
 def _run_stabilizer_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimResult:
+    if not claim["stabilizers"]:
+        raise GroupDataError("the claim lists no stabilizers, so no check would run")
     rows: list[dict] = []
     for entry in claim["stabilizers"]:
         source, descriptor = entry["source"], entry["descriptor"]
@@ -922,8 +920,9 @@ def load_claims(path: str | Path) -> list[dict]:
         if mode == "search" and c["expected"] != "none" and not _all_str(c["expected"]):
             raise GroupDataError(f"{what}: 'expected' is not \"none\" or a list of strings")
         entries = c["stabilizers"] if mode == "stabilizers" else []
-        if not isinstance(entries, list):
-            raise GroupDataError(f"{what}: 'stabilizers' is not a list")
+        # an empty list would check nothing and PASS
+        if not isinstance(entries, list) or (mode == "stabilizers" and not entries):
+            raise GroupDataError(f"{what}: 'stabilizers' is not a list of one or more entries")
         for e in entries:
             if not isinstance(e, dict):
                 raise GroupDataError(f"{what}: stabilizer entry {e!r} is not an object")

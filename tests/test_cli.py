@@ -348,6 +348,8 @@ def test_verify_malformed_claim_values(capsys, tmp_path):
     cat = tmp_path / "cat.json"
     for claim in (
         {"id": "st", "mode": "stabilizers", "group": "psl2_7", "stabilizers": 5},
+        # a stabilizers claim with no stabilizers would check nothing
+        {"id": "st", "mode": "stabilizers", "group": "psl2_7", "stabilizers": []},
         {"id": "st", "mode": "search", "group": "psl2_7", "expected": 5},
         {"id": "st", "mode": "search", "group": 5, "expected": "none"},
         {"id": "st", "mode": "psl2_family", "q": "17"},
@@ -409,14 +411,21 @@ def test_unknown_group(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("flag", ["--element-cap", "--subgroup-cap", "--coset-cap", "--jobs"])
+@pytest.mark.parametrize(
+    "flag", ["--element-cap", "--subgroup-cap", "--coset-cap", "--jobs", "--k"]
+)
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_cap_flag_is_a_usage_error(capsys, flag, value):
     # a cap flag, and --jobs, is held to the rule of a catalog cap: a
-    # positive int; the parser rejects it before any claim runs
+    # positive int; the parser rejects it before any claim runs.  So is
+    # search --k: no nontrivial subgroup has fixity 0 or less
     catalog = str(Path(fixitylab.__file__).parent / "data" / "claims.json")
+    if flag == "--k":
+        argv = ["search", "--group", "psl2_7"]
+    else:
+        argv = ["verify", "--catalog", catalog, "--only", "psl2_7_search"]
     with pytest.raises(SystemExit) as e:
-        main(["verify", "--catalog", catalog, "--only", "psl2_7_search", flag, value])
+        main([*argv, flag, value])
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "positive" in err

@@ -187,6 +187,19 @@ def test_point_stabilizer_order_and_fixed_point(sym4):
         point_stabilizer(sym4, 9)
 
 
+@pytest.mark.parametrize("name", ["sym_4", "alt_7", "m12", "dihedral_300", "trivial"])
+def test_point_stabilizer_is_every_element_fixing_the_point(group_cache, name):
+    # oracle: the elements of G that fix p, scanned over all of G; bytes
+    # tables (sym_4, alt_7, m12), tuple tables (dihedral_300) and the
+    # trivial group on 4 points
+    g = build_bsgs([], degree=4) if name == "trivial" else group_cache(name)
+    for p in sorted({0, g.degree - 1}):
+        stab = point_stabilizer(g, p)
+        assert stab.order == g.order // len(orbit(g, p).points)
+        want = [t for t in g.element_tables() if t[p] == p]
+        assert stab.group.element_tables() == want
+
+
 def test_point_stabilizer_of_trivial_group():
     # a hinted base point that no generator reaches still gets its orbit
     assert build_bsgs([Permutation.identity(4)], base_hint=[0]).order == 1

@@ -69,6 +69,30 @@ def test_table_representation_stays_in_perm():
     assert offenders == []
 
 
+def test_chains_are_built_in_two_places():
+    # one way to build a chain: every PermGroup(...) call is the trivial
+    # chain or the end of extend_chain; anything else, a point stabilizer
+    # included, is built through them
+    src = Path(fixitylab.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for fn in ast.walk(tree):
+            if path.name == "perm.py" and isinstance(fn, ast.FunctionDef) and fn.name in (
+                "_trivial_chain", "extend_chain"
+            ):
+                allowed.update(map(id, ast.walk(fn)))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "PermGroup"
+            and id(node) not in allowed
+        ]
+    assert offenders == []
+
+
 def test_perfbench_probes_resolve():
     # the benchmark's tracer wraps the library functions named in its
     # PROBES table; a rename or removal here must not leave a probe dangling

@@ -584,6 +584,12 @@ def test_run_claim_stabilizers():
     assert bad.verdict == "FAIL"
     assert "fixity 2" in bad.detail
 
+    # run_claim takes claims that no loader checked; one that lists no
+    # stabilizers runs no check, so it cannot PASS
+    empty = run_claim({"id": "c", "mode": "stabilizers", "group": "alt_6", "stabilizers": []})
+    assert empty.verdict == "FAIL" and empty.rows == []
+    assert "no stabilizers" in empty.detail
+
 
 def test_stabilizer_claim_on_the_slow_path():
     # psl2_13 has 1092 elements, so a cap of 1000 sends the fixity count
@@ -648,6 +654,32 @@ def _four_point_stabilizer(action, witness):
     for lam in fixed[1:]:
         h_set &= set(coset_stabilizer_tables(action, lam))
     return sorted(h_set)
+
+
+def test_four_point_stabilizer_holds_the_witness(monkeypatch):
+    # the witness fixes each of the four cosets it cuts out, so it lies in
+    # H and H != 1: lemmas (ii)-(iv) always run, and (iv) always gives the
+    # normalizer index; checked on every fixity-4 action of five claims
+    seen = []
+
+    def recording(report, caps=fixitylab.verifier.DEFAULT_CAPS):
+        checks = check_structural_lemmas(report, caps)
+        seen.append((report, checks))
+        return checks
+
+    monkeypatch.setattr(fixitylab.verifier, "check_structural_lemmas", recording)
+    catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
+    claims = {c["id"]: c for c in load_claims(catalog)}
+    for cid in ("psl2_7_search", "psl2_13_search", "m12_stabs", "psl2_family_q17",
+                "psl2_family_q25"):
+        assert run_claim(claims[cid]).verdict == "PASS"
+    assert len(seen) == 2 + 3 + 1 + 2 + 2
+    for report, checks in seen:
+        witness = report.witness_class.representative.images
+        h_tables = _four_point_stabilizer(report.action, witness)
+        assert witness in h_tables
+        assert checks.four_point_order == len(h_tables) >= 2
+        assert checks.h_normalizer_index in (2, 4)
 
 
 def test_ti_matches_every_conjugator(group_cache):
