@@ -26,7 +26,9 @@ Counting routes for the fixed points of x on G/U:
                         kernel and cyclic complement J, x outside the kernel
 
 The last three are theorems about the first; the test suite holds them
-equal on every enumerable pair.
+equal on every enumerable pair.  ``fixity`` counts one generator of each
+class of cyclic subgroups of U by the first route, or, for a G above the
+element cap, by the second from the :func:`cyclic_orbit` records.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from typing import Callable, Iterator
 from .enumeration import (
     ELEMENT_CAP,
     SUBGROUP_CAP,
-    ConjClass,
-    CyclicOrbit,
     GroupContext,
     _cyclic_tables,
     as_context,
@@ -128,14 +128,15 @@ class CosetAction:
 
 @dataclass(eq=False)
 class FixityReport:
-    """Fixity of ``group`` on the cosets of ``stabilizer``, its witness class and
-    count per class of U, and the action it was counted on (None on the slow path)."""
+    """Fixity of ``group`` on the cosets of ``stabilizer``, the count for each
+    of U's bundles and the least element of the first one attaining it (None
+    for U = 1), and the action counted on (None above the element cap)."""
 
     group: PermGroup
     stabilizer: Subgroup
     fixity: int
-    witness_class: ConjClass | None
-    per_class_fix: list[int]
+    witness: ImageTable | None
+    bundle_fixes: list[int]
     action: CosetAction | None = None
 
 
@@ -180,6 +181,16 @@ def chain_canonicalizer(u: PermGroup) -> Callable[[ImageTable], ImageTable]:
     return canon
 
 
+def check_stabilizer(g: PermGroup, u: Subgroup) -> None:
+    """Raise MembershipError unless U is a subgroup of G whose order divides |G|."""
+    if u.parent is not g:
+        for p in u.group.generators:
+            if not g.contains(p):
+                raise MembershipError("stabilizer is not a subgroup of the group")
+    if g.order % u.order:
+        raise MembershipError(f"|U| = {u.order} does not divide |G| = {g.order}")
+
+
 def build_coset_action(
     g: PermGroup,
     u: Subgroup,
@@ -195,14 +206,7 @@ def build_coset_action(
     that each edge joins the cosets it claims to; a failure raises
     MembershipError.
     """
-    if u.parent is not g:
-        for p in u.group.generators:
-            if not g.contains(p):
-                raise MembershipError("stabilizer is not a subgroup of the group")
-    if g.order % u.order:
-        raise MembershipError(
-            f"|U| = {u.order} does not divide |G| = {g.order}"
-        )
+    check_stabilizer(g, u)
     degree = g.order // u.order
     if degree > max_cosets:
         raise CapExceededError(f"coset space size {degree} exceeds cap {max_cosets}")
@@ -415,50 +419,44 @@ def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> i
 # ---------------------------------------------------------------------------
 
 def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport:
-    """Fixity of G on G/U, counted on the coset action over U's classes.
+    """Fixity of G on G/U: the largest fixed-coset count of a generator y of
+    a class of cyclic subgroups of U.
 
-    An element x that fixes the coset U r has r x r^-1 in U, and the two
-    fix equally many cosets, so the maximum over U's non-identity classes
-    is exact.  G is never enumerated; a G above the element cap still
-    takes the subgroup-orbit route, which builds no action."""
+    An element x that fixes the coset U r has r x r^-1 in U, the two fix
+    equally many cosets, and so does every generator of <x>, so one count
+    per U-bundle is exact.  Within the element cap y is counted on the
+    coset action (:func:`fix_direct`).  Above it no action is built: y
+    fixes n |N_G(<y>)| / |U| cosets, where the n conjugates of <y> inside
+    U fill the U-bundles whose representatives lie in <y>'s G-orbit, the
+    record :func:`cyclic_orbit` keeps on G.  G is never enumerated."""
     if g.order > caps.elements:
-        return _fixity_slow(g, u, caps)
-    action = build_coset_action(g, u, caps.cosets, caps.elements)
-    classes = as_context(u.group, caps.elements).classes
-    per = [fix_direct(action, c.representative) for c in classes]
-    if per[0] != action.degree:
-        raise FalsificationError(
-            f"the identity fixes {per[0]} of {action.degree} cosets"
-        )
-    # class 0 is the identity's; max keeps the first class that attains it
-    w = max(range(1, len(per)), key=per.__getitem__, default=0)
-    return FixityReport(
-        group=g, stabilizer=u, fixity=per[w] if w else 0,
-        witness_class=classes[w] if w else None, per_class_fix=per, action=action,
-    )
-
-
-def _fixity_slow(g: PermGroup, u: Subgroup, caps: Caps) -> FixityReport:
-    """Maximum over the G-classes of cyclic subgroups <y> of U of the
-    normalizer-formula count |{<y>^g <= U}| |N_G(<y>)| / |U|.  The conjugates
-    of <y> inside U fill the U-bundles whose representatives lie in <y>'s
-    G-orbit, so the first factor is the sum of their ``n_subgroups``.  Each
-    orbit is the record :func:`cyclic_orbit` keeps on G, walked once per
-    class whichever U asks; G is never enumerated."""
+        check_stabilizer(g, u)
+        action = None
+    else:
+        action = build_coset_action(g, u, caps.cosets, caps.elements)
+        if fix_direct(action, identity_table(g.degree)) != action.degree:
+            raise FalsificationError("the identity does not fix every coset")
     u_ctx = as_context(u.group, caps.elements)
-    in_u: dict[CyclicOrbit, int] = {}
-    for b in u_ctx.bundles:
-        rec = cyclic_orbit(g, u_ctx.elements[b.rep_index])
-        in_u[rec] = in_u.get(rec, 0) + b.n_subgroups
-    uo = u.group.order
-    best = 0
-    for rec, n in in_u.items():
-        # orbit_stabilizer checked that the orbit length divides |G|
-        val = n * (g.order // rec.length)
-        if val % uo:
-            raise FalsificationError(f"{val} not divisible by |U| = {uo}")
-        best = max(best, val // uo)
-    return FixityReport(group=g, stabilizer=u, fixity=best, witness_class=None, per_class_fix=[])
+    reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
+    if action is not None:
+        fixes = [fix_direct(action, y) for y in reps]
+    else:
+        orbits = [cyclic_orbit(g, y) for y in reps]
+        inside = dict.fromkeys(orbits, 0)
+        for rec, b in zip(orbits, u_ctx.bundles):
+            inside[rec] += b.n_subgroups
+        # orbit_stabilizer checked that each orbit length divides |G|
+        counts = [inside[rec] * (g.order // rec.length) for rec in orbits]
+        if any(c % u.order for c in counts):
+            raise FalsificationError(f"counts {counts} are not all divisible by |U| = {u.order}")
+        fixes = [c // u.order for c in counts]
+    # bundles are numbered in the order of their first class, whose
+    # representative is the bundle's least element
+    best = max(fixes, default=0)
+    return FixityReport(
+        group=g, stabilizer=u, fixity=best,
+        witness=reps[fixes.index(best)] if reps else None, bundle_fixes=fixes, action=action,
+    )
 
 
 def profile(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixedPointProfile:

@@ -302,7 +302,7 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
     Failures are collected in the returned record, never silently dropped.
     """
     g, u, action = report.group, report.stabilizer, report.action
-    if report.fixity != 4 or action is None or report.witness_class is None:
+    if report.fixity != 4 or action is None or report.witness is None:
         raise PreconditionError(
             "structural checks apply to a confirmed fixity-4 action with a witness"
         )
@@ -328,7 +328,7 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
     failures += _missing_sylow("stabilizer", u.order, g.order)
 
     # the four-point stabilizer cut out by the witness element
-    x = report.witness_class.representative.images
+    x = report.witness
     fixed = fixed_cosets(action, x)
     if len(fixed) != 4:
         raise FalsificationError(
@@ -520,9 +520,9 @@ class ActionEvaluation:
     ``failures`` lists, in this order, a fixity other than 4, a descriptor
     U does not match, and the failed structural side conditions.  The side
     conditions and the Sylow-3 orbit shape run only when nothing failed
-    before them and the fixity was counted on a coset action; the slow
-    path builds none, so there ``sylow3_case`` stays None.  ``ok`` holds
-    only when they ran and nothing failed.
+    before them and the fixity was counted on a coset action; fixity builds
+    none above the element cap, so there ``sylow3_case`` stays None.
+    ``ok`` holds only when they ran and nothing failed.
     """
 
     report: FixityReport
@@ -585,8 +585,8 @@ def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], li
     plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
     each is checked for fixity 4, its descriptor, the structural side
     conditions and the Sylow-3 case.  A PSL2(q) larger than the element
-    cap raises CapExceededError: there fixity takes the subgroup-orbit
-    route, which builds no coset action for those checks to read.
+    cap raises CapExceededError: there fixity counts from the cyclic-orbit
+    records and builds no coset action for those checks to read.
     The small q are decided by the catalog's lattice-search claims instead.
     """
     if q < 17 or q % 2 == 0 or not prime_power(q):
@@ -807,8 +807,7 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
         ev = evaluate_action(h.report, caps=caps)
         if ev.failures:
             return ClaimResult(cid, "FAIL", "; ".join(ev.failures), rows)
-        if ev.sylow3_case is not None:
-            row["sylow3_case"] = ev.sylow3_case
+        row["sylow3_case"] = ev.sylow3_case
     return ClaimResult(cid, "PASS", "", rows)
 
 

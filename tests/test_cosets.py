@@ -253,7 +253,7 @@ def test_known_fixities(group_cache, sel, expected):
     rep = fixity(g, point_stabilizer(g, 0))
     assert rep.fixity == expected
     assert rep.action is not None
-    assert rep.per_class_fix[0] == g.degree
+    assert fix_direct(rep.action, rep.witness) == max(rep.bundle_fixes) == expected
 
 
 def test_witness_attains_max(group_cache):
@@ -269,8 +269,8 @@ def test_witness_attains_max(group_cache):
             if c.element_order > 1
         ]
         assert rep.fixity == max(nontrivial)
-        assert rep.witness_class is not None
-        assert fix_direct(rep.action, rep.witness_class.representative) == rep.fixity
+        assert rep.witness is not None
+        assert fix_direct(rep.action, rep.witness) == rep.fixity
 
 
 @pytest.mark.parametrize("sel", ["sym_4", "alt_5", "psl2_7"])
@@ -375,7 +375,8 @@ def test_slow_path_matches_fast(group_cache):
         slow = fixity(g, u, caps=small)
         assert slow.action is None and fast.action is not None
         assert slow.fixity == fast.fixity
-        assert slow.per_class_fix == [] and slow.witness_class is None
+        assert slow.bundle_fixes == fast.bundle_fixes
+        assert slow.witness == fast.witness
         # U-bundles whose subgroups are conjugate in G share one orbit record
         u_ctx = as_context(u.group)
         records = {
@@ -445,6 +446,18 @@ def test_caps_and_membership(group_cache, sym4):
     action = build_coset_action(alt5, point_stabilizer(alt5, 0))
     with pytest.raises(MembershipError):
         fix_direct(action, pack_table([1, 0, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("caps", [Caps(), Caps(elements=100)], ids=["action", "orbits"])
+def test_fixity_rejects_a_stabilizer_outside_the_group(group_cache, caps):
+    # a transposition of Sym(8) is no member of PSL2(7) on the 8 points of
+    # the projective line; both routes of fixity, the coset action and,
+    # with the element cap below |G|, the cyclic-orbit count, reject it
+    g = group_cache("psl2_7")
+    assert g.degree == 8
+    u = subgroup_closure(group_cache("sym_8"), [Permutation.from_cycles(8, [(0, 1)])])
+    with pytest.raises(MembershipError):
+        fixity(g, u, caps)
 
 
 def test_canonical_generator(sym4):

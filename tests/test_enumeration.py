@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from fixitylab import enumeration, perm
-from fixitylab.cosets import Caps, _fixity_slow
+from fixitylab.cosets import Caps, fixity
 from fixitylab.enumeration import (
     GroupContext,
     _cyclic_generators,
@@ -149,7 +149,8 @@ def _chain_data(sub):
 @pytest.mark.parametrize("sel, word", [("alt_7", (0, 1)), ("dihedral_300", (1,)), ("alt_5", ())])
 def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
     # normalizer(G, <y>) never reads a kept cyclic-orbit chain, so it
-    # returns the same chain on a fresh group, after _fixity_slow walked
+    # returns the same chain on a fresh group, after fixity above the
+    # element cap walked
     # that orbit, after a walk from another start or with another seed, and
     # on the group the other tests share; bytes tables (alt_7, alt_5), tuple
     # tables (dihedral_300) and a trivial U given by the identity generator
@@ -167,7 +168,7 @@ def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
     assert n == {(0, 1): 7, (1,): 2, (): 1}[word]
 
     def slow_walk(h):
-        _fixity_slow(h, Subgroup(build_bsgs([y], degree=h.degree), h), Caps())
+        fixity(h, Subgroup(build_bsgs([y], degree=h.degree), h), Caps(elements=h.order - 1))
 
     def other_start(h):
         cyclic_orbit(h, conjugate_table(y, h.gen_tables[0]))

@@ -69,28 +69,38 @@ def test_table_representation_stays_in_perm():
     assert offenders == []
 
 
-def test_chains_are_built_in_two_places():
-    # one way to build a chain: every PermGroup(...) call is the trivial
-    # chain or the end of extend_chain; anything else, a point stabilizer
-    # included, is built through them
+def _calls_outside(callee: str, home: str, functions: tuple[str, ...]) -> list[str]:
+    """``file:line`` of every call of ``callee`` in the library that is not
+    inside one of ``functions`` of the module file ``home``."""
     src = Path(fixitylab.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         for fn in ast.walk(tree):
-            if path.name == "perm.py" and isinstance(fn, ast.FunctionDef) and fn.name in (
-                "_trivial_chain", "extend_chain"
-            ):
+            if path.name == home and isinstance(fn, ast.FunctionDef) and fn.name in functions:
                 allowed.update(map(id, ast.walk(fn)))
         offenders += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "PermGroup"
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee
             and id(node) not in allowed
         ]
-    assert offenders == []
+    return offenders
+
+
+def test_chains_are_built_in_two_places():
+    # one way to build a chain: every PermGroup(...) call is the trivial
+    # chain or the end of extend_chain; anything else, a point stabilizer
+    # included, is built through them
+    assert _calls_outside("PermGroup", "perm.py", ("_trivial_chain", "extend_chain")) == []
+
+
+def test_fixity_reports_are_built_in_one_place():
+    # one report shape on both routes of fixity: every FixityReport(...)
+    # call lies inside cosets.fixity
+    assert _calls_outside("FixityReport", "cosets.py", ("fixity",)) == []
 
 
 def test_perfbench_probes_resolve():
