@@ -164,7 +164,10 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
     chunks = []
     for u in _stabilizers(g, args, caps):
         if args.subcommand == "fixity":
-            chunks.append(report_json(name, fixity(g, u, caps), profile(g, u, caps)))
+            # the profile enumerates G, so above the element cap it fails
+            # before the fixity count has run
+            prof = profile(g, u, caps)
+            chunks.append(report_json(name, fixity(g, u, caps), prof))
             continue
         obj = {"group": name, "stabilizer_order": u.order, "degree": g.order // u.order}
         if args.subcommand == "profile":

@@ -35,7 +35,6 @@ import json
 import math
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -591,14 +590,17 @@ def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], li
     """
     if q < 17 or q % 2 == 0 or not prime_power(q):
         raise PreconditionError(f"q = {q} is outside the covered family range")
-    g = psl2_spec(q).build()
+    spec = psl2_spec(q)
+    g = spec.build()
     if g.order > caps.elements:
         raise CapExceededError(
             f"group order {g.order} exceeds element cap {caps.elements}"
         )
     p, n = prime_power(q)
     if q % 4 == 1:
-        t = g.generators[n]
+        # the spec lists the n translations, then the torus generator;
+        # the built group keeps only a generating pair
+        t = spec.generators[n]
         if t.order() != (q - 1) // 2:
             raise GroupDataError(
                 f"torus generator has order {t.order()}, wanted {(q - 1) // 2}"
@@ -607,7 +609,7 @@ def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], li
         u1 = subgroup_closure(g, [t2])
         if u1.order != (q - 1) // 4:
             raise GroupDataError(f"torus half has order {u1.order}")
-        u2 = subgroup_closure(g, list(g.generators[:n]) + [t2])
+        u2 = subgroup_closure(g, spec.generators[:n] + [t2])
         if u2.order != q * (q - 1) // 4:
             raise GroupDataError(f"half-Borel subgroup has order {u2.order}")
         stabs = [(u1, f"C{(q - 1) // 4}"), (u2, _family_descriptor_borel_half(q))]
@@ -952,6 +954,9 @@ def run_claim_catalog(
         claims = [c for c in claims if c["id"] in only]
     if jobs <= 1 or len(claims) <= 1:
         return [run_claim(c, caps) for c in claims]
+    # imported here: the process pool costs every serial run its import time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(functools.partial(run_claim, caps=caps), claims))
 

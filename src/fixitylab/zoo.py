@@ -13,9 +13,13 @@ fixes every permutation image bit-exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +31,16 @@ from .perm import PermGroup, Permutation, build_bsgs, pack_table
 
 @dataclass
 class GroupSpec:
-    """A named generator list with an optional order pledge."""
+    """A named generator list with an optional order pledge.
+
+    :meth:`build` checks the pledge against the group the whole list
+    generates.  A list of more than two generators is then replaced by the
+    first of these pairs that generates the same group: (g1, g2...gk),
+    (gk, g1...gk), then each (gi, gj), i < j, in list order.  Every orbit
+    walk over the built group's generators then runs over two of them.  If
+    no pair generates the group, the list is kept; so is a list of two or
+    fewer.  The choice depends only on the list.
+    """
 
     name: str
     degree: int
@@ -40,7 +53,21 @@ class GroupSpec:
             raise GroupDataError(
                 f"{self.name}: constructed order {g.order}, expected {self.expected_order}"
             )
+        for pair in _pair_candidates(self.generators):
+            h = build_bsgs(list(pair), degree=self.degree)
+            if h.order == g.order:
+                return h
         return g
+
+
+def _pair_candidates(gens: list[Permutation]) -> Iterator[tuple[Permutation, Permutation]]:
+    """The candidate generating pairs of :meth:`GroupSpec.build`, in order;
+    none for two generators or fewer."""
+    if len(gens) <= 2:
+        return
+    yield gens[0], functools.reduce(operator.mul, gens[1:])
+    yield gens[-1], functools.reduce(operator.mul, gens)
+    yield from itertools.combinations(gens, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import fixitylab
+from fixitylab import cosets
 from fixitylab.cli import main
 from fixitylab.perm import table_order
 from fixitylab.zoo import resolve_group
@@ -106,6 +110,21 @@ def test_stab_file(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["stabilizer_order"] == 2
     assert obj["degree"] == 12
+
+
+def test_fixity_above_the_element_cap_fails_before_counting(capsys, tmp_path, monkeypatch):
+    # the profile enumerates G, so a G above the element cap ends in the
+    # cap error before the above-cap count walks any cyclic-subgroup orbit
+    def walk(*args):
+        raise AssertionError("fixity was counted for a report that cannot be printed")
+
+    monkeypatch.setattr(cosets, "cyclic_orbit", walk)
+    p = tmp_path / "u.grp"
+    p.write_text("degree 8\n1 3 4 5 6 7 8 2\n")  # z -> z + 1 on PG(1, 7)
+    argv = ["fixity", "--group", "psl2_7", "--stab-file", str(p), "--element-cap", "100"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: group order 168 exceeds element cap 100\n"
 
 
 def test_stab_file_not_subgroup(capsys, tmp_path):
@@ -224,6 +243,17 @@ def test_out_on_a_directory_is_a_usage_error(capsys, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only verify --jobs N > 1 needs the pool, so no other run pays its import
+    src = str(Path(fixitylab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, fixitylab.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_zoo(capsys):

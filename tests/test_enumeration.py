@@ -396,56 +396,72 @@ def test_prime_power_cyclic_count_cross_check():
         ctx.pp_cyclics
 
 
-# sha256 of each lattice's classes in order: (order, canonical, class size,
-# normalizer order, representative generator tables, representative base).
-# The representatives are the first extensions the saturation finds, so this
-# pins its exploration order as well as its result.
+def _assert_last_class_is_the_group(g, classes):
+    # the last class is G itself, whose representative carries the
+    # generators and base the zoo built G with; the rows before it are
+    # the proper subgroups, which the digests pin
+    last = classes[-1]
+    assert last.order == g.order and last.class_size == 1
+    assert last.representative.group is g
+
+
+# sha256 of each lattice's classes in order, the last (G itself) left out:
+# (order, canonical, class size, normalizer order, representative generator
+# tables, representative base).  The representatives are the first
+# extensions the saturation finds, so this pins its exploration order as
+# well as its result.
 _LATTICE_DIGESTS = {
-    "psl2_7": "6c148f58c724c0e42d0023ac081cf3ec51e636aec822c5f5f446c0b84a960366",
-    "psl2_9": "b9770730f4cd2406fcbba4bbea9dc23f5b9d0a00b6480c4a5c13908d52a0a937",
+    "psl2_7": "fcc3622ea99ae3575343eb6c0ed5c063fa650649a026cbf4a3f7eeeb19bcc7dd",
+    "psl2_9": "064d57d1901f1bf40cfcf2182c6e242e1a2dbdcca9609e1b1805d06b1183239d",
 }
 
 
 @pytest.mark.parametrize("sel", sorted(_LATTICE_DIGESTS))
 def test_lattice_exploration_order_pinned(group_cache, sel):
+    g = group_cache(sel)
+    classes = as_context(g).subgroup_classes()
     rows = [
         [
             sc.order, list(sc.canonical), sc.class_size, sc.normalizer_order,
             [list(t) for t in sc.representative.group.gen_tables],
             list(sc.representative.group.base),
         ]
-        for sc in as_context(group_cache(sel)).subgroup_classes()
+        for sc in classes[:-1]
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _LATTICE_DIGESTS[sel]
+    _assert_last_class_is_the_group(g, classes)
 
 
-# sha256 of each lattice's classes in order: (order, canonical, class size,
-# normalizer order, representative generator tables).  Unlike the pin above
-# it leaves out the base, which is chain internals; the generators of a
-# representative are A's followed by the extending y, so this still pins the
-# saturation's exploration order.
+# sha256 of each lattice's classes in order, the last (G itself) left out:
+# (order, canonical, class size, normalizer order, representative generator
+# tables).  Unlike the pin above it leaves out the base, which is chain
+# internals; the generators of a representative are A's followed by the
+# extending y, so this still pins the saturation's exploration order.
 _LATTICE_ORDER_DIGESTS = {
-    "alt_7": "9c46ac2202907c7d15e6bae2eed436d13842c5fee18a5785ca936a09fcdb7d3c",
-    "m11": "62162bb221422304c55ad577ea9be49c205e9fc04d0e5dd7c8a8d71313467558",
-    "psl2_16": "5341dc1e98246849bdef3cdc3353297a7bbb89a9a0d9da7d9be6f89a9e9f1d8f",
-    "psl3_3": "4cb186f204bb427dfec5643daca514d872a4f2334034be23beb695a5c377e428",
-    "psu3_3": "191a4da9bbff6476037165c57707871a87d849fbd2dc3d8927bf6d05687d88a6",
-    "sym_5": "6014805bfaf2ab77f37cbc4b02848f17c733d1caaf79998e84076305f100940b",
-    "sym_6": "7b145d515c2d97dd56e26610d638e98b1f486519aa42e490a824cdb2470a7b44",
+    "alt_7": "c8b8d4e29869e45664432c325af9ca3435c959159ae9eb46c0508c6751acf0f2",
+    "m11": "742c958227e9bc43bf1c1b24ba631f9c6a438006c9dabb61ee758b30b9526edf",
+    "psl2_16": "c43cb1218a0493f5c598f1a0aa76b0603fe8c95b486259b4417b3593509bf905",
+    "psl3_3": "a265de853447b0a12d0bef07efface5b4c4caf161f1477a9d70fe163f6c58f3c",
+    "psu3_3": "9a09af4a92d3370005cc4fc61a33bd5f3a68b0da11187ac7afd5345c16a1ee78",
+    "sym_5": "0d5d90236a6c657f4b89162922c5f28defe5f8ffc9cecc15fbfc79ba5c58e494",
+    "sym_6": "a83847b4484490f171d29f2eddc49ab873e912049325076b60e1320041936227",
 }
 
 
 @pytest.mark.parametrize("sel", sorted(_LATTICE_ORDER_DIGESTS))
 def test_lattice_representatives_pinned(group_cache, sel):
+    g = group_cache(sel)
+    classes = as_context(g).subgroup_classes()
     rows = [
         [
             sc.order, list(sc.canonical), sc.class_size, sc.normalizer_order,
             [list(t) for t in sc.representative.group.gen_tables],
         ]
-        for sc in as_context(group_cache(sel)).subgroup_classes()
+        for sc in classes[:-1]
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _LATTICE_ORDER_DIGESTS[sel]
+    _assert_last_class_is_the_group(g, classes)
 
 
 def test_saturation_skips_known_extensions(monkeypatch):

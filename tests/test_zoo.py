@@ -2,17 +2,21 @@ import math
 
 import pytest
 
-from fixitylab.enumeration import is_simple_group
+from fixitylab.cosets import fixity
+from fixitylab.enumeration import _find_element_of_order, is_simple_group, subgroup_closure
 from fixitylab.errors import GroupDataError, ParseError, PreconditionError
-from fixitylab.perm import orbit
+from fixitylab.perm import Permutation, build_bsgs, orbit, point_stabilizer
+from fixitylab.verifier import evaluate_action
 from fixitylab.zoo import (
     FILE_BACKED,
+    GroupSpec,
     canonical_name,
     dihedral_spec,
     load_group,
     load_spec,
     prime_power,
     resolve_group,
+    resolve_spec,
     save_group,
     zoo_names,
 )
@@ -168,3 +172,57 @@ def test_psl2_order_formula():
     for q in (4, 5, 7, 8, 9, 11, 13, 16, 17):
         _, g = resolve_group(f"psl2_{q}")
         assert g.order == q * (q * q - 1) // math.gcd(2, q - 1)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"psl2_{q}" for q in (8, 9, 16, 17, 25, 27)] + ["m12", "psu4_2", "sz8", "psu3_3"],
+)
+def test_resolved_group_is_a_generating_pair(name):
+    spec = resolve_spec(name)
+    assert len(spec.generators) > 2
+    whole = build_bsgs(spec.generators, degree=spec.degree)
+    g = spec.build()
+    assert len(g.generators) == 2
+    assert g.order == spec.expected_order == whole.order
+    assert all(p in whole for p in g.generators)
+
+
+def test_group_with_no_generating_pair_keeps_its_list():
+    # C2 x C2 x C2: any two elements generate at most four of the eight
+    gens = [Permutation.from_cycles(6, [(i, i + 1)]) for i in (0, 2, 4)]
+    g = GroupSpec("c2_cubed", 6, gens, 8).build()
+    assert g.order == 8 and g.generators == gens
+
+
+@pytest.mark.parametrize("name", ["m11", "m22"])
+def test_two_generator_spec_is_kept_verbatim(name):
+    spec = resolve_spec(name)
+    assert len(spec.generators) == 2
+    assert spec.build().generators == spec.generators
+
+
+def _c5_of_psu4_2(g):
+    # the element the packaged list's word search finds, in either presentation
+    spec_group = build_bsgs(resolve_spec("psu4_2").generators)
+    y = Permutation(_find_element_of_order(spec_group, 5), _trusted=True)
+    return subgroup_closure(g, [y])
+
+
+@pytest.mark.parametrize(
+    "name,stabilizer,descriptor",
+    [
+        ("psu4_2", _c5_of_psu4_2, "C5"),
+        ("m12", lambda g: point_stabilizer(g, 0), "M11"),
+    ],
+    ids=["psu4_2_c5", "m12_m11"],
+)
+def test_pair_and_spec_list_judge_the_action_alike(name, stabilizer, descriptor):
+    # the same action G/U judged on the spec's generator list and on the pair
+    spec = resolve_spec(name)
+    judged = []
+    for g in (build_bsgs(spec.generators), spec.build()):
+        ev = evaluate_action(fixity(g, stabilizer(g)), descriptor)
+        judged.append((ev.report.fixity, ev.report.bundle_fixes, ev.sylow3_case, ev.failures))
+    assert judged[0] == judged[1]
+    assert judged[0][0] == 4 and judged[0][2] is not None and judged[0][3] == []
