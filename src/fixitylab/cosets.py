@@ -28,7 +28,8 @@ Counting routes for the fixed points of x on G/U:
 The last three are theorems about the first; the test suite holds them
 equal on every enumerable pair.  ``fixity`` counts one generator of each
 class of cyclic subgroups of U by the first route, or, for a G above the
-element cap, by the second from the :func:`cyclic_orbit` records.
+element cap, by the second, walking each G-class of cyclic subgroups that U
+meets once per call (:func:`cyclic_orbit`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Callable, Iterator
 from .enumeration import (
     ELEMENT_CAP,
     SUBGROUP_CAP,
+    CyclicOrbit,
     GroupContext,
     _cyclic_tables,
     as_context,
@@ -427,8 +429,10 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
     per U-bundle is exact.  Within the element cap y is counted on the
     coset action (:func:`fix_direct`).  Above it no action is built: y
     fixes n |N_G(<y>)| / |U| cosets, where the n conjugates of <y> inside
-    U fill the U-bundles whose representatives lie in <y>'s G-orbit, the
-    record :func:`cyclic_orbit` keeps on G.  G is never enumerated."""
+    U fill the U-bundles whose representatives lie in <y>'s G-orbit.
+    Within this call each G-class met is walked once (:func:`cyclic_orbit`)
+    and the later bundles are tested against the classes walked; nothing is
+    kept on G, and G is never enumerated."""
     if g.order > caps.elements:
         check_stabilizer(g, u)
         action = None
@@ -441,11 +445,20 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
     if action is not None:
         fixes = [fix_direct(action, y) for y in reps]
     else:
-        orbits = [cyclic_orbit(g, y) for y in reps]
-        inside = dict.fromkeys(orbits, 0)
+        # one walk per G-class of cyclic subgroups met: a bundle joins the
+        # first class walked that holds its representative
+        walked: list[CyclicOrbit] = []
+        orbits = []
+        for y in reps:
+            rec = next((r for r in walked if r.contains(y)), None)
+            if rec is None:
+                rec = cyclic_orbit(g, y)
+                walked.append(rec)
+            orbits.append(rec)
+        inside = dict.fromkeys(walked, 0)
         for rec, b in zip(orbits, u_ctx.bundles):
             inside[rec] += b.n_subgroups
-        # orbit_stabilizer checked that each orbit length divides |G|
+        # cyclic_orbit checked that each normalizer order divides |G|
         counts = [inside[rec] * (g.order // rec.length) for rec in orbits]
         if any(c % u.order for c in counts):
             raise FalsificationError(f"counts {counts} are not all divisible by |U| = {u.order}")

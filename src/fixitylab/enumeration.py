@@ -8,8 +8,10 @@ under that conjugation action, with Schreier generators supplying the
 stabilizers.  ``normalizer`` and ``sylow`` need no context: they label a
 subgroup's conjugates, a cyclic subgroup given by one generator by its least
 generator and any other by its set of element tables, so G is never
-enumerated.  The conjugation orbit of a cyclic subgroup is walked once per
-group and kept on it (``cyclic_orbit``), beside the context.
+enumerated.  A cyclic subgroup's conjugates are walked under a point
+stabilizer of G, one coset test per point giving the rest of its normalizer
+(``cyclic_orbit``); the same test decides whether two cyclic subgroups are
+conjugate, so no walk is kept on the group.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .perm import (
     Permutation,
     Subgroup,
     _greedy_chain,
+    _tree_transversal,
     build_bsgs,
     compose_tables,
     conjugate_table,
@@ -39,11 +42,15 @@ from .perm import (
     extend_chain,
     identity_table,
     invert_table,
+    orbit,
     orbit_partition,
     orbit_stabilizer,
+    orbit_walk,
+    point_stabilizer,
     table_action,
     table_order,
     table_power,
+    walk_stabilizer,
 )
 
 ELEMENT_CAP = 200_000
@@ -528,33 +535,75 @@ def cyclic_conjugation(g: PermGroup, order: int):
 @dataclass(eq=False)
 class CyclicOrbit:
     """The conjugation orbit of a cyclic subgroup <y> of a group G: its
-    length, and the chain of N_G(<y>) built from y followed by the walk's
-    Schreier generators."""
+    length |G : N_G(<y>)| and the chain of N_G(<y>).  The orbit is not
+    listed; it is held as the walk of <y>'s conjugates under a point
+    stabilizer H = G_a, and ``carrier(z, b)`` is an element of the coset
+    H u_b (u_b carrying a to b) that conjugates <y> to <z>, or None."""
 
     length: int
     normalizer: PermGroup
+    element_order: int
+    points: list[int]
+    carrier: Callable[[ImageTable, int], ImageTable | None]
+
+    def contains(self, z: ImageTable) -> bool:
+        """Whether <z> is a G-conjugate of <y>: G is the union of the cosets
+        H u_b over the points b of a^G, each tested once."""
+        return table_order(z) == self.element_order and any(
+            self.carrier(z, b) is not None for b in self.points
+        )
 
 
 def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
-    """The record of <y>'s conjugation orbit under g.  Each walk is kept on
-    g under the label of every conjugate, so any later call for a conjugate
-    of <y> returns the kept record; only a subgroup of a class not yet
-    walked is walked, from its own label with seed y."""
-    start = canonical_generator(y, g.degree)
-    rec = (g._cyclic_orbits or {}).get(start)
-    return rec if rec is not None else _walk_cyclic_orbit(g, start, y)
+    """<y>'s conjugation orbit under g, walked under the stabilizer H = G_a
+    of the least point a that y fixes (or 0 if y fixes none).
 
+    The walk of <y>'s least-generator label under H gives N_H(<y>) from its
+    Schreier generators, with y when y lies in H.  An element s u_b
+    normalizes <y> exactly when <y>^s = <y>^(u_b^-1), that is when the label
+    of <y>^(u_b^-1) lies in the walk, at a state q reached by t_q; then
+    t_q u_b normalizes <y>.  So each point b of a^G is tested once: a hit
+    adds t_q u_b, and every point of a's orbit under the elements found is
+    a hit; a miss rules out b's orbit under them.  At the end a^N is that
+    orbit of a, |N_G(<y>)| = |N_H(<y>)| |a^N|, and the chain from y, N_H's
+    generators and the hits' elements must have that order.  Nothing is
+    kept on g."""
+    deg, order = g.degree, table_order(y)
+    a = next((p for p, q in enumerate(y) if p == q), 0)
+    h = point_stabilizer(g, a).group
+    least = _least_generator(order, deg)
+    labels, targets = orbit_walk(least(y), cyclic_conjugation(h, order), len(h.generators))
+    n_h = walk_stabilizer(h, len(labels), targets, [y] if y[a] == a else [])
+    transversal = _tree_transversal(h, targets)[1]
+    reps = orbit(g, a).transversal
 
-def _walk_cyclic_orbit(g: PermGroup, start: ImageTable, y: ImageTable) -> CyclicOrbit:
-    """Walk the orbit of <y>, labelled ``start``, with seed y; the record
-    replaces any earlier one under every label of the orbit."""
-    act = cyclic_conjugation(g, table_order(y))
-    members, chain = orbit_stabilizer(g, start, act, [y])
-    rec = CyclicOrbit(len(members), chain)
-    if g._cyclic_orbits is None:
-        g._cyclic_orbits = {}
-    g._cyclic_orbits.update(zip(members, repeat(rec)))
-    return rec
+    def carrier(z: ImageTable, b: int) -> ImageTable | None:
+        u = reps[b]
+        q = labels.get(least(conjugate_table(z, invert_table(u))))
+        return None if q is None else compose_tables(transversal(q), u)
+
+    gens = [y, *n_h.gen_tables]
+
+    def orbit_of(p: int) -> dict[int, int]:
+        return orbit_walk(p, lambda c, j: gens[j][c], len(gens))[0]
+
+    hits, missed = orbit_of(a), set()
+    for b in reps:
+        if b in hits or b in missed:
+            continue
+        x = carrier(y, b)
+        if x is None:
+            missed.update(orbit_of(b))
+        else:
+            gens.append(x)
+            hits = orbit_of(a)
+    chain = _greedy_chain(deg, gens)
+    if chain.order != n_h.order * len(hits) or g.order % chain.order:
+        raise FalsificationError(
+            f"normalizer order {chain.order} != |N_H| * |a^N| = {n_h.order} * {len(hits)}"
+            f" or does not divide |G| = {g.order}"
+        )
+    return CyclicOrbit(g.order // chain.order, chain, order, list(reps), carrier)
 
 
 def subgroup_from_tables(
@@ -584,15 +633,11 @@ def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup
     stabilizer, seeded with U's generators; G is never enumerated.  A U given
     by one generator y has its conjugates labelled by their least generators
     (:func:`cyclic_conjugation`), any other U by their sets of element
-    tables, which enumerates U.  Both labellings respect the G-action, so the
-    orbit walk, and the chain, is the same whichever is taken.  The cyclic
-    walk is always made afresh, so the chain does not depend on what was
-    walked before; it is kept on G for :func:`cyclic_orbit`."""
+    tables, which enumerates U.  The cyclic labels are walked under a point
+    stabilizer of G (:func:`cyclic_orbit`), the set labels under G."""
     grp, ug = _group_of(g), _group_of(u)
     if len(ug.generators) == 1:
-        y = ug.gen_tables[0]
-        rec = _walk_cyclic_orbit(grp, canonical_generator(y, grp.degree), y)
-        return Subgroup(rec.normalizer, grp)
+        return Subgroup(cyclic_orbit(grp, ug.gen_tables[0]).normalizer, grp)
     conj = [conjugator(h) for h in grp.gen_tables]
 
     def act(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:

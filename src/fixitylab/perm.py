@@ -271,10 +271,6 @@ class PermGroup:
     # the enumeration.GroupContext of this group, built by as_context; held
     # here so that it lives exactly as long as the group
     _context: object = field(default=None, repr=False, compare=False)
-    # enumeration.cyclic_orbit's records: the least generator of every
-    # conjugate of each cyclic subgroup walked -> its orbit's record.  Not
-    # part of the context, which enumerates the group; this never does
-    _cyclic_orbits: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def gen_tables(self) -> list[ImageTable]:
@@ -606,18 +602,24 @@ def orbit_stabilizer(
     stabilizer is complete (Seress, ch. 4).
     """
     index, targets = orbit_walk(start, act, len(g.generators))
-    if g.order % len(index):
-        raise FalsificationError(
-            f"orbit length {len(index)} does not divide |G| = {g.order}"
-        )
-    target = g.order // len(index)
+    return list(index), walk_stabilizer(g, len(index), targets, seed)
+
+
+def walk_stabilizer(
+    g: PermGroup, length: int, targets: list[int], seed: Sequence[ImageTable] = ()
+) -> PermGroup:
+    """The stabilizer chain of :func:`orbit_stabilizer`, from an
+    :func:`orbit_walk` under g's generators that found ``length`` states."""
+    if g.order % length:
+        raise FalsificationError(f"orbit length {length} does not divide |G| = {g.order}")
+    target = g.order // length
     schreier = _schreier_generators(g, targets)
     chain = _greedy_chain(g.degree, itertools.chain(seed, schreier), target_order=target)
     if chain.order != target:
         raise FalsificationError(
-            f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{len(index)}"
+            f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{length}"
         )
-    return list(index), chain
+    return chain
 
 
 def _tree_transversal(

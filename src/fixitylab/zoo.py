@@ -33,13 +33,14 @@ from .perm import PermGroup, Permutation, build_bsgs, pack_table
 class GroupSpec:
     """A named generator list with an optional order pledge.
 
-    :meth:`build` checks the pledge against the group the whole list
-    generates.  A list of more than two generators is then replaced by the
-    first of these pairs that generates the same group: (g1, g2...gk),
-    (gk, g1...gk), then each (gi, gj), i < j, in list order.  Every orbit
-    walk over the built group's generators then runs over two of them.  If
-    no pair generates the group, the list is kept; so is a list of two or
-    fewer.  The choice depends only on the list.
+    :meth:`build` replaces a list of more than two generators by the first
+    of these pairs whose chain contains every listed generator, and so
+    generates the same group: (g1, g2...gk), (gk, g1...gk), then each
+    (gi, gj), i < j, in list order.  Every orbit walk over the built group's
+    generators then runs over two of them.  Only if no pair generates the
+    group is the whole list's chain built and kept; so is a list of two or
+    fewer.  The pledge is checked on the chain kept.  The choice depends
+    only on the list.
     """
 
     name: str
@@ -48,15 +49,16 @@ class GroupSpec:
     expected_order: int | None = None
 
     def build(self) -> PermGroup:
-        g = build_bsgs(self.generators, degree=self.degree)
+        for pair in _pair_candidates(self.generators):
+            g = build_bsgs(list(pair), degree=self.degree)
+            if all(map(g.contains, self.generators)):
+                break
+        else:
+            g = build_bsgs(self.generators, degree=self.degree)
         if self.expected_order is not None and g.order != self.expected_order:
             raise GroupDataError(
                 f"{self.name}: constructed order {g.order}, expected {self.expected_order}"
             )
-        for pair in _pair_candidates(self.generators):
-            h = build_bsgs(list(pair), degree=self.degree)
-            if h.order == g.order:
-                return h
         return g
 
 

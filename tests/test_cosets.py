@@ -382,14 +382,18 @@ def test_slow_path_matches_fast(group_cache):
         assert slow.fixity == fast.fixity
         assert slow.bundle_fixes == fast.bundle_fixes
         assert slow.witness == fast.witness
-        # U-bundles whose subgroups are conjugate in G share one orbit record
+        # pairs of U-bundles of one order whose subgroups are conjugate in G,
+        # and pairs that are not, by the conjugacy test of cyclic_orbit
         u_ctx = as_context(u.group)
-        records = {
-            (b.element_order, id(cyclic_orbit(g, u_ctx.elements[b.rep_index])))
-            for b in u_ctx.bundles
-        }
-        fused += len(records) < len(u_ctx.bundles)
-        apart += len({o for o, _ in records}) < len(records)
+        reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
+        pairs = [
+            cyclic_orbit(g, y).contains(z)
+            for i, y in enumerate(reps)
+            for z in reps[i + 1 :]
+            if table_order(y) == table_order(z)
+        ]
+        fused += any(pairs)
+        apart += not all(pairs)
     # some stabilizers of alt_7 have U-bundles fused in G (the three C2 of a
     # Klein four-group), some have bundles of one order that G keeps apart
     # (C3 x C3 holds 3-cycles and products of two 3-cycles)

@@ -16,6 +16,7 @@ from fixitylab.enumeration import (
     as_context,
     canonical_generator,
     centralizer,
+    cyclic_conjugation,
     cyclic_orbit,
     euler_phi,
     is_prime_power,
@@ -41,6 +42,7 @@ from fixitylab.perm import (
     build_bsgs,
     compose_tables,
     conjugate_table,
+    orbit_stabilizer,
     pack_table,
     table_order,
     table_power,
@@ -148,7 +150,7 @@ def _chain_data(sub):
 
 @pytest.mark.parametrize("sel, word", [("alt_7", (0, 1)), ("dihedral_300", (1,)), ("alt_5", ())])
 def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
-    # normalizer(G, <y>) never reads a kept cyclic-orbit chain, so it
+    # normalizer(G, <y>) keeps nothing on G and reads nothing kept, so it
     # returns the same chain on a fresh group, after fixity above the
     # element cap walked
     # that orbit, after a walk from another start or with another seed, and
@@ -163,7 +165,6 @@ def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
     for j in word:
         y = compose_tables(y, g.gen_tables[j])
     n = table_order(y)
-    label = canonical_generator(y, g.degree)
     want = _chain_data(normalizer(g, build_bsgs([y], degree=g.degree)))
     assert n == {(0, 1): 7, (1,): 2, (): 1}[word]
 
@@ -180,9 +181,6 @@ def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
     for walk in (slow_walk, other_start, other_seed):
         h = fresh()
         walk(h)
-        # a record of <y>'s orbit is kept, walked from elsewhere
-        if walk is not slow_walk:
-            assert label in h._cyclic_orbits
         first = normalizer(h, build_bsgs([y], degree=h.degree))
         assert _chain_data(first) == want
         # a second call walks afresh, to the same chain
@@ -190,6 +188,88 @@ def test_normalizer_ignores_kept_orbits(group_cache, sel, word):
         assert second.group is not first.group and _chain_data(second) == want
     shared = group_cache(sel)
     assert _chain_data(normalizer(shared, build_bsgs([y], degree=shared.degree))) == want
+
+
+def _whole_group_walk(g, y):
+    """The walk cyclic_orbit replaced, kept as an oracle: every G-conjugate
+    of <y> by its least generator, N_G(<y>) from the Schreier generators."""
+    act = cyclic_conjugation(g, table_order(y))
+    return orbit_stabilizer(g, canonical_generator(y, g.degree), act, [y])
+
+
+def _sample_elements(g, per_group=10):
+    """The identity, then the first elements in breadth-first word order
+    over the generators, one per (order, number of fixed points)."""
+    ident = g.identity_table()
+    seen, queue, out, kinds = {ident}, [ident], [ident], set()
+    for t in queue:
+        kind = (table_order(t), sum(i == v for i, v in enumerate(t)))
+        if kind not in kinds:
+            kinds.add(kind)
+            out.append(t)
+            if len(out) > per_group:
+                break
+        for h in g.gen_tables:
+            nxt = compose_tables(t, h)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return out
+
+
+def _intransitive_group():
+    # Sym(3) x Sym(4) on {0, 1, 2} and {3, 4, 5, 6}
+    cycles = [[(0, 1)], [(0, 1, 2)], [(3, 4)], [(3, 4, 5, 6)]]
+    return build_bsgs([Permutation.from_cycles(7, c) for c in cycles])
+
+
+@pytest.mark.parametrize(
+    "sel, brute",
+    [("alt_7", True), ("m11", True), ("psl2_13", True), ("psu4_2", True),
+     ("sz8", True), ("m12", False), ("intransitive", True), ("dihedral_300", True)],
+)
+def test_point_stabilizer_walk_matches_whole_group_walk(group_cache, sel, brute):
+    # cyclic_orbit walks <y>'s conjugates under G_a and tests one coset
+    # H u_b per point; the whole-G walk and, where G is enumerated for it,
+    # the scan of G give the same normalizer and orbit length.  The samples
+    # include the identity and elements with and without fixed points;
+    # dihedral_300 has tuple tables, and its rotations of order 300 are left
+    # out, as they take seconds on either walk
+    g = _intransitive_group() if sel == "intransitive" else group_cache(sel)
+    if sel == "dihedral_300":
+        r, s = g.generators
+        sample = [x.images for x in (r**60, s, r**50 * s)]
+        assert [x.fixed_points()[:1] for x in (r**60, s, r**50 * s)] == [[], [0], [125]]
+    else:
+        sample = _sample_elements(g)
+    assert any(t[p] == p for t in sample[1:] for p in range(g.degree))
+    assert any(all(t[p] != p for p in range(g.degree)) for t in sample)
+    for y in sample:
+        rec = cyclic_orbit(g, y)
+        members, chain = _whole_group_walk(g, y)
+        assert rec.length == len(members)
+        assert rec.normalizer.order == chain.order
+        assert all(rec.normalizer.contains_table(t) for t in chain.gen_tables)
+        if brute:
+            want = normalizer_brute(g, build_bsgs([y], degree=g.degree))
+            assert rec.normalizer.element_tables() == want.group.element_tables()
+        # the conjugacy test finds conjugates met late in the whole walk
+        assert all(rec.contains(m) for m in members[:: max(1, len(members) // 7)])
+        assert all(rec.contains(m) for m in members[-3:])
+
+
+@pytest.mark.parametrize("sel", ["alt_7", "m11", "psu4_2"])
+def test_conjugacy_test_matches_the_bundles(group_cache, sel):
+    # two cyclic subgroups are G-conjugate exactly when their generators'
+    # classes lie in one bundle of G's context (the identity class in none)
+    g = group_cache(sel)
+    ctx = as_context(g)
+    reps = [ctx.elements[c.rep_index] for c in ctx.classes]
+    for i, y in enumerate(reps):
+        rec = cyclic_orbit(g, y)
+        for j, z in enumerate(reps):
+            same = i == j or ctx.bundle_of_class[i] == ctx.bundle_of_class[j] >= 0
+            assert rec.contains(z) == same, (i, j)
 
 
 def test_sylow(group_cache):

@@ -103,6 +103,34 @@ def test_fixity_reports_are_built_in_one_place():
     assert _calls_outside("FixityReport", "cosets.py", ("fixity",)) == []
 
 
+def test_group_caches_are_elements_and_context():
+    # the only data kept on a PermGroup for its lifetime are its sorted
+    # element list and its GroupContext: the class declares no other private
+    # field, and no module sets a private attribute on anything but self
+    # except those two
+    allowed = {"_elements", "_context"}
+    paths = sorted(Path(fixitylab.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    group = next(
+        node for node in ast.walk(trees["perm.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "PermGroup"
+    )
+    fields = {
+        node.target.id for node in group.body
+        if isinstance(node, ast.AnnAssign) and node.target.id.startswith("_")
+    }
+    assert fields == allowed
+    set_elsewhere = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and node.attr.startswith("_") and node.attr not in allowed
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert set_elsewhere == []
+
+
 def test_perfbench_probes_resolve():
     # the benchmark's tracer wraps the library functions named in its
     # PROBES table; a rename or removal here must not leave a probe dangling

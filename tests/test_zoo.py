@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import pytest
 
@@ -7,9 +9,11 @@ from fixitylab.enumeration import _find_element_of_order, is_simple_group, subgr
 from fixitylab.errors import GroupDataError, ParseError, PreconditionError
 from fixitylab.perm import Permutation, build_bsgs, orbit, point_stabilizer
 from fixitylab.verifier import evaluate_action
+from fixitylab import zoo
 from fixitylab.zoo import (
     FILE_BACKED,
     GroupSpec,
+    _pair_candidates,
     canonical_name,
     dihedral_spec,
     load_group,
@@ -186,6 +190,30 @@ def test_resolved_group_is_a_generating_pair(name):
     assert len(g.generators) == 2
     assert g.order == spec.expected_order == whole.order
     assert all(p in whole for p in g.generators)
+
+
+@pytest.mark.parametrize("name", ["psu4_2", "psl2_17"])
+def test_pair_is_chosen_without_building_the_list(monkeypatch, name):
+    # each candidate pair is built once and the listed generators are sifted
+    # through its chain; the whole list's chain is never built.  A wrong
+    # pledge is reported on the adopted pair's chain with the same text
+    sizes = []
+
+    def counted(gens, *args, **kwargs):
+        sizes.append(len(gens))
+        return build_bsgs(gens, *args, **kwargs)
+
+    monkeypatch.setattr(zoo, "build_bsgs", counted)
+    spec = resolve_spec(name)
+    g = resolve_group(name)[1]
+    tried = [list(p) for p in _pair_candidates(spec.generators)]
+    assert sizes == [2] * (tried.index(g.generators) + 1)
+    sizes.clear()
+    wrong = dataclasses.replace(spec, expected_order=spec.expected_order + 1)
+    message = f"{name}: constructed order {g.order}, expected {g.order + 1}"
+    with pytest.raises(GroupDataError, match=re.escape(message)):
+        wrong.build()
+    assert sizes == [2] * (tried.index(g.generators) + 1)
 
 
 def test_group_with_no_generating_pair_keeps_its_list():
