@@ -64,8 +64,6 @@ from .perm import (
     Subgroup,
     build_bsgs,
     compose_tables,
-    conjugate_table,
-    conjugator,
     identity_table,
     invert_table,
     orbit_walk,
@@ -268,11 +266,6 @@ def _in_u(action: CosetAction, t: ImageTable, right: list[ImageTable]) -> Iterat
     return map(action.u_set.__contains__, products)
 
 
-def coset_stabilizer_tables(action: CosetAction, i: int) -> list[ImageTable]:
-    """Element tables of the stabilizer of coset i: r_i^-1 U r_i."""
-    return list(map(conjugator(action.canonical_reps[i]), action.u_tables))
-
-
 # ---------------------------------------------------------------------------
 # the four counting routes
 # ---------------------------------------------------------------------------
@@ -296,23 +289,6 @@ def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
     if not action.group.contains_table(t):
         raise MembershipError("element is not a member of the acting group")
     return len(fixed_cosets(action, t))
-
-
-def cyclic_normalizer_order(
-    action: CosetAction, y: ImageTable, element_cap: int = ELEMENT_CAP
-) -> int:
-    """|N_G(Y)| for Y = <y> <= U, from the cosets y fixes.  Each fixed coset
-    U r puts r Y r^-1 inside U, and every G-conjugate of Y inside U arises
-    so: they fill the U-bundles of those r y r^-1, n subgroups in all, and
-    |fix(y)| = n |N_G(Y)| / |U|."""
-    u_ctx = as_context(action.stabilizer.group, element_cap)
-    fixed = fixed_cosets(action, y)
-    inside = [conjugate_table(y, invert_table(action.canonical_reps[lam])) for lam in fixed]
-    met = {u_ctx.bundle_of_class[u_ctx.class_of[u_ctx.index_of(t)]] for t in inside}
-    n = sum(u_ctx.bundles[b].n_subgroups for b in met)
-    if len(fixed) * u_ctx.n % n:
-        raise FalsificationError(f"|fix(y)| |U| = {len(fixed) * u_ctx.n} is not a multiple of {n}")
-    return len(fixed) * u_ctx.n // n
 
 
 def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import CapExceededError, FalsificationError, GroupDataError
 from .errors import MembershipError, PreconditionError
-from .ffield import euler_phi, is_prime, is_prime_power, p_part, prime_divisors
+from .ffield import euler_phi, is_prime, p_part, prime_divisors, prime_power
 from .perm import (
     ImageTable,
     PermGroup,
@@ -264,13 +264,13 @@ class GroupContext:
         cyc_of = [-1] * self.n
         rep: list[int] = []
         for i, o in enumerate(self.element_orders):
-            if cyc_of[i] >= 0 or is_prime_power(o) is None:
+            if cyc_of[i] >= 0 or prime_power(o) is None:
                 continue
             for t in _cyclic_generators(elements[i], degree):
                 cyc_of[index[t]] = len(rep)
             rep.append(i)
         expected = sum(
-            b.n_subgroups for b in self.bundles if is_prime_power(b.element_order)
+            b.n_subgroups for b in self.bundles if prime_power(b.element_order)
         )
         if len(rep) != expected:
             raise FalsificationError(
@@ -745,7 +745,8 @@ def structure_predicates(u: Subgroup | PermGroup | GroupContext) -> StructureRec
         for i, a in enumerate(gen_tables)
         for b in gen_tables[i + 1 :]
     )
-    p_prime = is_prime_power(n)
+    pp = prime_power(n)
+    p_prime = pp[0] if pp else None
     is_elem_ab = is_abelian and p_prime is not None and exponent == p_prime
     n_invol = counts.get(2, 0)
 

@@ -61,12 +61,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return p, n
 
 
-def is_prime_power(n: int) -> int | None:
-    """The prime p with n = p^k (k >= 1), or None."""
-    pp = prime_power(n)
-    return pp[0] if pp else None
-
-
 def p_part(n: int, p: int) -> int:
     """The largest power of p dividing n."""
     pp = 1

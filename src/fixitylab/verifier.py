@@ -43,8 +43,6 @@ from .cosets import (
     DEFAULT_CAPS,
     CosetAction,
     FixityReport,
-    coset_stabilizer_tables,
-    cyclic_normalizer_order,
     fixed_cosets,
     fixity,
     stabilizer_bundle_fixes,
@@ -77,6 +75,7 @@ from .perm import (
     _greedy_chain,
     compose_tables,
     conjugate_table,
+    conjugator,
     invert_table,
     orbit_partition,
     orbit_stabilizer,
@@ -279,24 +278,52 @@ def _missing_sylow(what: str, order: int, n: int) -> list[str]:
     ]
 
 
+def _normalizer_index(n: int, u_conjugates: int, inside: int) -> int:
+    """|N_G(K) : N_U(K)| = n |K^U| / inside for a K <= U that fixes n cosets
+    of U and has ``inside`` G-conjugates in U: the r with r K r^-1 <= U fill
+    those n cosets U r, |N_G(K)| per conjugate, so n |U| = inside |N_G(K)|."""
+    if n * u_conjugates % inside:
+        raise FalsificationError(f"normalizer index {n}*{u_conjugates}/{inside} is not an integer")
+    return n * u_conjugates // inside
+
+
+def _cyclic_indices(action: CosetAction, u_ctx: GroupContext) -> list[tuple[int, int]]:
+    """(element order, |N_G(Y) : N_U(Y)|) for Y = <y>, y each U-bundle's
+    representative: the G-conjugates of Y in U are the r Y r^-1 for the
+    cosets U r that y fixes, and fill the U-bundles of those r y r^-1."""
+    rows = []
+    for b in u_ctx.bundles:
+        y = u_ctx.elements[b.rep_index]
+        fixed = fixed_cosets(action, y)
+        conjugates = {
+            u_ctx.index_of(conjugate_table(y, invert_table(action.canonical_reps[c])))
+            for c in fixed
+        }
+        met = {u_ctx.bundle_of_class[u_ctx.class_of[i]] for i in conjugates}
+        n_inside = sum(u_ctx.bundles[k].n_subgroups for k in met)
+        rows.append((b.element_order, _normalizer_index(len(fixed), b.n_subgroups, n_inside)))
+    return rows
+
+
 def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> StructuralChecks:
     """Side conditions every fixity-4 action must satisfy.
 
-    H is the four-point stabilizer: the elements fixing the four cosets F
-    that the witness element fixes, so H holds the witness and H != 1.
-    Every check reads only the coset action the fixity report was counted
-    on and U's context; G is never enumerated.
+    H is the four-point stabilizer: the elements fixing the four cosets
+    U r_0, ..., U r_3 that the witness element fixes, so H holds the witness
+    and H != 1; it is held inside U as H_0 = r_0 H r_0^-1.  The checks read
+    U's context, the report's count per U-bundle, and the action's fixed
+    cosets and representatives; they walk no orbit of G.
 
     (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
-          subgroups Y <= U, |N_G(Y)| taken from the cosets y fixes;
+          subgroups Y <= U, from the cosets y fixes (:func:`_cyclic_indices`);
     (ii)  H is TI: every non-identity element of H fixes exactly the four
-          cosets F, which decides TI for every conjugator (``ti_samples``
-          counts the elements of H checked);
+          cosets, read from the count of its U-bundle, which decides TI for
+          every conjugator (``ti_samples`` counts the elements of H checked);
     (iii) for each prime p >= 5 dividing |U|, U contains a full Sylow
           p-subgroup of G, and so does H for each such p dividing |H|;
-    (iv)  |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four cosets a,
-          read as the length of the orbit of a under N_G(H), the setwise
-          stabilizer of F.
+    (iv)  |N_G(H) : N_{G_a}(H)| is 2 or 4 for each of the four cosets
+          a = U r_a: it is |N_G(H_a) : N_U(H_a)| for H_a = r_a H r_a^-1,
+          whose G-conjugates in U are the U-conjugates of the four H_i.
 
     Failures are collected in the returned record, never silently dropped.
     """
@@ -305,77 +332,72 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
         raise PreconditionError(
             "structural checks apply to a confirmed fixity-4 action with a witness"
         )
-    failures: list[str] = []
+    u_ctx = as_context(u.group, caps.elements)
 
     # (i) normalizer index of cyclic subgroups of U, per U-class
-    u_ctx = as_context(u.group, caps.elements)
-    cyclic_indices: list[tuple[int, int]] = []
-    for b in u_ctx.bundles:
-        ng_order = cyclic_normalizer_order(action, u_ctx.elements[b.rep_index], caps.elements)
-        if ng_order % b.normalizer_order:
-            raise FalsificationError(
-                "N_U(Y) order does not divide N_G(Y) order; index computation broken"
-            )
-        idx = ng_order // b.normalizer_order
-        cyclic_indices.append((b.element_order, idx))
-        if idx > 4:
-            failures.append(
-                f"|N_G(Y):N_U(Y)| = {idx} > 4 for cyclic Y of order {b.element_order}"
-            )
+    cyclic_indices = _cyclic_indices(action, u_ctx)
+    failures = [
+        f"|N_G(Y):N_U(Y)| = {idx} > 4 for cyclic Y of order {o}"
+        for o, idx in cyclic_indices
+        if idx > 4
+    ]
 
     # (iii) for p >= 5 the stabilizer contains a full Sylow p-subgroup
     failures += _missing_sylow("stabilizer", u.order, g.order)
 
-    # the four-point stabilizer cut out by the witness element
-    x = report.witness
-    fixed = fixed_cosets(action, x)
+    # the four-point stabilizer cut out by the witness element: u in U lies
+    # in H_0 exactly when each c_i^-1 u c_i, c_i = r_0 r_i^-1, lies in U, and
+    # those conjugates make up H_i = r_i H r_i^-1
+    fixed = fixed_cosets(action, report.witness)
     if len(fixed) != 4:
         raise FalsificationError(
             f"witness element fixes {len(fixed)} cosets, fixity report says 4"
         )
-    h_set = set(coset_stabilizer_tables(action, fixed[0]))
-    for lam in fixed[1:]:
-        h_set &= set(coset_stabilizer_tables(action, lam))
-    h_tables = sorted(h_set)
-    failures += _missing_sylow("four-point stabilizer", len(h_tables), g.order)
+    reps = [action.canonical_reps[c] for c in fixed]
+    to_h = [conjugator(compose_tables(reps[0], invert_table(r))) for r in reps]
+    h0 = [t for t in u_ctx.elements if all(c(t) in u_ctx.index for c in to_h[1:])]
+    failures += _missing_sylow("four-point stabilizer", len(h0), g.order)
 
-    # (ii) TI, exactly: each h != 1 in H fixes F and, at fixity 4, nothing
-    # else; an h != 1 in H cap H^s then fixes F and Fs, so Fs = F and
-    # H^s = H.  The sorted tables start with the identity.
+    # (ii) TI, exactly: each h != 1 in H fixes the four cosets and, at
+    # fixity 4, nothing else; an h != 1 in H cap H^s then fixes them and
+    # their images under s, so s permutes them and H^s = H.  h fixes as
+    # many cosets as r_0 h r_0^-1 in H_0.  H's sorted tables start with the
+    # identity.
     ti_samples = 0
-    for h in h_tables[1:]:
+    to_g = conjugator(reps[0])
+    for _, t in sorted((to_g(t), t) for t in h0)[1:]:
         ti_samples += 1
-        fixed_h = fixed_cosets(action, h)
-        if fixed_h != fixed:
+        fixes = report.bundle_fixes[u_ctx.bundle_of_class[u_ctx.class_of[u_ctx.index[t]]]]
+        if fixes != 4:
             failures.append(
-                f"TI not shown: an element of order {table_order(h)} in H "
-                f"fixes {len(fixed_h)} cosets, more than the fixity 4"
+                f"TI not shown: an element of order {table_order(t)} in H "
+                f"fixes {fixes} cosets, more than the fixity 4"
             )
             break
 
-    # (iv) the witness lies in H and fixes only F, so N_G(H) permutes
-    # fix(H) = F; the setwise stabilizer of F normalizes H, its pointwise
-    # stabilizer, so N_G(H) is exactly the stabilizer of the 4-set F
-    img = [p.images for p in action.images]
-    _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
-    n_gens = ngh.gen_tables
-    indices = []
-    for lam in fixed:
-        idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens))[0])
-        if ngh.order % idx:
-            raise FalsificationError(
-                "orbit length of N_G(H) on a fixed point does not divide |N_G(H)|"
-            )
-        indices.append(idx)
-        if idx not in (2, 4):
-            failures.append(
-                f"|N_G(H):N_{{G_a}}(H)| = {idx} for a fixed point of H, "
-                "expected 2 or 4"
-            )
+    # (iv) the witness lies in H and fixes only the four cosets, so H_a
+    # fixes exactly the U r_i r_a^-1 and its G-conjugates in U are the
+    # U-classes of the H_i, walked under U's generators
+    conj = u_ctx.conj_tables
+    classes: list[dict[frozenset[int], int]] = []
+    sizes = []
+    for c in to_h:
+        h_i = frozenset(u_ctx.index[c(t)] for t in h0)
+        orbit = next((o for o in classes if h_i in o), None)
+        if orbit is None:
+            orbit = orbit_walk(h_i, lambda s, j: frozenset(conj[j][i] for i in s), len(conj))[0]
+            classes.append(orbit)
+        sizes.append(len(orbit))
+    indices = [_normalizer_index(4, n_i, sum(map(len, classes))) for n_i in sizes]
+    failures += [
+        f"|N_G(H):N_{{G_a}}(H)| = {idx} for a fixed point of H, expected 2 or 4"
+        for idx in indices
+        if idx not in (2, 4)
+    ]
 
     return StructuralChecks(
         cyclic_indices=cyclic_indices,
-        four_point_order=len(h_tables),
+        four_point_order=len(h0),
         ti_samples=ti_samples,
         h_normalizer_index=indices[0],
         failures=failures,

@@ -11,8 +11,6 @@ from fixitylab.cosets import (
     build_coset_action,
     chain_canonicalizer,
     check_homomorphism,
-    coset_stabilizer_tables,
-    cyclic_normalizer_order,
     fix_by_class_sum,
     fix_by_normalizer_formula,
     fix_direct,
@@ -40,12 +38,13 @@ from fixitylab.perm import (
     Permutation,
     build_bsgs,
     compose_tables,
+    conjugate_table,
     invert_table,
     pack_table,
     point_stabilizer,
     table_order,
 )
-from fixitylab.verifier import _build_stabilizer
+from fixitylab.verifier import _build_stabilizer, _cyclic_indices
 from fixitylab.zoo import psl2_spec, resolve_group
 
 
@@ -226,10 +225,12 @@ def test_coset_of(alt5):
 
 
 def test_coset_stabilizers_are_conjugates(sym4):
+    # the stabilizer of coset i is r_i^-1 U r_i, U's tables conjugated by
+    # the coset's canonical representative
     u = point_stabilizer(sym4, 0)
     action = build_coset_action(sym4, u)
     for i in range(action.degree):
-        tabs = coset_stabilizer_tables(action, i)
+        tabs = [conjugate_table(t, action.canonical_reps[i]) for t in action.u_tables]
         assert len(tabs) == u.order
         fs = set(tabs)
         assert sym4.identity_table() in fs
@@ -282,7 +283,8 @@ def test_witness_attains_max(group_cache):
 def test_stabilizer_classes_decide_fixity(group_cache, sel):
     # an element that fixes the coset U r is conjugate into U, so the
     # maximum over U's classes equals the maximum over G's; and the cosets
-    # that each y in U fixes give |N_G(<y>)| with no context of G
+    # that each y in U fixes give |N_G(<y>) : N_U(<y>)| (lemma (i)) with no
+    # context of G, checked against |N_G(<y>)| from G's context
     g = group_cache(sel)
     ctx = as_context(g)
     for sc in ctx.subgroup_classes():
@@ -293,10 +295,12 @@ def test_stabilizer_classes_decide_fixity(group_cache, sel):
         over_g = [fix_direct(rep.action, c.representative) for c in ctx.classes]
         assert rep.fixity == max(fx for c, fx in zip(ctx.classes, over_g) if c.element_order > 1)
         u_ctx = as_context(u.group)
-        for b in u_ctx.bundles:
+        indices = _cyclic_indices(rep.action, u_ctx)
+        assert [o for o, _ in indices] == [b.element_order for b in u_ctx.bundles]
+        for b, (_, idx) in zip(u_ctx.bundles, indices):
             y = u_ctx.elements[b.rep_index]
             gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ctx.index_of(y)]]]
-            assert cyclic_normalizer_order(rep.action, y) == gb.normalizer_order
+            assert idx * b.normalizer_order == gb.normalizer_order
 
 
 def test_counting_routes_agree(sym4, alt5):

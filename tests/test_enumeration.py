@@ -19,12 +19,12 @@ from fixitylab.enumeration import (
     cyclic_conjugation,
     cyclic_orbit,
     euler_phi,
-    is_prime_power,
     is_simple_group,
     normalizer,
     normalizer_brute,
     p_part,
     prime_divisors,
+    prime_power,
     structure_predicates,
     subgroup_closure,
     sylow,
@@ -57,11 +57,11 @@ def test_euler_phi():
 
 
 def test_is_prime_power():
-    assert is_prime_power(8) == 2
-    assert is_prime_power(81) == 3
-    assert is_prime_power(13) == 13
-    assert is_prime_power(12) is None
-    assert is_prime_power(1) is None
+    assert prime_power(8) == (2, 3)
+    assert prime_power(81) == (3, 4)
+    assert prime_power(13) == (13, 1)
+    assert prime_power(12) is None
+    assert prime_power(1) is None
 
 
 def test_p_part():
@@ -450,11 +450,11 @@ def test_prime_power_cyclic_numbering(group_cache, sel):
     ctx = as_context(group_cache(sel))
     cyc_of, rep = ctx.pp_cyclics
     assert len(rep) == sum(
-        b.n_subgroups for b in ctx.bundles if is_prime_power(b.element_order)
+        b.n_subgroups for b in ctx.bundles if prime_power(b.element_order)
     )
     assert all(a < b for a, b in zip(rep, rep[1:]))
     for i, o in enumerate(ctx.element_orders):
-        assert (cyc_of[i] >= 0) == (o > 1 and is_prime_power(o) is not None)
+        assert (cyc_of[i] >= 0) == (o > 1 and prime_power(o) is not None)
     for s, r in enumerate(rep):
         y = ctx.elements[r]
         o = ctx.element_orders[r]
@@ -470,7 +470,7 @@ def test_prime_power_cyclic_count_cross_check():
     # named with both numbers, not an assert that python -O would drop
     ctx = as_context(resolve_group("alt_5")[1])
     bundles = ctx.bundles
-    numbered = sum(b.n_subgroups for b in bundles if is_prime_power(b.element_order))
+    numbered = sum(b.n_subgroups for b in bundles if prime_power(b.element_order))
     bundles[-1].n_subgroups += 1
     with pytest.raises(FalsificationError, match=f"{numbered}.*{numbered + 1}"):
         ctx.pp_cyclics

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -11,8 +11,6 @@ import fixitylab.verifier
 from fixitylab.cosets import (
     Caps,
     build_coset_action,
-    coset_stabilizer_tables,
-    cyclic_normalizer_order,
     fixed_cosets,
 )
 from fixitylab.enumeration import (
@@ -38,15 +36,19 @@ from fixitylab.perm import (
     conjugate_table,
     identity_table,
     orbit_partition,
+    orbit_stabilizer,
+    orbit_walk,
     pack_table,
     point_stabilizer,
     table_order,
 )
 from fixitylab.verifier import (
+    StructuralChecks,
     Sylow3Classification,
     _build_stabilizer,
     _find_element_of_order,
     _is_maximal_class,
+    _missing_sylow,
     _normal_sylow,
     catalog_report_json,
     check_order27_lemma,
@@ -387,9 +389,10 @@ def test_sylow3_case_a_from_u_matches_the_orbits(monkeypatch):
 
 def test_each_fixed_coset_list_is_computed_once_per_action(monkeypatch, group_cache):
     # fixity counts every class representative of U, lemma (i) asks again
-    # for each cyclic bundle's representative and lemma (ii) for the
-    # witness; the action keeps each list, so every (action, element) pair
-    # costs one pass over the cosets however often it is asked for
+    # for each cyclic bundle's representative and the four-point stabilizer
+    # for the witness, while lemma (ii) reads the counts per U-bundle and
+    # asks for none; the action keeps each list, so every (action, element)
+    # pair costs one pass over the cosets however often it is asked for
     asked, passes = [], []
     fixed_cosets, in_u = fixitylab.cosets.fixed_cosets, fixitylab.cosets._in_u
 
@@ -620,44 +623,120 @@ def test_stabilizer_claim_on_the_slow_path():
     assert not ev.ok
 
 
-@pytest.mark.parametrize("name", ["psl2_7", "psl2_9", "psl2_11", "psl2_13"])
-def test_h_normalizer_index_matches_brute_force(group_cache, name):
-    # lemma (iv) reads |N_G(H) : N_{G_a}(H)| off the orbit of the coset a
-    # under N_G(H); the oracle intersects an enumerated N_G(H) with the
-    # enumerated stabilizer G_a of the first fixed coset
-    g = group_cache(name)
-    ctx = as_context(g)
-    nontrivial = 0
-    for h in search_fixity_k(g, 4):
-        checks = check_structural_lemmas(h.report)
-        action = h.report.action
-        fixed = fixed_cosets(action, h.report.witness)
-        h_set = set(coset_stabilizer_tables(action, fixed[0]))
-        for lam in fixed[1:]:
-            h_set &= set(coset_stabilizer_tables(action, lam))
-        assert len(h_set) >= 2
-        nontrivial += 1
-        h_sub = subgroup_from_tables(g, sorted(h_set), target_order=len(h_set))
-        ngh = normalizer_brute(ctx, h_sub)
-        g_a = frozenset(coset_stabilizer_tables(action, fixed[0]))
-        inside = sum(1 for t in ngh.group.element_tables() if t in g_a)
-        assert checks.h_normalizer_index == ngh.order // inside
-    assert nontrivial > 0
+def _coset_stabilizer(action, i):
+    """Tables of the stabilizer r_i^-1 U r_i of coset i."""
+    r = action.canonical_reps[i]
+    return [conjugate_table(t, r) for t in action.u_tables]
 
 
 def _four_point_stabilizer(action, witness):
     """Sorted tables of the elements fixing every coset the witness fixes."""
     fixed = fixed_cosets(action, witness)
-    h_set = set(coset_stabilizer_tables(action, fixed[0]))
+    h_set = set(_coset_stabilizer(action, fixed[0]))
     for lam in fixed[1:]:
-        h_set &= set(coset_stabilizer_tables(action, lam))
+        h_set &= set(_coset_stabilizer(action, lam))
     return sorted(h_set)
 
 
-def test_four_point_stabilizer_holds_the_witness(monkeypatch):
-    # the witness fixes each of the four cosets it cuts out, so it lies in
-    # H and H != 1: lemmas (ii)-(iv) always run, and (iv) always gives the
-    # normalizer index; checked on every fixity-4 action of five claims
+def _forged_sym7_report(group_cache):
+    """Sym(7) on 7 points has fixity 5; this report claims fixity 4 with the
+    3-cycle (0 1 2) as witness, which lies outside U: the four cosets it
+    fixes miss coset 0 = U, and H = Sym{0, 1, 2} is not a subgroup of U."""
+    g = group_cache("sym_7")
+    report = fixitylab.cosets.fixity(g, point_stabilizer(g, 0))
+    assert report.fixity == 5
+    return replace(report, fixity=4, witness=_perm_mod([1, 2, 0, 3, 4, 5, 6]).images)
+
+
+def _lemmas_on_the_action(report):
+    """The structural lemmas computed on the coset action and G, as an
+    oracle: (i) from |G| over the length of each <y>'s conjugation orbit,
+    H as the intersection of the four r^-1 U r, (ii) from the fixed cosets
+    of each h in H, and (iv) from the orbits of N_G(H), the stabilizer of
+    the 4-set F in G, on F."""
+    g, u, action = report.group, report.stabilizer, report.action
+    failures = []
+    u_ctx = as_context(u.group)
+    cyclic_indices = []
+    for b in u_ctx.bundles:
+        rec = cyclic_orbit(g, u_ctx.elements[b.rep_index])
+        idx, rest = divmod(g.order // rec.length, b.normalizer_order)
+        assert rest == 0
+        cyclic_indices.append((b.element_order, idx))
+        if idx > 4:
+            failures.append(f"|N_G(Y):N_U(Y)| = {idx} > 4 for cyclic Y of order {b.element_order}")
+    failures += _missing_sylow("stabilizer", u.order, g.order)
+    fixed = fixed_cosets(action, report.witness)
+    h_tables = _four_point_stabilizer(action, report.witness)
+    failures += _missing_sylow("four-point stabilizer", len(h_tables), g.order)
+    ti_samples = 0
+    for h in h_tables[1:]:
+        ti_samples += 1
+        fixed_h = fixed_cosets(action, h)
+        if fixed_h != fixed:
+            failures.append(
+                f"TI not shown: an element of order {table_order(h)} in H "
+                f"fixes {len(fixed_h)} cosets, more than the fixity 4"
+            )
+            break
+    img = [p.images for p in action.images]
+    _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
+    n_gens = ngh.gen_tables
+    indices = []
+    for lam in fixed:
+        idx = len(orbit_walk(lam, lambda c, j: action.image(c, n_gens[j]), len(n_gens))[0])
+        assert ngh.order % idx == 0
+        indices.append(idx)
+        if idx not in (2, 4):
+            failures.append(
+                f"|N_G(H):N_{{G_a}}(H)| = {idx} for a fixed point of H, expected 2 or 4"
+            )
+    return StructuralChecks(
+        cyclic_indices=cyclic_indices,
+        four_point_order=len(h_tables),
+        ti_samples=ti_samples,
+        h_normalizer_index=indices[0],
+        failures=failures,
+    )
+
+
+@pytest.mark.parametrize("name", ["psl2_7", "psl2_9", "psl2_11", "psl2_13", "sym_7"])
+def test_h_normalizer_index_matches_brute_force(group_cache, name):
+    # lemma (iv) reads |N_G(H) : N_{G_a}(H)| from the U-classes of the four
+    # conjugates of H inside U; the oracle intersects an enumerated N_G(H)
+    # with the enumerated stabilizer G_a of the first fixed coset.  On
+    # sym_7 the forged report's fixed cosets miss coset 0 = U, so H is
+    # carried into U by the first fixed coset's representative
+    g = group_cache(name)
+    ctx = as_context(g)
+    if name == "sym_7":
+        reports = [_forged_sym7_report(group_cache)]
+        assert fixed_cosets(reports[0].action, reports[0].witness) == (3, 4, 5, 6)
+    else:
+        reports = [h.report for h in search_fixity_k(g, 4)]
+    indices = []
+    for report in reports:
+        action = report.action
+        fixed = fixed_cosets(action, report.witness)
+        h_tables = _four_point_stabilizer(action, report.witness)
+        assert len(h_tables) >= 2
+        h_sub = subgroup_from_tables(g, h_tables, target_order=len(h_tables))
+        ngh = normalizer_brute(ctx, h_sub)
+        g_a = frozenset(_coset_stabilizer(action, fixed[0]))
+        inside = sum(1 for t in ngh.group.element_tables() if t in g_a)
+        indices.append(ngh.order // inside)
+        checks = check_structural_lemmas(report)
+        assert checks.four_point_order == len(h_tables)
+        assert checks.h_normalizer_index == indices[-1]
+    assert indices
+    if name == "sym_7":
+        # N_G(H) = Sym{0, 1, 2} x Sym{3, 4, 5, 6} moves the four fixed points
+        assert indices == [4]
+
+
+def _recording_lemmas(monkeypatch):
+    """The list each call of the verifier's lemma checks appends its
+    (report, checks) to."""
     seen = []
 
     def recording(report, caps=fixitylab.verifier.DEFAULT_CAPS):
@@ -666,6 +745,14 @@ def test_four_point_stabilizer_holds_the_witness(monkeypatch):
         return checks
 
     monkeypatch.setattr(fixitylab.verifier, "check_structural_lemmas", recording)
+    return seen
+
+
+def test_four_point_stabilizer_holds_the_witness(monkeypatch):
+    # the witness fixes each of the four cosets it cuts out, so it lies in
+    # H and H != 1: lemmas (ii)-(iv) always run, and (iv) always gives the
+    # normalizer index; checked on every fixity-4 action of five claims
+    seen = _recording_lemmas(monkeypatch)
     catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
     claims = {c["id"]: c for c in load_claims(catalog)}
     for cid in ("psl2_7_search", "psl2_13_search", "m12_stabs", "psl2_family_q17",
@@ -678,6 +765,52 @@ def test_four_point_stabilizer_holds_the_witness(monkeypatch):
         assert witness in h_tables
         assert checks.four_point_order == len(h_tables) >= 2
         assert checks.h_normalizer_index in (2, 4)
+
+
+def test_lemmas_match_the_action_oracle(monkeypatch, group_cache):
+    # every fixity-4 report the packaged catalog produces within the element
+    # cap, and the forged Sym(7) report, whose witness lies outside U, give
+    # the same checks field by field as the lemmas computed on the coset
+    # action and G
+    seen = _recording_lemmas(monkeypatch)
+    catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
+    results = run_claim_catalog(catalog)
+    assert Counter(r.verdict for r in results) == {"PASS": 26, "SKIPPED": 10}
+    assert len(seen) == 41
+    forged = _forged_sym7_report(group_cache)
+    seen.append((forged, check_structural_lemmas(forged)))
+    for report, checks in seen:
+        assert asdict(checks) == asdict(_lemmas_on_the_action(report))
+    assert not seen[-1][1].ok
+
+
+def test_lemmas_walk_no_orbit_of_g(monkeypatch, group_cache):
+    # the lemmas read U's context, the report's counts per U-bundle and the
+    # fixed cosets and representatives of the action: with the coset images
+    # dropped, and CosetAction.image and the verifier's orbit_stabilizer
+    # raising, they give the same checks on m12's M11 row and on both
+    # psl2_family_q37 rows, while the action-based oracle cannot run
+    m12 = group_cache("m12")
+    reports = [fixitylab.cosets.fixity(m12, point_stabilizer(m12, 0))]
+    with monkeypatch.context() as m:
+        seen = _recording_lemmas(m)
+        rows, failures = check_psl2_family(37)
+    assert failures == [] and [r["descriptor"] for r in rows] == ["C9", "C37:C9"]
+    reports += [report for report, _ in seen]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lemmas reached for G's action")
+
+    for report in reports:
+        want = check_structural_lemmas(report)
+        assert want.ok
+        bare = replace(report, action=replace(report.action, images=None))
+        with monkeypatch.context() as m:
+            m.setattr(fixitylab.cosets.CosetAction, "image", refuse)
+            m.setattr(fixitylab.verifier, "orbit_stabilizer", refuse)
+            assert asdict(check_structural_lemmas(bare)) == asdict(want)
+            with pytest.raises(AssertionError, match="reached for G"):
+                _lemmas_on_the_action(report)
 
 
 def test_ti_matches_every_conjugator(group_cache):
@@ -708,15 +841,9 @@ def test_ti_matches_every_conjugator(group_cache):
 
 
 def test_ti_failure_names_the_element(group_cache):
-    # Sym(7) on 7 points has fixity 5; a report that claims fixity 4 with a
-    # 3-cycle as witness makes H = Sym{0, 1, 2}, whose transpositions fix
-    # 5 cosets, so lemma (ii) must fail on one of them
-    g = group_cache("sym_7")
-    u = point_stabilizer(g, 0)
-    report = fixitylab.cosets.fixity(g, u)
-    assert report.fixity == 5
-    forged = replace(report, fixity=4, witness=_perm_mod([1, 2, 0, 3, 4, 5, 6]).images)
-    checks = check_structural_lemmas(forged)
+    # the forged Sym(7) report makes H = Sym{0, 1, 2}, whose transpositions
+    # fix 5 cosets, so lemma (ii) must fail on one of them
+    checks = check_structural_lemmas(_forged_sym7_report(group_cache))
     assert checks.four_point_order == 6
     ti = [f for f in checks.failures if f.startswith("TI")]
     assert ti == ["TI not shown: an element of order 2 in H fixes 5 cosets, more than the fixity 4"]
@@ -919,7 +1046,8 @@ def test_m22_cyclic_conjugation_steps_are_bounded(monkeypatch):
 def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_cache):
     # two routes to |N_G(<y>)| for the witness y of each fixity-4 row of
     # psl2_family_q17 and psl2_7_search: |G| over the length of <y>'s
-    # conjugation orbit, and the cosets y fixes on the row's coset action
+    # conjugation orbit, and lemma (i)'s index |N_G(<y>) : N_U(<y>)|, read
+    # from the cosets y fixes on the row's coset action, times |N_U(<y>)|
     reports = []
     fixity = fixitylab.verifier.fixity
 
@@ -937,7 +1065,12 @@ def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_c
     for rep in rows:
         y = rep.witness
         rec = cyclic_orbit(rep.group, y)
-        ng = cyclic_normalizer_order(rep.action, y)
+        u_ctx = as_context(rep.stabilizer.group)
+        k = rep.bundle_fixes.index(4)
+        assert u_ctx.elements[u_ctx.bundles[k].rep_index] == y
+        order, idx = check_structural_lemmas(rep).cyclic_indices[k]
+        assert order == table_order(y)
+        ng = idx * u_ctx.bundles[k].normalizer_order
         assert rep.group.order // rec.length == rec.normalizer.order == ng
 
 
