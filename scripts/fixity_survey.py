@@ -42,7 +42,7 @@ def survey(selector: str, highlight: int, caps: Caps) -> None:
         fx = max(fixes) if fixes else 0
         if fx < ctx.n // sc.order:  # else a kernel element fixes every coset
             hist[fx] += 1
-    # confirmed on the coset actions, in the same class order
+    # confirmed by the fixity count of each candidate, in the same class order
     hits = search_fixity_k(ctx, highlight, caps)
     dt = time.time() - t0
     print(f"{name}: order {ctx.n}, {sum(hist.values())} faithful actions "

@@ -28,7 +28,6 @@ from pathlib import Path
 
 from .cosets import (
     Caps,
-    build_coset_action,
     fixity,
     marks_row,
     profile,
@@ -175,8 +174,7 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
         elif args.subcommand == "marks":
             obj["marks"] = marks_row(g, u, caps)
         else:
-            action = build_coset_action(g, u, caps.cosets, caps.elements)
-            cls = classify_sylow3_orbits(action, caps)
+            cls = classify_sylow3_orbits(g, u, caps)
             obj["case"] = cls.case
             obj["sylow3_order"] = cls.p_order
             obj["delta_size"] = cls.delta_size

@@ -27,15 +27,16 @@ Counting routes for the fixed points of x on G/U:
 
 The last three are theorems about the first; the test suite holds them
 equal on every enumerable pair.  ``fixity`` counts one generator of each
-class of cyclic subgroups of U by the first route, or, for a G above the
-element cap, by the second, walking each G-class of cyclic subgroups that U
-meets once per call (:func:`cyclic_orbit`).
+class of cyclic subgroups of U by the second, walking each G-class of
+cyclic subgroups that U meets once per call (:func:`cyclic_orbit`), and
+never materializes G/U.  The action is built only where cosets themselves
+are read: the Sylow-3 orbit shapes when 3 divides |U|, and marks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Iterator
@@ -104,8 +105,6 @@ class CosetAction:
     u_tables: list[ImageTable]
     u_set: frozenset[ImageTable]
     canon: Callable[[ImageTable], ImageTable]
-    # the answer of fixed_cosets for each element asked of it
-    fixed: dict[ImageTable, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def inv_reps(self) -> list[ImageTable]:
@@ -129,15 +128,17 @@ class CosetAction:
 @dataclass(eq=False)
 class FixityReport:
     """Fixity of ``group`` on the cosets of ``stabilizer``, the count for each
-    of U's bundles and the least element of the first one attaining it (None
-    for U = 1), and the action counted on (None above the element cap)."""
+    of U's bundles, the walk of each bundle's G-class of cyclic subgroups
+    (one record shared by the bundles of a class), and the least element of
+    the first bundle attaining the fixity (None for U = 1); that bundle is
+    the first of its class, so the witness started its class's walk."""
 
     group: PermGroup
     stabilizer: Subgroup
     fixity: int
     witness: ImageTable | None
     bundle_fixes: list[int]
-    action: CosetAction | None = None
+    orbits: list[CyclicOrbit]
 
 
 @dataclass(frozen=True)
@@ -271,16 +272,8 @@ def _in_u(action: CosetAction, t: ImageTable, right: list[ImageTable]) -> Iterat
 # ---------------------------------------------------------------------------
 
 def fixed_cosets(action: CosetAction, t: ImageTable) -> tuple[int, ...]:
-    """Indices of the cosets U r with r t r^-1 in U, for a member t of G;
-    one pass over the cosets per action and element, kept on the action."""
-    fixed = action.fixed.get(t)
-    if fixed is None:
-        fixed = tuple(compress(range(action.degree), _in_u(action, t, action.inv_reps)))
-        # a list of every coset, the identity's, is asked for once, by
-        # fixity; kept, it would hold |G:U| ints for the life of the action
-        if len(fixed) < action.degree:
-            action.fixed[t] = fixed
-    return fixed
+    """Indices of the cosets U r with r t r^-1 in U, for a member t of G."""
+    return tuple(compress(range(action.degree), _in_u(action, t, action.inv_reps)))
 
 
 def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
@@ -402,49 +395,39 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
 
     An element x that fixes the coset U r has r x r^-1 in U, the two fix
     equally many cosets, and so does every generator of <x>, so one count
-    per U-bundle is exact.  Within the element cap y is counted on the
-    coset action (:func:`fix_direct`).  Above it no action is built: y
-    fixes n |N_G(<y>)| / |U| cosets, where the n conjugates of <y> inside
-    U fill the U-bundles whose representatives lie in <y>'s G-orbit.
-    Within this call each G-class met is walked once (:func:`cyclic_orbit`)
-    and the later bundles are tested against the classes walked; nothing is
-    kept on G, and G is never enumerated."""
-    if g.order > caps.elements:
-        check_stabilizer(g, u)
-        action = None
-    else:
-        action = build_coset_action(g, u, caps.cosets, caps.elements)
-        if fix_direct(action, identity_table(g.degree)) != action.degree:
-            raise FalsificationError("the identity does not fix every coset")
+    per U-bundle is exact.  y fixes n |N_G(<y>)| / |U| cosets, where the n
+    conjugates of <y> inside U fill the U-bundles whose representatives lie
+    in <y>'s G-orbit.  Within this call each G-class met is walked once, from
+    the first bundle that meets it (:func:`cyclic_orbit`), and the later
+    bundles are tested against the classes walked; nothing is kept on G, G
+    is never enumerated and no coset is materialized."""
+    check_stabilizer(g, u)
     u_ctx = as_context(u.group, caps.elements)
     reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
-    if action is not None:
-        fixes = [fix_direct(action, y) for y in reps]
-    else:
-        # one walk per G-class of cyclic subgroups met: a bundle joins the
-        # first class walked that holds its representative
-        walked: list[CyclicOrbit] = []
-        orbits = []
-        for y in reps:
-            rec = next((r for r in walked if r.contains(y)), None)
-            if rec is None:
-                rec = cyclic_orbit(g, y)
-                walked.append(rec)
-            orbits.append(rec)
-        inside = dict.fromkeys(walked, 0)
-        for rec, b in zip(orbits, u_ctx.bundles):
-            inside[rec] += b.n_subgroups
-        # cyclic_orbit checked that each normalizer order divides |G|
-        counts = [inside[rec] * (g.order // rec.length) for rec in orbits]
-        if any(c % u.order for c in counts):
-            raise FalsificationError(f"counts {counts} are not all divisible by |U| = {u.order}")
-        fixes = [c // u.order for c in counts]
+    # a bundle joins the first class walked that holds its representative
+    walked: list[CyclicOrbit] = []
+    orbits = []
+    for y in reps:
+        rec = next((r for r in walked if r.contains(y)), None)
+        if rec is None:
+            rec = cyclic_orbit(g, y)
+            walked.append(rec)
+        orbits.append(rec)
+    inside = dict.fromkeys(walked, 0)
+    for rec, b in zip(orbits, u_ctx.bundles):
+        inside[rec] += b.n_subgroups
+    # cyclic_orbit checked that each normalizer order divides |G|
+    counts = [inside[rec] * (g.order // rec.length) for rec in orbits]
+    if any(c % u.order for c in counts):
+        raise FalsificationError(f"counts {counts} are not all divisible by |U| = {u.order}")
+    fixes = [c // u.order for c in counts]
     # bundles are numbered in the order of their first class, whose
-    # representative is the bundle's least element
+    # representative is the bundle's least element; bundles of one class
+    # share one count, so the first attaining the fixity started its walk
     best = max(fixes, default=0)
     return FixityReport(
         group=g, stabilizer=u, fixity=best,
-        witness=reps[fixes.index(best)] if reps else None, bundle_fixes=fixes, action=action,
+        witness=reps[fixes.index(best)] if reps else None, bundle_fixes=fixes, orbits=orbits,
     )
 
 

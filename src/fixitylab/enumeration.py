@@ -34,7 +34,6 @@ from .perm import (
     Permutation,
     Subgroup,
     _greedy_chain,
-    _tree_transversal,
     build_bsgs,
     compose_tables,
     conjugate_table,
@@ -546,12 +545,17 @@ class CyclicOrbit:
     points: list[int]
     carrier: Callable[[ImageTable, int], ImageTable | None]
 
+    def carrier_of(self, z: ImageTable) -> ImageTable | None:
+        """An x with <y>^x = <z>, or None when <z> is no G-conjugate of
+        <y>: G is the union of the cosets H u_b over the points b of a^G,
+        each tested once."""
+        if table_order(z) != self.element_order:
+            return None
+        return next(filter(None, (self.carrier(z, b) for b in self.points)), None)
+
     def contains(self, z: ImageTable) -> bool:
-        """Whether <z> is a G-conjugate of <y>: G is the union of the cosets
-        H u_b over the points b of a^G, each tested once."""
-        return table_order(z) == self.element_order and any(
-            self.carrier(z, b) is not None for b in self.points
-        )
+        """Whether <z> is a G-conjugate of <y>."""
+        return self.carrier_of(z) is not None
 
 
 def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
@@ -573,8 +577,7 @@ def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
     h = point_stabilizer(g, a).group
     least = _least_generator(order, deg)
     labels, targets = orbit_walk(least(y), cyclic_conjugation(h, order), len(h.generators))
-    n_h = walk_stabilizer(h, len(labels), targets, [y] if y[a] == a else [])
-    transversal = _tree_transversal(h, targets)[1]
+    n_h, transversal = walk_stabilizer(h, len(labels), targets, [y] if y[a] == a else [])
     reps = orbit(g, a).transversal
 
     def carrier(z: ImageTable, b: int) -> ImageTable | None:

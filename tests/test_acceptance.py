@@ -208,7 +208,7 @@ def test_structural_lemma_suite(
     for h in hits:
         checks = check_structural_lemmas(h.report)
         assert checks.ok, checks.failures
-        cls = classify_sylow3_orbits(h.report.action)
+        cls = classify_sylow3_orbits(psl2_9, h.report.stabilizer)
         cases.append(cls.case)
     assert cases == ["a", "b", "b", "e", "a", "e"]
 
@@ -229,9 +229,8 @@ def test_burnside_on_search_hits(psl2_9, psl2_9_hits):
     hits, _ = psl2_9_hits
     ctx = as_context(psl2_9)
     for h in hits:
-        total = sum(
-            c.size * fix_direct(h.report.action, c.representative) for c in ctx.classes
-        )
+        action = build_coset_action(psl2_9, h.report.stabilizer)
+        total = sum(c.size * fix_direct(action, c.representative) for c in ctx.classes)
         assert total == psl2_9.order
 
 

@@ -235,6 +235,22 @@ def test_sylow_output_is_pinned_when_3_does_not_divide_u(capsys, tmp_path):
         assert out == json.dumps(obj, indent=2) + "\n"
 
 
+def test_sylow_coset_cap_binds_only_when_3_divides_u(capsys):
+    # case (a) is read from |U| and the degree, so a coset cap below the
+    # degree leaves it answered; with 3 dividing |U| the orbit shapes need
+    # the cosets, and the cap is a data error
+    argv = ["sylow", "--group", "psl2_9", "--coset-cap", "10", "--stab-order"]
+    code, out, _ = run(capsys, [*argv, "10"])
+    assert code == 0
+    assert json.loads(out) == {
+        "group": "psl2_9", "stabilizer_order": 10, "degree": 36, "case": "a",
+        "sylow3_order": 9, "delta_size": 0, "orbit_sizes": [[9, 4]],
+    }
+    code, out, err = run(capsys, [*argv, "18"])
+    assert code == 2 and out == ""
+    assert err == "error: coset space size 20 exceeds cap 10\n"
+
+
 def test_out_on_a_directory_is_a_usage_error(capsys, tmp_path):
     cat = tmp_path / "cat.json"
     cat.write_text('{"claims": [{"id": "o27", "mode": "order27"}]}')

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixitylab.verifier
 from fixitylab.cosets import (
     Caps,
     build_coset_action,
@@ -44,7 +46,7 @@ from fixitylab.perm import (
     point_stabilizer,
     table_order,
 )
-from fixitylab.verifier import _build_stabilizer, _cyclic_indices
+from fixitylab.verifier import _build_stabilizer, classify_sylow3_orbits, run_claim_catalog
 from fixitylab.zoo import psl2_spec, resolve_group
 
 
@@ -256,10 +258,10 @@ def test_coset_stabilizers_are_conjugates(sym4):
 )
 def test_known_fixities(group_cache, sel, expected):
     g = group_cache(sel)
-    rep = fixity(g, point_stabilizer(g, 0))
+    u = point_stabilizer(g, 0)
+    rep = fixity(g, u)
     assert rep.fixity == expected
-    assert rep.action is not None
-    assert fix_direct(rep.action, rep.witness) == max(rep.bundle_fixes) == expected
+    assert fix_direct(build_coset_action(g, u), rep.witness) == max(rep.bundle_fixes) == expected
 
 
 def test_witness_attains_max(group_cache):
@@ -269,22 +271,23 @@ def test_witness_attains_max(group_cache):
         if sc.order in (1, g.order):
             continue
         rep = fixity(g, sc.representative)
+        action = build_coset_action(g, sc.representative)
         nontrivial = [
-            fix_direct(rep.action, c.representative)
+            fix_direct(action, c.representative)
             for c in ctx.classes
             if c.element_order > 1
         ]
         assert rep.fixity == max(nontrivial)
         assert rep.witness is not None
-        assert fix_direct(rep.action, rep.witness) == rep.fixity
+        assert fix_direct(action, rep.witness) == rep.fixity
 
 
 @pytest.mark.parametrize("sel", ["sym_4", "alt_5", "psl2_7"])
 def test_stabilizer_classes_decide_fixity(group_cache, sel):
     # an element that fixes the coset U r is conjugate into U, so the
-    # maximum over U's classes equals the maximum over G's; and the cosets
-    # that each y in U fixes give |N_G(<y>) : N_U(<y>)| (lemma (i)) with no
-    # context of G, checked against |N_G(<y>)| from G's context
+    # maximum over U's classes equals the maximum over G's; and the walk
+    # that fixity records for each U-bundle gives |N_G(<y>)| with no context
+    # of G, checked against |N_G(<y>)| from G's context
     g = group_cache(sel)
     ctx = as_context(g)
     for sc in ctx.subgroup_classes():
@@ -292,15 +295,16 @@ def test_stabilizer_classes_decide_fixity(group_cache, sel):
             continue
         u = sc.representative
         rep = fixity(g, u)
-        over_g = [fix_direct(rep.action, c.representative) for c in ctx.classes]
+        action = build_coset_action(g, u)
+        over_g = [fix_direct(action, c.representative) for c in ctx.classes]
         assert rep.fixity == max(fx for c, fx in zip(ctx.classes, over_g) if c.element_order > 1)
         u_ctx = as_context(u.group)
-        indices = _cyclic_indices(rep.action, u_ctx)
-        assert [o for o, _ in indices] == [b.element_order for b in u_ctx.bundles]
-        for b, (_, idx) in zip(u_ctx.bundles, indices):
+        assert len(rep.orbits) == len(u_ctx.bundles)
+        for b, rec in zip(u_ctx.bundles, rep.orbits):
             y = u_ctx.elements[b.rep_index]
             gb = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ctx.index_of(y)]]]
-            assert idx * b.normalizer_order == gb.normalizer_order
+            assert rec.contains(y)
+            assert g.order // rec.length == rec.normalizer.order == gb.normalizer_order
 
 
 def test_counting_routes_agree(sym4, alt5):
@@ -344,10 +348,8 @@ def test_burnside_count(group_cache):
         g = group_cache(sel)
         ctx = as_context(g)
         for sc in as_context(g).subgroup_classes():
-            rep = fixity(g, sc.representative)
-            total = sum(
-                c.size * fix_direct(rep.action, c.representative) for c in ctx.classes
-            )
+            action = build_coset_action(g, sc.representative)
+            total = sum(c.size * fix_direct(action, c.representative) for c in ctx.classes)
             # orbit counting: average fixed points = number of orbits, and the
             # coset action is transitive
             assert total == g.order
@@ -364,8 +366,9 @@ def test_conjugation_invariance(alt5):
 
 
 def test_slow_path_matches_fast(group_cache):
-    # an element cap below |G| forces the subgroup-orbit route; the slow
-    # route still enumerates U, so U itself must fit the cap
+    # fixity counts from walks of G's cyclic subgroups and enumerates only
+    # U, so an element cap below |G| leaves it unchanged; the count of each
+    # bundle equals the direct count on the materialized coset action
     small = Caps(elements=100)
     cases = [
         (group_cache(sel), sc.representative)
@@ -382,14 +385,15 @@ def test_slow_path_matches_fast(group_cache):
     for g, u in cases:
         fast = fixity(g, u)
         slow = fixity(g, u, caps=small)
-        assert slow.action is None and fast.action is not None
         assert slow.fixity == fast.fixity
         assert slow.bundle_fixes == fast.bundle_fixes
         assert slow.witness == fast.witness
-        # pairs of U-bundles of one order whose subgroups are conjugate in G,
-        # and pairs that are not, by the conjugacy test of cyclic_orbit
         u_ctx = as_context(u.group)
         reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
+        action = build_coset_action(g, u)
+        assert slow.bundle_fixes == [fix_direct(action, y) for y in reps]
+        # pairs of U-bundles of one order whose subgroups are conjugate in G,
+        # and pairs that are not, by the conjugacy test of cyclic_orbit
         pairs = [
             cyclic_orbit(g, y).contains(z)
             for i, y in enumerate(reps)
@@ -402,6 +406,29 @@ def test_slow_path_matches_fast(group_cache):
     # Klein four-group), some have bundles of one order that G keeps apart
     # (C3 x C3 holds 3-cycles and products of two 3-cycles)
     assert fused > 0 and apart > 0
+
+
+def test_fixity_counts_match_the_coset_action_on_the_catalog(monkeypatch):
+    # every fixity call the packaged catalog makes within the element cap:
+    # the count of each U-bundle, from the walks, equals the direct count
+    # of its representative on the explicitly built coset action
+    reports = []
+    count = fixitylab.verifier.fixity
+
+    def kept(g, u, caps=Caps()):
+        reports.append(count(g, u, caps))
+        return reports[-1]
+
+    monkeypatch.setattr(fixitylab.verifier, "fixity", kept)
+    catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
+    assert all(r.verdict != "FAIL" for r in run_claim_catalog(catalog))
+    within = [r for r in reports if r.group.order <= Caps().elements]
+    assert len(within) == 41 and len(reports) == 43
+    for rep in within:
+        u_ctx = as_context(rep.stabilizer.group)
+        action = build_coset_action(rep.group, rep.stabilizer)
+        direct = [fix_direct(action, u_ctx.elements[b.rep_index]) for b in u_ctx.bundles]
+        assert rep.bundle_fixes == direct
 
 
 def test_profile(sym4, group_cache):
@@ -447,10 +474,26 @@ def test_caps_and_membership(group_cache, sym4):
     g = group_cache("psl2_7")
     with pytest.raises(CapExceededError):
         build_coset_action(g, _trivial(g), max_cosets=100)
-    # the coset cap bounds materialized actions only: the subgroup-orbit
-    # route answers the regular action without building 168 cosets
-    rep = fixity(g, _trivial(g), caps=Caps(elements=100, cosets=50))
-    assert rep.action is None and rep.fixity == 0
+    # the coset cap bounds materialized actions only: fixity answers the
+    # regular action without building 168 cosets, and the Sylow-3 case of
+    # a U of order 2 is read from |U|, while marks and the Sylow-3 orbits
+    # of a U of order 3 need the 56 cosets
+    small = Caps(elements=100, cosets=50)
+    rep = fixity(g, _trivial(g), caps=small)
+    assert rep.orbits == [] and rep.fixity == 0
+    c2, c3 = (
+        next(sc.representative for sc in as_context(g).subgroup_classes() if sc.order == k)
+        for k in (2, 3)
+    )
+    coset_cap = Caps(cosets=50)
+    assert classify_sylow3_orbits(g, c2, coset_cap).case == "a"
+    for call in (
+        lambda: classify_sylow3_orbits(g, c3, coset_cap),
+        lambda: mark(g, c3, c2, coset_cap),
+        lambda: marks_row(g, c3, coset_cap),
+    ):
+        with pytest.raises(CapExceededError, match="coset space size 56 exceeds cap 50"):
+            call()
     sym5 = group_cache("sym_5")
     alt5 = group_cache("alt_5")
     odd = subgroup_closure(sym5, [Permutation(pack_table([1, 0, 2, 3, 4]))])
@@ -464,8 +507,8 @@ def test_caps_and_membership(group_cache, sym4):
 @pytest.mark.parametrize("caps", [Caps(), Caps(elements=100)], ids=["action", "orbits"])
 def test_fixity_rejects_a_stabilizer_outside_the_group(group_cache, caps):
     # a transposition of Sym(8) is no member of PSL2(7) on the 8 points of
-    # the projective line; both routes of fixity, the coset action and,
-    # with the element cap below |G|, the cyclic-orbit count, reject it
+    # the projective line; fixity rejects it under the default caps and with
+    # the element cap below |G|
     g = group_cache("psl2_7")
     assert g.degree == 8
     u = subgroup_closure(group_cache("sym_8"), [Permutation.from_cycles(8, [(0, 1)])])

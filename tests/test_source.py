@@ -69,16 +69,16 @@ def test_table_representation_stays_in_perm():
     assert offenders == []
 
 
-def _calls_outside(callee: str, home: str, functions: tuple[str, ...]) -> list[str]:
+def _calls_outside(callee: str, homes: dict[str, tuple[str, ...]]) -> list[str]:
     """``file:line`` of every call of ``callee`` in the library that is not
-    inside one of ``functions`` of the module file ``home``."""
+    inside one of the functions ``homes`` lists for its module file."""
     src = Path(fixitylab.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         for fn in ast.walk(tree):
-            if path.name == home and isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            if isinstance(fn, ast.FunctionDef) and fn.name in homes.get(path.name, ()):
                 allowed.update(map(id, ast.walk(fn)))
         offenders += [
             f"{path.name}:{node.lineno}"
@@ -94,13 +94,38 @@ def test_chains_are_built_in_two_places():
     # one way to build a chain: every PermGroup(...) call is the trivial
     # chain or the end of extend_chain; anything else, a point stabilizer
     # included, is built through them
-    assert _calls_outside("PermGroup", "perm.py", ("_trivial_chain", "extend_chain")) == []
+    assert _calls_outside("PermGroup", {"perm.py": ("_trivial_chain", "extend_chain")}) == []
 
 
 def test_fixity_reports_are_built_in_one_place():
-    # one report shape on both routes of fixity: every FixityReport(...)
-    # call lies inside cosets.fixity
-    assert _calls_outside("FixityReport", "cosets.py", ("fixity",)) == []
+    # one report shape: every FixityReport(...) call lies inside cosets.fixity
+    assert _calls_outside("FixityReport", {"cosets.py": ("fixity",)}) == []
+
+
+def _function(module: str, name: str) -> ast.AST:
+    path = Path(fixitylab.__file__).parent / module
+    return next(
+        node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+    )
+
+
+def test_coset_actions_are_built_only_where_cosets_are_read():
+    # fixity counts from walks and carries no action; G/U is materialized
+    # only for the Sylow-3 orbits and for marks, and the structural lemmas
+    # read neither an action nor a list of fixed cosets
+    report = _function("cosets.py", "FixityReport")
+    assert "action" not in {
+        node.target.id for node in report.body if isinstance(node, ast.AnnAssign)
+    }
+    homes = {"verifier.py": ("classify_sylow3_orbits",), "cosets.py": ("mark", "marks_row")}
+    assert _calls_outside("build_coset_action", homes) == []
+    lemmas = _function("verifier.py", "check_structural_lemmas")
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(lemmas) if isinstance(node, ast.Call)
+    }
+    assert not called & {"fixed_cosets", "build_coset_action"}
 
 
 def test_group_caches_are_elements_and_context():

@@ -35,6 +35,7 @@ from fixitylab.perm import (
     compose_tables,
     conjugate_table,
     identity_table,
+    invert_table,
     orbit_partition,
     orbit_stabilizer,
     orbit_walk,
@@ -204,7 +205,7 @@ def test_structural_checks_on_fixity4(psl2_9):
     assert checks.ok
     assert checks.failures == []
     assert h.report.stabilizer.order == 2
-    assert h.report.action.degree == 180
+    assert h.degree == 180
     assert checks.four_point_order >= 2
     assert checks.ti_samples > 0
     assert checks.h_normalizer_index in (2, 4)
@@ -214,12 +215,12 @@ def test_structural_checks_on_fixity4(psl2_9):
 def test_sylow3_cases(psl2_9, group_cache):
     hits = search_fixity_k(psl2_9, 4)
     by_order = {h.subgroup_class.order: h for h in hits}
-    cls = classify_sylow3_orbits(by_order[18].report.action)
+    cls = classify_sylow3_orbits(psl2_9, by_order[18].report.stabilizer)
     assert cls.case == "e"
     assert cls.p_order == 9
     assert cls.delta_size == 2
     assert cls.orbit_sizes == ((1, 2), (9, 2))
-    cls2 = classify_sylow3_orbits(by_order[2].report.action)
+    cls2 = classify_sylow3_orbits(psl2_9, by_order[2].report.stabilizer)
     assert cls2.case == "a"
     assert cls2.delta_size == 0
 
@@ -227,7 +228,7 @@ def test_sylow3_cases(psl2_9, group_cache):
     c9 = group_cache("cyclic_9")
     u3 = subgroup_closure(c9, [c9.generators[0] ** 3])
     assert u3.order == 3
-    d = classify_sylow3_orbits(build_coset_action(c9, u3))
+    d = classify_sylow3_orbits(c9, u3)
     assert d.case == "d" and d.delta_size == 3
 
 
@@ -307,8 +308,8 @@ def test_sylow3_matches_the_per_element_classifier(group_cache):
     pairs.append((m12, u, fixitylab.cosets.fixity(m12, u)))
     cases = []
     for g, u, report in pairs:
-        got = classify_sylow3_orbits(report.action)
-        assert got == _sylow3_by_elements(g, u, report.action)
+        got = classify_sylow3_orbits(g, u)
+        assert got == _sylow3_by_elements(g, u, build_coset_action(g, u))
         cases.append(got.case)
     assert cases[-1] == "c"
     assert len(pairs) > 10 and {"a", "b", "e"} <= set(cases)
@@ -325,9 +326,9 @@ def test_sylow3_matches_the_per_element_classifier_on_every_action(group_cache):
         want = _sylow3_by_elements(g, u, action)
         if want.case is None:
             with pytest.raises(FalsificationError):
-                classify_sylow3_orbits(action)
+                classify_sylow3_orbits(g, u)
         else:
-            assert classify_sylow3_orbits(action) == want
+            assert classify_sylow3_orbits(g, u) == want
         cases.append(want.case)
     assert {None, "a", "c"} == set(cases)
 
@@ -337,7 +338,7 @@ def test_sylow3_no_case_is_falsification(group_cache):
     u = subgroup_closure(c27, [c27.generators[0] ** 9])
     assert u.order == 3
     with pytest.raises(FalsificationError):
-        classify_sylow3_orbits(build_coset_action(c27, u))
+        classify_sylow3_orbits(c27, u)
 
 
 def _sylow3_by_rows(action):
@@ -358,63 +359,73 @@ def _sylow3_by_rows(action):
 
 def test_sylow3_case_a_from_u_matches_the_orbits(monkeypatch):
     # every packaged stabilizer and family action with 3 not dividing |U|
-    # (m12's U = M11 has order 7920, so it takes the orbit route, and m22
-    # builds no action); the classifier answers from |U| alone, without a
-    # Sylow subgroup, and must equal the classification its orbits give
+    # (m12's U = M11 has order 7920, so it takes the orbit route, and m22's
+    # rows, above the element cap, are not classified); the classifier
+    # answers from |U| alone, without a Sylow subgroup or a coset action,
+    # and must equal the classification its orbits give
     ids = ["psu4_2_stabs", "sz8_stabs"] + [f"psl2_family_q{q}" for q in (17, 19, 27, 29, 31, 41)]
     catalog = Path(fixitylab.verifier.__file__).parent / "data" / "claims.json"
     claims = {c["id"]: c for c in load_claims(catalog)}
     seen = []
     classify = fixitylab.verifier.classify_sylow3_orbits
 
-    def recorded(action, caps=Caps()):
-        seen.append((action, classify(action, caps)))
-        return seen[-1][1]
+    def recorded(g, u, caps=Caps()):
+        seen.append((g, u, classify(g, u, caps)))
+        return seen[-1][2]
 
-    def no_sylow(*args, **kwargs):
-        raise AssertionError("case (a) needs no Sylow subgroup")
+    def refuse(*args, **kwargs):
+        raise AssertionError("case (a) needs no Sylow subgroup and no coset action")
 
     monkeypatch.setattr(fixitylab.verifier, "classify_sylow3_orbits", recorded)
-    monkeypatch.setattr(fixitylab.verifier, "sylow", no_sylow)
+    monkeypatch.setattr(fixitylab.verifier, "sylow", refuse)
+    monkeypatch.setattr(fixitylab.verifier, "build_coset_action", refuse)
     assert all(run_claim(claims[cid]).verdict == "PASS" for cid in ids)
     monkeypatch.undo()
     assert len(seen) == 12
     p_orders = set()
-    for action, got in seen:
-        assert action.stabilizer.order % 3
-        assert got == _sylow3_by_rows(action)
+    for g, u, got in seen:
+        assert u.order % 3
+        assert got == _sylow3_by_rows(build_coset_action(g, u))
         p_orders.add(got.p_order)
     assert {1, 3, 9, 27, 81} <= p_orders
 
 
-def test_each_fixed_coset_list_is_computed_once_per_action(monkeypatch, group_cache):
-    # fixity counts every class representative of U, lemma (i) asks again
-    # for each cyclic bundle's representative and the four-point stabilizer
-    # for the witness, while lemma (ii) reads the counts per U-bundle and
-    # asks for none; the action keeps each list, so every (action, element)
-    # pair costs one pass over the cosets however often it is asked for
-    asked, passes = [], []
-    fixed_cosets, in_u = fixitylab.cosets.fixed_cosets, fixitylab.cosets._in_u
+def test_coset_actions_are_built_only_for_the_sylow3_orbits(monkeypatch, group_cache):
+    # fixity and the lemmas read no coset: the only actions a claim builds
+    # are the Sylow-3 classifier's, one per row with 3 dividing |U|, and
+    # only the classifier asks for a list of fixed cosets (case (c), on m12)
+    built, asked, inside = [], [], []
+    classify = fixitylab.verifier.classify_sylow3_orbits
+    build, fixed = fixitylab.cosets.build_coset_action, fixitylab.cosets.fixed_cosets
+
+    def classifying(g, u, caps=Caps()):
+        inside.append(True)
+        try:
+            return classify(g, u, caps)
+        finally:
+            inside.pop()
+
+    def counted_build(g, u, *args):
+        assert inside, "a coset action built outside the Sylow-3 classifier"
+        built.append(u.order)
+        return build(g, u, *args)
 
     def counted_fixed(action, t):
-        asked.append((action, t))
-        return fixed_cosets(action, t)
+        assert inside, "fixed cosets asked for outside the Sylow-3 classifier"
+        asked.append(action.stabilizer.order)
+        return fixed(action, t)
 
-    def counted_in_u(action, t, right):
-        if right is action.inv_reps:
-            passes.append((action, t))
-        return in_u(action, t, right)
-
-    monkeypatch.setattr(fixitylab.cosets, "fixed_cosets", counted_fixed)
-    monkeypatch.setattr(fixitylab.verifier, "fixed_cosets", counted_fixed)
-    monkeypatch.setattr(fixitylab.cosets, "_in_u", counted_in_u)
+    monkeypatch.setattr(fixitylab.verifier, "classify_sylow3_orbits", classifying)
+    for module in (fixitylab.cosets, fixitylab.verifier):
+        monkeypatch.setattr(module, "build_coset_action", counted_build)
+        monkeypatch.setattr(module, "fixed_cosets", counted_fixed)
     rows, failures = check_psl2_family(25)
-    assert len(rows) == 2 and not failures
+    assert [r["order"] for r in rows] == [6, 150] and not failures
     m12 = group_cache("m12")
     ev = evaluate_action(fixitylab.cosets.fixity(m12, point_stabilizer(m12, 0)), "M11")
-    assert ev.ok
-    assert len({a for a, _ in asked}) == 3
-    assert len(passes) == len(set(asked)) < len(asked)
+    assert ev.ok and ev.sylow3_case == "c"
+    assert built == [6, 150, 7920]
+    assert asked and set(asked) == {7920}
 
 
 def test_order27_lemma():
@@ -595,9 +606,9 @@ def test_run_claim_stabilizers():
 
 
 def test_stabilizer_claim_on_the_slow_path():
-    # psl2_13 has 1092 elements, so a cap of 1000 sends the fixity count
-    # down the slow path, which builds no coset action: fixity and
-    # descriptor are checked, the lemmas and the Sylow-3 case are not
+    # psl2_13 has 1092 elements; under a cap of 1000 fixity and descriptor
+    # are checked, and the lemmas and the Sylow-3 case, which run only
+    # within the element cap, are not
     claim = {
         "id": "c",
         "mode": "stabilizers",
@@ -617,7 +628,7 @@ def test_stabilizer_claim_on_the_slow_path():
     caps = Caps(elements=1000)
     u = _build_stabilizer(g, "cyclic_search:3", caps)
     report = fixitylab.cosets.fixity(g, u, caps)
-    assert report.action is None
+    assert report.fixity == 4
     ev = evaluate_action(report, "C3", caps=caps)
     assert ev.sylow3_case is None and ev.failures == []
     assert not ev.ok
@@ -640,12 +651,13 @@ def _four_point_stabilizer(action, witness):
 
 def _forged_sym7_report(group_cache):
     """Sym(7) on 7 points has fixity 5; this report claims fixity 4 with the
-    3-cycle (0 1 2) as witness, which lies outside U: the four cosets it
-    fixes miss coset 0 = U, and H = Sym{0, 1, 2} is not a subgroup of U."""
+    least 3-cycle (4 5 6) of U = Stab(0) as witness, the representative of
+    its U-bundle: it fixes the four points 0-3, and H = Sym{4, 5, 6}, whose
+    transpositions fix five."""
     g = group_cache("sym_7")
     report = fixitylab.cosets.fixity(g, point_stabilizer(g, 0))
     assert report.fixity == 5
-    return replace(report, fixity=4, witness=_perm_mod([1, 2, 0, 3, 4, 5, 6]).images)
+    return replace(report, fixity=4, witness=_perm_mod([0, 1, 2, 3, 5, 6, 4]).images)
 
 
 def _lemmas_on_the_action(report):
@@ -654,7 +666,8 @@ def _lemmas_on_the_action(report):
     H as the intersection of the four r^-1 U r, (ii) from the fixed cosets
     of each h in H, and (iv) from the orbits of N_G(H), the stabilizer of
     the 4-set F in G, on F."""
-    g, u, action = report.group, report.stabilizer, report.action
+    g, u = report.group, report.stabilizer
+    action = build_coset_action(g, u)
     failures = []
     u_ctx = as_context(u.group)
     cyclic_indices = []
@@ -704,20 +717,18 @@ def _lemmas_on_the_action(report):
 def test_h_normalizer_index_matches_brute_force(group_cache, name):
     # lemma (iv) reads |N_G(H) : N_{G_a}(H)| from the U-classes of the four
     # conjugates of H inside U; the oracle intersects an enumerated N_G(H)
-    # with the enumerated stabilizer G_a of the first fixed coset.  On
-    # sym_7 the forged report's fixed cosets miss coset 0 = U, so H is
-    # carried into U by the first fixed coset's representative
+    # with the enumerated stabilizer G_a of the first fixed coset, U itself
     g = group_cache(name)
     ctx = as_context(g)
     if name == "sym_7":
         reports = [_forged_sym7_report(group_cache)]
-        assert fixed_cosets(reports[0].action, reports[0].witness) == (3, 4, 5, 6)
     else:
         reports = [h.report for h in search_fixity_k(g, 4)]
     indices = []
     for report in reports:
-        action = report.action
+        action = build_coset_action(g, report.stabilizer)
         fixed = fixed_cosets(action, report.witness)
+        assert fixed[0] == 0
         h_tables = _four_point_stabilizer(action, report.witness)
         assert len(h_tables) >= 2
         h_sub = subgroup_from_tables(g, h_tables, target_order=len(h_tables))
@@ -761,7 +772,7 @@ def test_four_point_stabilizer_holds_the_witness(monkeypatch):
     assert len(seen) == 2 + 3 + 1 + 2 + 2
     for report, checks in seen:
         witness = report.witness
-        h_tables = _four_point_stabilizer(report.action, witness)
+        h_tables = _four_point_stabilizer(build_coset_action(report.group, report.stabilizer), witness)
         assert witness in h_tables
         assert checks.four_point_order == len(h_tables) >= 2
         assert checks.h_normalizer_index in (2, 4)
@@ -769,27 +780,37 @@ def test_four_point_stabilizer_holds_the_witness(monkeypatch):
 
 def test_lemmas_match_the_action_oracle(monkeypatch, group_cache):
     # every fixity-4 report the packaged catalog produces within the element
-    # cap, and the forged Sym(7) report, whose witness lies outside U, give
-    # the same checks field by field as the lemmas computed on the coset
-    # action and G
+    # cap, the forged Sym(7) report, whose H is not TI, and the seven of
+    # Sym(5) give the same checks field by field as the lemmas computed on
+    # the coset action and G.  In Sym(5) on the cosets of U = S3 x C2 the
+    # witness's G-class meets U in two U-classes, so two carriers start the
+    # walks to the four cosets; Sym(5) is not simple, and that action fails
+    # lemma (iv)
     seen = _recording_lemmas(monkeypatch)
     catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
     results = run_claim_catalog(catalog)
     assert Counter(r.verdict for r in results) == {"PASS": 26, "SKIPPED": 10}
     assert len(seen) == 41
     forged = _forged_sym7_report(group_cache)
-    seen.append((forged, check_structural_lemmas(forged)))
+    sym5 = [h.report for h in search_fixity_k(group_cache("sym_5"), 4)]
+    seen += [(r, check_structural_lemmas(r)) for r in [forged, *sym5]]
     for report, checks in seen:
         assert asdict(checks) == asdict(_lemmas_on_the_action(report))
-    assert not seen[-1][1].ok
+    assert not seen[41][1].ok
+    two = [
+        checks for report, checks in seen[42:]
+        if sum(r is report.orbits[report.bundle_fixes.index(4)] for r in report.orbits) == 2
+    ]
+    assert len(seen) == 49 and len(two) == 1
+    assert two[0].h_normalizer_index == 3 and not two[0].ok
 
 
 def test_lemmas_walk_no_orbit_of_g(monkeypatch, group_cache):
-    # the lemmas read U's context, the report's counts per U-bundle and the
-    # fixed cosets and representatives of the action: with the coset images
-    # dropped, and CosetAction.image and the verifier's orbit_stabilizer
-    # raising, they give the same checks on m12's M11 row and on both
-    # psl2_family_q37 rows, while the action-based oracle cannot run
+    # the lemmas read U's context and the report's counts and walks per
+    # U-bundle: with every coset action, fixed-coset list, conjugation walk
+    # and orbit-stabilizer walk refused, they give the same checks on m12's
+    # M11 row and on both psl2_family_q37 rows, while the action-based
+    # oracle cannot run
     m12 = group_cache("m12")
     reports = [fixitylab.cosets.fixity(m12, point_stabilizer(m12, 0))]
     with monkeypatch.context() as m:
@@ -804,11 +825,12 @@ def test_lemmas_walk_no_orbit_of_g(monkeypatch, group_cache):
     for report in reports:
         want = check_structural_lemmas(report)
         assert want.ok
-        bare = replace(report, action=replace(report.action, images=None))
         with monkeypatch.context() as m:
             m.setattr(fixitylab.cosets.CosetAction, "image", refuse)
-            m.setattr(fixitylab.verifier, "orbit_stabilizer", refuse)
-            assert asdict(check_structural_lemmas(bare)) == asdict(want)
+            m.setattr(fixitylab.enumeration, "cyclic_conjugation", refuse)
+            for name in ("build_coset_action", "fixed_cosets", "orbit_stabilizer"):
+                m.setattr(fixitylab.verifier, name, refuse)
+            assert asdict(check_structural_lemmas(report)) == asdict(want)
             with pytest.raises(AssertionError, match="reached for G"):
                 _lemmas_on_the_action(report)
 
@@ -826,7 +848,7 @@ def test_ti_matches_every_conjugator(group_cache):
     pairs.append((m12, u, fixitylab.cosets.fixity(m12, u)))
     nontrivial = 0
     for g, u, report in pairs:
-        h_tables = _four_point_stabilizer(report.action, report.witness)
+        h_tables = _four_point_stabilizer(build_coset_action(g, u), report.witness)
         checks = check_structural_lemmas(report)
         assert checks.failures == []
         assert checks.four_point_order == len(h_tables)
@@ -841,13 +863,38 @@ def test_ti_matches_every_conjugator(group_cache):
 
 
 def test_ti_failure_names_the_element(group_cache):
-    # the forged Sym(7) report makes H = Sym{0, 1, 2}, whose transpositions
-    # fix 5 cosets, so lemma (ii) must fail on one of them
+    # the forged Sym(7) report makes H = Sym{4, 5, 6}, whose least
+    # non-identity element, the transposition (5 6), fixes 5 cosets, so
+    # lemma (ii) fails on its first sample; N_G(H) = Sym{0, 1, 2, 3} x H
+    # moves the four fixed points, so the index is 4
     checks = check_structural_lemmas(_forged_sym7_report(group_cache))
     assert checks.four_point_order == 6
     ti = [f for f in checks.failures if f.startswith("TI")]
     assert ti == ["TI not shown: an element of order 2 in H fixes 5 cosets, more than the fixity 4"]
-    assert 1 <= checks.ti_samples <= 5
+    assert checks.ti_samples == 1
+    assert checks.h_normalizer_index == 4
+
+
+def test_lemmas_need_the_witness_to_start_its_walk(group_cache):
+    # the four cosets are read from the walk that the witness started, so a
+    # witness that is no U-bundle representative, or that represents a
+    # later U-bundle of a G-class already walked, is refused
+    report = _forged_sym7_report(group_cache)
+    for witness in ([1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 3, 6, 4, 5]):
+        with pytest.raises(PreconditionError, match="witness"):
+            check_structural_lemmas(replace(report, witness=_perm_mod(witness).images))
+    g = group_cache("alt_7")
+    klein = next(
+        sc.representative for sc in as_context(g).subgroup_classes()
+        if sc.order == 4 and not as_context(sc.representative.group).predicates.is_cyclic
+        and len(set(map(id, fixitylab.cosets.fixity(g, sc.representative).orbits))) == 1
+    )
+    fused = fixitylab.cosets.fixity(g, klein)
+    u_ctx = as_context(klein.group)
+    assert len(fused.orbits) == 3
+    later = u_ctx.elements[u_ctx.bundles[1].rep_index]
+    with pytest.raises(PreconditionError, match="witness"):
+        check_structural_lemmas(replace(fused, fixity=4, witness=later))
 
 
 def test_run_claim_order27():
@@ -1046,8 +1093,10 @@ def test_m22_cyclic_conjugation_steps_are_bounded(monkeypatch):
 def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_cache):
     # two routes to |N_G(<y>)| for the witness y of each fixity-4 row of
     # psl2_family_q17 and psl2_7_search: |G| over the length of <y>'s
-    # conjugation orbit, and lemma (i)'s index |N_G(<y>) : N_U(<y>)|, read
-    # from the cosets y fixes on the row's coset action, times |N_U(<y>)|
+    # conjugation orbit, as lemma (i) reads it from the report's walk, and
+    # n |U| / m on the row's coset action, for the n cosets U r that y
+    # fixes and the m G-conjugates of <y> in U: the U-bundles of the
+    # r y r^-1 hold them all
     reports = []
     fixity = fixitylab.verifier.fixity
 
@@ -1064,14 +1113,22 @@ def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_c
     assert len(rows) == 4
     for rep in rows:
         y = rep.witness
-        rec = cyclic_orbit(rep.group, y)
-        u_ctx = as_context(rep.stabilizer.group)
+        g, u = rep.group, rep.stabilizer
+        rec = cyclic_orbit(g, y)
+        u_ctx = as_context(u.group)
         k = rep.bundle_fixes.index(4)
         assert u_ctx.elements[u_ctx.bundles[k].rep_index] == y
         order, idx = check_structural_lemmas(rep).cyclic_indices[k]
         assert order == table_order(y)
         ng = idx * u_ctx.bundles[k].normalizer_order
-        assert rep.group.order // rec.length == rec.normalizer.order == ng
+        assert g.order // rec.length == rec.normalizer.order == ng
+        action = build_coset_action(g, u)
+        fixed = fixed_cosets(action, y)
+        met = {
+            u_ctx.bundle_of_class[u_ctx.class_of[u_ctx.index_of(conjugate_table(y, r_inv))]]
+            for r_inv in (invert_table(action.canonical_reps[c]) for c in fixed)
+        }
+        assert len(fixed) * u.order == sum(u_ctx.bundles[b].n_subgroups for b in met) * ng
 
 
 def test_given_cap_bounds_the_claim_cap():
@@ -1129,7 +1186,10 @@ def test_evaluate_action_builds_one_action(psl2_9, monkeypatch):
         built.append(args[1].order)
         return original(*args, **kwargs)
 
+    # fixity builds no action; the Sylow-3 case builds one, as 3 divides
+    # |U| = 18, and a failed descriptor stops the judgment before it
     monkeypatch.setattr(fixitylab.cosets, "build_coset_action", counting)
+    monkeypatch.setattr(fixitylab.verifier, "build_coset_action", counting)
     by_order = {h.subgroup_class.order: h for h in search_fixity_k(psl2_9, 4)}
     u = by_order[18].subgroup_class.representative
     built.clear()
@@ -1140,6 +1200,6 @@ def test_evaluate_action_builds_one_action(psl2_9, monkeypatch):
 
     built.clear()
     wrong = evaluate_action(fixitylab.cosets.fixity(psl2_9, u), "D18")
-    assert built == [18]
+    assert built == []
     assert wrong.failures == ["does not match D18"]
     assert not wrong.ok and wrong.sylow3_case is None
