@@ -12,7 +12,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .perm import PermGroup, Permutation, build_bsgs, orbit, point_stabilizer
+from .perm import PermGroup, Permutation, build_bsgs, point_stabilizer
 from .ffield import Field, FieldElement, make_field, primitive_element
 from .zoo import (
     alt,

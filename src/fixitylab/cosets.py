@@ -1,4 +1,4 @@
-"""Coset actions and fixed-point counting by four independent routes.
+"""Coset actions and fixed-point counting.
 
 The action of G on the right cosets of U is materialized with one canonical
 representative per coset: the lexicographically least image table in U*z.
@@ -18,19 +18,17 @@ image(g_j), so each induced map is the true action of its generator.
 
 Counting routes for the fixed points of x on G/U:
 
-  fix_direct            scan cosets, test r*x*r^-1 in U
-  fix_by_normalizer_formula   |{<x>^g <= U}| * |N_G(<x>)| / |U|
-  fix_by_class_sum      sum over U-classes of <y>, y in x^G cap U, of
-                        |N_G(<y>) : N_U(<y>)|
-  fix_frobenius         |N_G(<x>)| / |J| for U Frobenius with nilpotent
-                        kernel and cyclic complement J, x outside the kernel
+  fix_direct                scan cosets, test r*x*r^-1 in U
+  stabilizer_bundle_fixes   |{<x>^g <= U}| * |N_G(<x>)| / |U| for every
+                            class of cyclic subgroups, read from G's context
 
-The last three are theorems about the first; the test suite holds them
-equal on every enumerable pair.  ``fixity`` counts one generator of each
-class of cyclic subgroups of U by the second, walking each G-class of
-cyclic subgroups that U meets once per call (:func:`cyclic_orbit`), and
-never materializes G/U.  The action is built only where cosets themselves
-are read: the Sylow-3 orbit shapes when 3 divides |U|, and marks.
+``fixity`` counts one generator of each class of cyclic subgroups of U by
+the same normalizer formula, walking each G-class of cyclic subgroups that
+U meets once per call (:func:`cyclic_orbit`), and never materializes G/U.
+The action is built only where cosets themselves are read: the Sylow-3
+orbit shapes when 3 divides |U|, and marks.  The test suite holds the
+routes equal on every enumerable pair, together with two more that the
+library does not use (a sum over U-classes and a Frobenius shortcut).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .enumeration import (
     SUBGROUP_CAP,
     CyclicOrbit,
     GroupContext,
-    _cyclic_tables,
     as_context,
     canonical_form,
     cyclic_orbit,
@@ -55,7 +52,6 @@ from .errors import (
     CapExceededError,
     FalsificationError,
     MembershipError,
-    PreconditionError,
 )
 from .ffield import euler_phi
 from .perm import (
@@ -70,7 +66,6 @@ from .perm import (
     orbit_walk,
     pack_table,
     table_action,
-    table_order,
 )
 
 COSET_CAP = 100_000
@@ -268,7 +263,7 @@ def _in_u(action: CosetAction, t: ImageTable, right: list[ImageTable]) -> Iterat
 
 
 # ---------------------------------------------------------------------------
-# the four counting routes
+# counting routes
 # ---------------------------------------------------------------------------
 
 def fixed_cosets(action: CosetAction, t: ImageTable) -> tuple[int, ...]:
@@ -310,79 +305,6 @@ def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
             )
         fixes.append(val // uo)
     return fixes
-
-
-def fix_by_normalizer_formula(
-    g: PermGroup | GroupContext, u: Subgroup, x: Permutation
-) -> int:
-    """|{<x>^g <= U}| * |N_G(<x>)| / |U|: the screen's count for the class
-    of cyclic subgroups that <x> lies in."""
-    ctx = as_context(g)
-    ix = ctx.index_of(x.images)
-    if ix == 0:
-        return ctx.n // u.order
-    return stabilizer_bundle_fixes(ctx, u)[ctx.bundle_of_class[ctx.class_of[ix]]]
-
-
-def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
-    """Sum over U-classes of subgroups <y> with y in x^G cap U of the
-    normalizer index |N_G(<y>) : N_U(<y>)|."""
-    ctx = as_context(g)
-    t = x.images
-    ix = ctx.index_of(t)
-    if ix == 0:
-        return ctx.n // u.order
-    cx = ctx.class_of[ix]
-    ng_order = ctx.bundles[ctx.bundle_of_class[cx]].normalizer_order
-    u_gens = u.group.gen_tables
-    members = [i for i in ctx.indices_of(u.group) if ctx.class_of[i] == cx]
-
-    def conj_by_u(fs: frozenset[int], j: int) -> frozenset[int]:
-        return frozenset(ctx.conj_map(u_gens[j], [ctx.elements[k] for k in fs]))
-
-    seen: set[frozenset[int]] = set()
-    total = 0
-    for i in members:
-        fsy = frozenset(
-            ctx.index[tab] for tab in _cyclic_tables(ctx.elements[i], ctx.group.degree)
-        )
-        if fsy in seen:
-            continue
-        orbit = orbit_walk(fsy, conj_by_u, len(u_gens))[0]
-        seen.update(orbit)
-        # |N_U(<y>)| = |U| / (U-orbit length), so the index is
-        # |N_G| * orbit / |U|
-        val = ng_order * len(orbit)
-        if val % u.order:
-            raise FalsificationError(
-                f"normalizer index {ng_order}*{len(orbit)}/{u.order} is not integral"
-            )
-        total += val // u.order
-    return total
-
-
-def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
-    """|N_G(<x>)| / |J| for U = K : J Frobenius, x in U outside K."""
-    rec = as_context(u.group).predicates
-    if not rec.is_frobenius_cyclic_complement:
-        raise PreconditionError(
-            "stabilizer is not Frobenius with nilpotent kernel and cyclic complement"
-        )
-    a = rec.frobenius_kernel_order
-    b = rec.frobenius_complement_order
-    t = x.images
-    if not u.group.contains_table(t):
-        raise PreconditionError("element must lie in the stabilizer")
-    if a % table_order(t) == 0:
-        raise PreconditionError("element lies in the Frobenius kernel")
-    ctx = as_context(g)
-    ix = ctx.index_of(t)
-    ng_order = ctx.bundles[ctx.bundle_of_class[ctx.class_of[ix]]].normalizer_order
-    if ng_order % b:
-        raise FalsificationError(
-            f"|N_G(<x>)| = {ng_order} is not divisible by |J| = {b}"
-        )
-    return ng_order // b
 
 
 # ---------------------------------------------------------------------------

@@ -41,15 +41,12 @@ from .perm import (
     extend_chain,
     identity_table,
     invert_table,
-    orbit,
     orbit_partition,
     orbit_stabilizer,
     orbit_walk,
-    point_stabilizer,
     table_action,
     table_order,
     table_power,
-    walk_stabilizer,
 )
 
 ELEMENT_CAP = 200_000
@@ -282,7 +279,7 @@ class GroupContext:
 
     def _subgroup_orbit(
         self, fs: frozenset[int], chain: PermGroup
-    ) -> tuple[list[frozenset[int]], PermGroup]:
+    ) -> tuple[dict[frozenset[int], int], PermGroup]:
         """Conjugation orbit of a subgroup given as an element-index set and
         by its chain, with the normalizer chain; the orbit's length is the
         class size."""
@@ -291,7 +288,7 @@ class GroupContext:
         def apply_fs(state: frozenset[int], j: int) -> frozenset[int]:
             return frozenset(map(conj[j].__getitem__, state))
 
-        return orbit_stabilizer(self.group, fs, apply_fs, chain.gen_tables)
+        return orbit_stabilizer(self.group, fs, apply_fs, chain.gen_tables)[:2]
 
     def _compute_subgroup_classes(self) -> None:
         # Two shortcuts spare the saturation below chains whose result is
@@ -562,11 +559,14 @@ def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
     """<y>'s conjugation orbit under g, walked under the stabilizer H = G_a
     of the least point a that y fixes (or 0 if y fixes none).
 
-    The walk of <y>'s least-generator label under H gives N_H(<y>) from its
-    Schreier generators, with y when y lies in H.  An element s u_b
+    Two walks of :func:`orbit_stabilizer` are made.  The walk of a under g
+    gives a^G, H and the u_b carrying a to b, each u_b formed when
+    ``carrier`` first needs it.  The walk of <y>'s least-generator label
+    under H gives N_H(<y>) from its Schreier generators, with y when y lies
+    in H, and the t_q carrying the label to state q.  An element s u_b
     normalizes <y> exactly when <y>^s = <y>^(u_b^-1), that is when the label
-    of <y>^(u_b^-1) lies in the walk, at a state q reached by t_q; then
-    t_q u_b normalizes <y>.  So each point b of a^G is tested once: a hit
+    of <y>^(u_b^-1) lies in the walk, at a state q; then t_q u_b
+    normalizes <y>.  So each point b of a^G is tested once: a hit
     adds t_q u_b, and every point of a's orbit under the elements found is
     a hit; a miss rules out b's orbit under them.  At the end a^N is that
     orbit of a, |N_G(<y>)| = |N_H(<y>)| |a^N|, and the chain from y, N_H's
@@ -574,16 +574,16 @@ def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
     kept on g."""
     deg, order = g.degree, table_order(y)
     a = next((p for p, q in enumerate(y) if p == q), 0)
-    h = point_stabilizer(g, a).group
+    tables = g.gen_tables
+    points, h, u_of = orbit_stabilizer(g, a, lambda p, j: tables[j][p])
     least = _least_generator(order, deg)
-    labels, targets = orbit_walk(least(y), cyclic_conjugation(h, order), len(h.generators))
-    n_h, transversal = walk_stabilizer(h, len(labels), targets, [y] if y[a] == a else [])
-    reps = orbit(g, a).transversal
+    seed = [y] if y[a] == a else []
+    labels, n_h, t_of = orbit_stabilizer(h, least(y), cyclic_conjugation(h, order), seed)
 
     def carrier(z: ImageTable, b: int) -> ImageTable | None:
-        u = reps[b]
+        u = u_of(points[b])
         q = labels.get(least(conjugate_table(z, invert_table(u))))
-        return None if q is None else compose_tables(transversal(q), u)
+        return None if q is None else compose_tables(t_of(q), u)
 
     gens = [y, *n_h.gen_tables]
 
@@ -591,7 +591,7 @@ def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
         return orbit_walk(p, lambda c, j: gens[j][c], len(gens))[0]
 
     hits, missed = orbit_of(a), set()
-    for b in reps:
+    for b in points:
         if b in hits or b in missed:
             continue
         x = carrier(y, b)
@@ -606,13 +606,7 @@ def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
             f"normalizer order {chain.order} != |N_H| * |a^N| = {n_h.order} * {len(hits)}"
             f" or does not divide |G| = {g.order}"
         )
-    return CyclicOrbit(g.order // chain.order, chain, order, list(reps), carrier)
-
-
-def subgroup_from_tables(
-    parent: PermGroup, tables: list[ImageTable], target_order: int | None = None
-) -> Subgroup:
-    return Subgroup(_greedy_chain(parent.degree, tables, target_order), parent)
+    return CyclicOrbit(g.order // chain.order, chain, order, list(points), carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +621,7 @@ def centralizer(
     t = x.images if isinstance(x, Permutation) else x
     ix = ctx.index_of(t)
     conj = ctx.conj_tables
-    _, chain = orbit_stabilizer(ctx.group, ix, lambda i, j: conj[j][i], [t])
+    chain = orbit_stabilizer(ctx.group, ix, lambda i, j: conj[j][i], [t])[1]
     return Subgroup(chain, ctx.group)
 
 
@@ -646,19 +640,8 @@ def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup
     def act(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
         return frozenset(map(conj[j], s))
 
-    _, chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), act, ug.gen_tables)
+    chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), act, ug.gen_tables)[1]
     return Subgroup(chain, grp)
-
-
-def normalizer_brute(
-    g: PermGroup | GroupContext, u: Subgroup | PermGroup, cap: int = ELEMENT_CAP
-) -> Subgroup:
-    """N_G(U) by scanning every element of G; small-scale oracle."""
-    ctx = as_context(g, cap)
-    ug = _group_of(u)
-    u_set = frozenset(ug.element_tables())
-    members = [e for e in ctx.elements if _normalized_by([e], ug.gen_tables, u_set)]
-    return subgroup_from_tables(ctx.group, members, target_order=len(members))
 
 
 def sylow(g: PermGroup | GroupContext, p: int, cap: int = ELEMENT_CAP) -> Subgroup:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 
-MAX_P = 97
 MAX_Q = 4096
 
 
@@ -238,8 +237,10 @@ def make_field(p: int, n: int) -> Field:
     """GF(p^n) with the value-least monic irreducible modulus of degree n."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if p > MAX_P or p ** n > MAX_Q or n < 1:
-        raise PreconditionError(f"field size {p}^{n} outside supported range")
+    if n < 1:
+        raise PreconditionError(f"field degree {n} is below 1")
+    if p ** n > MAX_Q:
+        raise CapExceededError(f"field size {p}^{n} exceeds the cap {MAX_Q}")
     if n == 1:
         return Field(p, 1, (0, 1))  # modulus x: the prime field itself
     # scan monic polynomials x^n + a_{n-1} x^{n-1} + ... + a_0 in integer

@@ -587,31 +587,26 @@ def orbit_partition(n: int, tables: Sequence) -> tuple[list[int], list[list[int]
 
 def orbit_stabilizer(
     g: PermGroup, start, act, seed: Sequence[ImageTable] = ()
-) -> tuple[list, PermGroup]:
-    """Orbit of a state under g, and the chain of its stabilizer.
+) -> tuple[dict, PermGroup, Callable[[int], ImageTable]]:
+    """Orbit of a state under g, the chain of its stabilizer and the walk's
+    tree transversal: ``(index, chain, transversal)``.
 
     ``act(state, j)`` is the image of a hashable state under the j-th
-    generator of g.  The orbit is returned in breadth-first discovery order.
-    The stabilizer is generated by ``seed`` (known members of it) followed
-    by the Schreier generators in discovery order, kept greedily until the
-    order |G| / |orbit| is reached; any other order contradicts the
-    orbit-stabilizer theorem and raises FalsificationError.
+    generator of g.  ``index`` numbers the orbit's states in breadth-first
+    discovery order (:func:`orbit_walk`; iterating it gives the orbit), and
+    ``transversal(q)`` carries the start to state number q
+    (:func:`_tree_transversal`).  The stabilizer is generated by ``seed``
+    (known members of it) followed by the Schreier generators in discovery
+    order, kept greedily until the order |G| / |orbit| is reached; any other
+    order contradicts the orbit-stabilizer theorem and raises
+    FalsificationError.
 
-    The orbit is walked first (:func:`orbit_walk`); the Schreier generators
-    are then formed lazily from its edges, so none is composed once the
-    stabilizer is complete (Seress, ch. 4).
+    The orbit is walked first; the Schreier generators are then formed
+    lazily from its edges, so none is composed once the stabilizer is
+    complete (Seress, ch. 4).
     """
     index, targets = orbit_walk(start, act, len(g.generators))
-    return list(index), walk_stabilizer(g, len(index), targets, seed)[0]
-
-
-def walk_stabilizer(
-    g: PermGroup, length: int, targets: list[int], seed: Sequence[ImageTable] = ()
-) -> tuple[PermGroup, Callable[[int], ImageTable]]:
-    """The stabilizer chain of :func:`orbit_stabilizer`, from an
-    :func:`orbit_walk` under g's generators that found ``length`` states,
-    and the walk's tree transversal (:func:`_tree_transversal`), built once
-    for both."""
+    length = len(index)
     if g.order % length:
         raise FalsificationError(f"orbit length {length} does not divide |G| = {g.order}")
     target = g.order // length
@@ -622,16 +617,16 @@ def walk_stabilizer(
         raise FalsificationError(
             f"stabilizer order {chain.order} != |G|/orbit = {g.order}/{length}"
         )
-    return chain, tree[1]
+    return index, chain, tree[1]
 
 
 def _tree_transversal(
     g: PermGroup, targets: list[int]
 ) -> tuple[list[int], Callable[[int], ImageTable]]:
-    """The spanning tree of an :func:`orbit_walk` under g's generators:
-    ``found_by[q]``, the edge that discovered state q (-1 for the start),
-    and ``transversal(q)``, the product of the generators along the tree
-    path from the start to q, formed on first use and kept."""
+    """The spanning tree of :func:`orbit_stabilizer`'s walk under g's
+    generators: ``found_by[q]``, the edge that discovered state q (-1 for
+    the start), and ``transversal(q)``, the product of the generators along
+    the tree path from the start to q, formed on first use and kept."""
     gen_tables = g.gen_tables
     n_gens = len(gen_tables)
     found_by = [-1]
@@ -657,11 +652,11 @@ def _tree_transversal(
 def _schreier_generators(
     g: PermGroup, targets: list[int], tree: tuple[list[int], Callable[[int], ImageTable]]
 ) -> Iterator[ImageTable]:
-    """The distinct nontrivial Schreier generators u_p * g_j * u_q^-1 of an
-    :func:`orbit_walk` under g's generators, one per edge (p, j) -> q that
-    did not discover q, in edge order; u_q is the element of the walk's
-    tree transversal ``tree`` (:func:`_tree_transversal`), whose inverse is
-    kept once formed."""
+    """The distinct nontrivial Schreier generators u_p * g_j * u_q^-1 of
+    :func:`orbit_stabilizer`'s walk under g's generators, one per edge
+    (p, j) -> q that did not discover q, in edge order; u_q is the element
+    of the walk's tree transversal ``tree`` (:func:`_tree_transversal`),
+    whose inverse is kept once formed."""
     gen_tables = g.gen_tables
     n_gens = len(gen_tables)
     ident = g.identity_table()
@@ -698,26 +693,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return self.group.order
-
-
-@dataclass
-class OrbitTransversal:
-    """An orbit in BFS-discovery order with a transversal: ``transversal[p]``
-    is a raw table carrying the orbit's first point to ``p``."""
-
-    points: list[int]
-    transversal: dict[int, ImageTable]
-
-
-def orbit(g: PermGroup, point: int) -> OrbitTransversal:
-    """Orbit of a point under the group generators, with the tree
-    transversal of its walk."""
-    if not 0 <= point < g.degree:
-        raise ValueError(f"point {point} out of range for degree {g.degree}")
-    tables = g.gen_tables
-    index, targets = orbit_walk(point, lambda p, j: tables[j][p], len(tables))
-    transversal = _tree_transversal(g, targets)[1]
-    return OrbitTransversal(list(index), {p: transversal(q) for p, q in index.items()})
 
 
 def point_stabilizer(g: PermGroup, point: int) -> Subgroup:

@@ -502,7 +502,7 @@ def classify_sylow3_orbits(
         # the point stabilizers of one P-orbit are conjugate in P, so they
         # have one order and fix equally many points of the orbit: the
         # stabilizer of its first point decides for all of them
-        _, stab = orbit_stabilizer(p_grp, lam[0], lambda c, j: rows[j][c])
+        stab = orbit_stabilizer(p_grp, lam[0], lambda c, j: rows[j][c])[1]
         if stab.order != 3:
             return False
         return len(set(fixed_cosets(action, stab.gen_tables[0])).intersection(lam)) == 3

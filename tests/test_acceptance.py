@@ -17,10 +17,7 @@ import pytest
 import fixitylab
 from fixitylab.cosets import (
     build_coset_action,
-    fix_by_class_sum,
-    fix_by_normalizer_formula,
     fix_direct,
-    fix_frobenius,
     marks_row,
     profile,
 )
@@ -40,6 +37,7 @@ from fixitylab.verifier import (
     search_fixity_k,
 )
 from fixitylab.zoo import resolve_group
+from oracles import fix_by_class_sum, fix_by_normalizer_formula, fix_frobenius
 
 CLAIMS = Path(fixitylab.__file__).parent / "data" / "claims.json"
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"

@@ -13,10 +13,7 @@ from fixitylab.cosets import (
     build_coset_action,
     chain_canonicalizer,
     check_homomorphism,
-    fix_by_class_sum,
-    fix_by_normalizer_formula,
     fix_direct,
-    fix_frobenius,
     fixity,
     mark,
     mark_on_action,
@@ -48,6 +45,7 @@ from fixitylab.perm import (
 )
 from fixitylab.verifier import _build_stabilizer, classify_sylow3_orbits, run_claim_catalog
 from fixitylab.zoo import psl2_spec, resolve_group
+from oracles import fix_by_class_sum, fix_by_normalizer_formula, fix_frobenius
 
 
 def _trivial(g):

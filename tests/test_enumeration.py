@@ -21,7 +21,6 @@ from fixitylab.enumeration import (
     euler_phi,
     is_simple_group,
     normalizer,
-    normalizer_brute,
     p_part,
     prime_divisors,
     prime_power,
@@ -48,6 +47,7 @@ from fixitylab.perm import (
     table_power,
 )
 from fixitylab.zoo import dihedral, resolve_group
+from oracles import normalizer_brute
 
 
 def test_euler_phi():
@@ -194,7 +194,8 @@ def _whole_group_walk(g, y):
     """The walk cyclic_orbit replaced, kept as an oracle: every G-conjugate
     of <y> by its least generator, N_G(<y>) from the Schreier generators."""
     act = cyclic_conjugation(g, table_order(y))
-    return orbit_stabilizer(g, canonical_generator(y, g.degree), act, [y])
+    index, chain, _ = orbit_stabilizer(g, canonical_generator(y, g.degree), act, [y])
+    return list(index), chain
 
 
 def _sample_elements(g, per_group=10):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fixitylab.errors import PreconditionError
+from fixitylab.errors import CapExceededError, PreconditionError
 from fixitylab.ffield import (
     Field,
     is_prime,
@@ -114,9 +114,10 @@ def test_field_bounds_and_bad_prime():
     with pytest.raises(PreconditionError):
         make_field(4, 1)
     with pytest.raises(PreconditionError):
+        make_field(3, 0)
+    with pytest.raises(CapExceededError):
         make_field(2, 13)  # 8192 > MAX_Q
-    with pytest.raises(PreconditionError):
-        make_field(101, 1)  # > MAX_P
+    assert make_field(101, 1).q == 101
 
 
 def test_scalar_and_element_constructors():

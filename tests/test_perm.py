@@ -24,7 +24,6 @@ from fixitylab.perm import (
     extend_chain,
     identity_table,
     invert_table,
-    orbit,
     orbit_partition,
     orbit_stabilizer,
     orbit_walk,
@@ -144,12 +143,21 @@ def test_degree_mismatch_raises():
         compose_tables(a, b)
 
 
+def _point_orbit(g, point):
+    """The orbit of a point in discovery order and its transversal, a table
+    carrying the point to each member, read from orbit_stabilizer's index
+    and tree transversal."""
+    tables = g.gen_tables
+    index, _, transversal = orbit_stabilizer(g, point, lambda p, j: tables[j][p])
+    return list(index), {p: transversal(q) for p, q in index.items()}
+
+
 def test_orbit_and_transversal():
     g = build_bsgs([Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
-    ot = orbit(g, 2)
-    assert sorted(ot.points) == list(range(6))
-    for p in ot.points:
-        assert ot.transversal[p][2] == p
+    points, transversal = _point_orbit(g, 2)
+    assert sorted(points) == list(range(6))
+    for p in points:
+        assert transversal[p][2] == p
 
 
 @pytest.mark.parametrize(
@@ -195,7 +203,7 @@ def test_point_stabilizer_is_every_element_fixing_the_point(group_cache, name):
     g = build_bsgs([], degree=4) if name == "trivial" else group_cache(name)
     for p in sorted({0, g.degree - 1}):
         stab = point_stabilizer(g, p)
-        assert stab.order == g.order // len(orbit(g, p).points)
+        assert stab.order == g.order // len(_point_orbit(g, p)[0])
         want = [t for t in g.element_tables() if t[p] == p]
         assert stab.group.element_tables() == want
 
@@ -239,8 +247,10 @@ def test_orbit_stabilizer_point_action():
     g = build_bsgs(
         [Permutation.from_cycles(5, [(0, 1, 2, 3, 4)]), Permutation.from_cycles(5, [(0, 1)])]
     )
-    points, chain = orbit_stabilizer(g, 3, lambda p, j: g.gen_tables[j][p])
+    index, chain, transversal = orbit_stabilizer(g, 3, lambda p, j: g.gen_tables[j][p])
+    points = list(index)
     assert sorted(points) == [0, 1, 2, 3, 4] and points[0] == 3
+    assert all(transversal(q)[3] == p for p, q in index.items())
     assert chain.order == 24
     assert all(t[3] == 3 for t in chain.element_tables())
 
@@ -287,7 +297,8 @@ def _eager_orbit_stabilizer(g, start, act, seed=()):
 
 
 def _assert_matches_eager(g, start, act, seed=()):
-    members, chain = orbit_stabilizer(g, start, act, seed)
+    index, chain, _ = orbit_stabilizer(g, start, act, seed)
+    members = list(index)
     old_members, old_chain = _eager_orbit_stabilizer(g, start, act, seed)
     assert members == old_members
     assert chain.gen_tables == old_chain.gen_tables
@@ -443,7 +454,7 @@ def test_orbit_partition_point_action():
     orbit_of, orbits = orbit_partition(g.degree, g.gen_tables)
     assert [o[0] for o in orbits] == [0, 3, 5, 7]
     for p in range(g.degree):
-        assert sorted(orbits[orbit_of[p]]) == sorted(orbit(g, p).points)
+        assert sorted(orbits[orbit_of[p]]) == sorted(_point_orbit(g, p)[0])
 
 
 def test_orbit_walk_point_action():
@@ -452,12 +463,13 @@ def test_orbit_walk_point_action():
     for p in range(g.degree):
         points = list(orbit_walk(p, lambda q, j: tables[j][q], len(tables))[0])
         assert points[0] == p
-        assert sorted(points) == sorted(orbit(g, p).points)
+        assert sorted(points) == sorted(_point_orbit(g, p)[0])
 
 
 def _eager_orbit(g, point):
-    """The loop orbit() ran before it read orbit_walk's tree transversal:
-    each new point's transversal element formed as it is discovered."""
+    """A point orbit with each new point's transversal element formed as
+    it is discovered, the loop orbit_stabilizer's tree transversal
+    replaced."""
     ident = g.identity_table()
     trans = {point: ident}
     queue = [point]
@@ -531,10 +543,10 @@ def _checked_walk(g, start, act):
 
 def _assert_point_orbit_matches_eager(g, p):
     tables = g.gen_tables
-    ot = orbit(g, p)
+    walked, transversal = _point_orbit(g, p)
     points, trans = _eager_orbit(g, p)
-    assert ot.points == points
-    assert list(ot.transversal.items()) == list(trans.items())
+    assert walked == points
+    assert list(transversal.items()) == list(trans.items())
     _checked_walk(g, p, lambda q, j: tables[j][q])
 
 

@@ -97,6 +97,14 @@ def test_chains_are_built_in_two_places():
     assert _calls_outside("PermGroup", {"perm.py": ("_trivial_chain", "extend_chain")}) == []
 
 
+def test_walks_become_stabilizers_and_transversals_in_one_place():
+    # one orbit-and-stabilizer routine: the tree transversal of a walk and
+    # its Schreier generators are formed only inside perm.orbit_stabilizer
+    homes = {"perm.py": ("orbit_stabilizer",)}
+    assert _calls_outside("_tree_transversal", homes) == []
+    assert _calls_outside("_schreier_generators", homes) == []
+
+
 def test_fixity_reports_are_built_in_one_place():
     # one report shape: every FixityReport(...) call lies inside cosets.fixity
     assert _calls_outside("FixityReport", {"cosets.py": ("fixity",)}) == []

@@ -17,9 +17,7 @@ from fixitylab.enumeration import (
     GroupContext,
     as_context,
     cyclic_orbit,
-    normalizer_brute,
     subgroup_closure,
-    subgroup_from_tables,
     sylow,
 )
 from fixitylab.errors import (
@@ -65,7 +63,8 @@ from fixitylab.verifier import (
     run_claim_catalog,
     search_fixity_k,
 )
-from fixitylab.zoo import resolve_group
+from fixitylab.zoo import psl2_spec, resolve_group
+from oracles import normalizer_brute, subgroup_from_tables
 
 
 def _perm_mod(images):
@@ -693,7 +692,7 @@ def _lemmas_on_the_action(report):
             )
             break
     img = [p.images for p in action.images]
-    _, ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))
+    ngh = orbit_stabilizer(g, frozenset(fixed), lambda s, j: frozenset(img[j][c] for c in s))[1]
     n_gens = ngh.gen_tables
     indices = []
     for lam in fixed:
@@ -943,6 +942,23 @@ def test_family_above_the_element_cap_is_skipped(q):
     assert all(r["structural_ok"] and r["sylow3_case"] != "-" for r in full.rows)
 
 
+def test_fields_past_the_old_prime_limit_are_built():
+    # GF(101) builds, so a PSL2(101) claim is stopped by the element cap
+    # (|PSL2(101)| = 515,100), not falsified; a field past MAX_Q is a cap
+    # too.  PSL2(127), the largest prime q up to 128, builds with its order
+    for claim in (
+        {"id": "f", "mode": "psl2_family", "q": 101},
+        {"id": "s", "mode": "search", "group": "psl2_101", "expected": "none"},
+    ):
+        res = run_claim(claim)
+        assert (res.verdict, res.rows) == ("SKIPPED", [])
+        assert res.detail == "cap exceeded: group order 515100 exceeds element cap 200000"
+    res = run_claim({"id": "f", "mode": "psl2_family", "q": 8191})
+    assert res.verdict == "SKIPPED"
+    assert res.detail == "cap exceeded: field size 8191^1 exceeds the cap 4096"
+    assert psl2_spec(127).build().order == 1_024_128
+
+
 def test_family_rejects_bad_q():
     with pytest.raises(PreconditionError):
         check_psl2_family(15)
@@ -1069,9 +1085,17 @@ def test_m22_cyclic_conjugation_steps_are_bounded(monkeypatch):
     # walk now runs under a point stabilizer G_a, on every group it is made
     # on, and takes 2,016 states for C5 and 4,032 for C11; a walk is made
     # by normalizer and once per fixity call for each class it meets, so
-    # the claim takes 24,192 steps
+    # the claim takes 24,192 steps.  Each of the 4 walks of <y>'s conjugates
+    # is one orbit_stabilizer call on G, walking the 22 points, and one on
+    # G_a, so the claim builds 8 walk trees
     steps = Counter()
     conjugation = fixitylab.enumeration.cyclic_conjugation
+    trees = []
+    tree_transversal = fixitylab.perm._tree_transversal
+
+    def counted_tree(g, targets):
+        trees.append(len(targets) // len(g.generators))  # states walked
+        return tree_transversal(g, targets)
 
     def counted(g, order):
         act = conjugation(g, order)
@@ -1083,11 +1107,13 @@ def test_m22_cyclic_conjugation_steps_are_bounded(monkeypatch):
         return counted_act
 
     monkeypatch.setattr(fixitylab.enumeration, "cyclic_conjugation", counted)
+    monkeypatch.setattr(fixitylab.perm, "_tree_transversal", counted_tree)
     catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
     claim = next(c for c in load_claims(catalog) if c["id"] == "m22_stabs")
     assert run_claim(claim).verdict == "PASS"
     assert set(steps) == {5, 11}
     assert sum(steps.values()) <= 24192
+    assert trees == [22, 2016, 22, 4032] * 2
 
 
 def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_cache):
