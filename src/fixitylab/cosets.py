@@ -45,7 +45,6 @@ from .enumeration import (
     CyclicOrbit,
     GroupContext,
     as_context,
-    canonical_form,
     cyclic_orbit,
 )
 from .errors import (
@@ -385,8 +384,8 @@ def marks_row(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAP
     ctx = as_context(g, caps.elements)
     classes = ctx.subgroup_classes(caps.subgroups)
     action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
-    orbit_u, _ = ctx._subgroup_orbit(frozenset(ctx.indices_of(u.group)), u.group)
-    canon_u = canonical_form(orbit_u)
+    # the least of U's conjugates, as sorted index tuples, is its class's label
+    canon_u = min(ctx._subgroup_orbit(tuple(sorted(ctx.indices_of(u.group))), u.group)[0])
     pos = None
     for i, c in enumerate(classes):
         if c.order == u.order and c.canonical == canon_u:

@@ -3,7 +3,7 @@
 Most of it works on a :class:`GroupContext`: the sorted element list of one
 group together with lookup tables for conjugation by each generator.
 Conjugacy classes, centralizers and the subgroup lattice up to conjugacy
-reduce to orbit computations on element indices (or on frozensets of them)
+reduce to orbit computations on element indices (or on sorted tuples of them)
 under that conjugation action, with Schreier generators supplying the
 stabilizers.  ``normalizer`` and ``sylow`` need no context: they label a
 subgroup's conjugates, a cyclic subgroup given by one generator by its least
@@ -250,21 +250,31 @@ class GroupContext:
         """Structure flags of the group, computed on first read."""
         return structure_predicates(self)
 
-    @cached_property
+    @property
     def pp_cyclics(self) -> tuple[list[int], list[int]]:
         """``(cyc_of, rep)`` for the cyclic subgroups of prime-power order > 1,
         numbered in order of their least generator index: ``cyc_of[i]`` is
         the subgroup element i generates (-1 for the identity and elements of
         other orders), ``rep[s]`` the least generator of subgroup s."""
+        return self._pp_numbering[:2]
+
+    @cached_property
+    def _pp_numbering(self) -> tuple[list[int], list[int], list[int]]:
+        """``(cyc_of, rep, root)`` of :attr:`pp_cyclics`, where ``root[s]`` is
+        the index of y^p for y = e_rep[s] of order p^k: the generator of
+        the subgroup of index p in <y>, read off the powers that number <y>."""
         index, elements, degree = self.index, self.elements, self.group.degree
         cyc_of = [-1] * self.n
         rep: list[int] = []
+        root: list[int] = []
         for i, o in enumerate(self.element_orders):
-            if cyc_of[i] >= 0 or prime_power(o) is None:
+            if cyc_of[i] >= 0 or (pp := prime_power(o)) is None:
                 continue
-            for t in _cyclic_generators(elements[i], degree):
+            powers = _cyclic_tables(elements[i], degree)
+            for t in compress(powers, _coprime_mask(o)):
                 cyc_of[index[t]] = len(rep)
             rep.append(i)
+            root.append(index[powers[pp[0] % o]])
         expected = sum(
             b.n_subgroups for b in self.bundles if prime_power(b.element_order)
         )
@@ -273,22 +283,23 @@ class GroupContext:
                 f"numbered {len(rep)} cyclic subgroups of prime-power order, "
                 f"the bundles count {expected}"
             )
-        return cyc_of, rep
+        return cyc_of, rep, root
 
     # -- subgroup lattice -------------------------------------------------------
 
     def _subgroup_orbit(
-        self, fs: frozenset[int], chain: PermGroup
-    ) -> tuple[dict[frozenset[int], int], PermGroup]:
-        """Conjugation orbit of a subgroup given as an element-index set and
-        by its chain, with the normalizer chain; the orbit's length is the
-        class size."""
+        self, key: tuple[int, ...], chain: PermGroup
+    ) -> tuple[dict[tuple[int, ...], int], PermGroup]:
+        """Conjugation orbit of a subgroup given as its sorted element-index
+        tuple and by its chain, with the normalizer chain.  The orbit's
+        members are sorted index tuples too: its length is the class size
+        and its least member the class's canonical form."""
         conj = self.conj_tables
 
-        def apply_fs(state: frozenset[int], j: int) -> frozenset[int]:
-            return frozenset(map(conj[j].__getitem__, state))
+        def apply(state: tuple[int, ...], j: int) -> tuple[int, ...]:
+            return tuple(sorted(map(conj[j].__getitem__, state)))
 
-        return orbit_stabilizer(self.group, fs, apply_fs, chain.gen_tables)[:2]
+        return orbit_stabilizer(self.group, key, apply, chain.gen_tables)[:2]
 
     def _compute_subgroup_classes(self) -> None:
         # Two shortcuts spare the saturation below chains whose result is
@@ -314,16 +325,15 @@ class GroupContext:
         seen: dict[tuple[int, ...], int] = {}
         queue: deque[int] = deque()
 
-        def add_class(fs: frozenset[int], chain: PermGroup, parent: int | None = None) -> None:
-            orbit_sets, norm_chain = self._subgroup_orbit(fs, chain)
-            keys = [tuple(sorted(m)) for m in orbit_sets]
+        def add_class(key: tuple[int, ...], chain: PermGroup, parent: int | None = None) -> None:
+            keys, norm_chain = self._subgroup_orbit(key, chain)
             cid = len(records)
             records.append(
                 {
                     "chain": chain,
-                    "indices": fs,
+                    "indices": frozenset(key),
                     "canonical": min(keys),
-                    "class_size": len(orbit_sets),
+                    "class_size": len(keys),
                     # N(A)'s chain is dropped: its generators and order suffice
                     "normalizer_gens": norm_chain.gen_tables,
                     "normalizer_order": norm_chain.order,
@@ -336,32 +346,34 @@ class GroupContext:
 
         # seeds: trivial subgroup, the whole group (when it is not the
         # trivial one), one cyclic subgroup per bundle of element classes
-        add_class(frozenset({0}), build_bsgs([], degree=g.degree))
+        add_class((0,), build_bsgs([], degree=g.degree))
         if n > 1:
-            add_class(frozenset(range(n)), g)
+            add_class(tuple(range(n)), g)
         for b in self.bundles:
             t = self.elements[b.rep_index]
-            fs = frozenset(self.index[tab] for tab in _cyclic_tables(t, g.degree))
-            if tuple(sorted(fs)) not in seen:
-                add_class(fs, build_bsgs([t], degree=g.degree))
+            key = tuple(sorted(self.index[tab] for tab in _cyclic_tables(t, g.degree)))
+            if key not in seen:
+                add_class(key, build_bsgs([t], degree=g.degree))
 
-        # saturate: extend each known class representative A by one element y
-        # per N_G(A)-class of cyclic subgroups <y> of prime-power order outside
-        # A; every subgroup S arises this way from a maximal chain (some
-        # prime-power power of any element of S - M lands outside a maximal
-        # M < S, and together they generate S).  <A, y> depends only on <y>,
-        # and <A, y^h> = <A, y>^h for h in N(A), so one y per class suffices.
+        # saturate: extend each known class representative A by one y per
+        # N_G(A)-orbit of cyclic subgroups <y> of prime-power order p^k with
+        # <y> not in A but its subgroup of index p, <y^p>, in A (every <y> of
+        # prime order outside A qualifies).  These p-th roots over A suffice:
+        # for M maximal in S, some prime-power element z of S lies outside
+        # M; the last y of z, z^p, z^(p^2), ... outside M has y^p in M, and
+        # S = <M, y>.  Both conditions hold for all of <y>'s generators and
+        # are kept by N(A), which fixes A; <A, y^h> = <A, y>^h for h in N(A),
+        # so one y per N(A)-orbit of roots suffices.
         # N(A) acts on the subgroups through their least generators: h maps
         # subgroup s to the subgroup of h^-1 * e_rep[s] * h.  The subgroups are
-        # numbered by least generator and orbit_partition starts each orbit at
-        # its least point, so y = rep[orbit[0]] is the least generator of any
-        # subgroup in the orbit, and the orbits come in increasing order of y:
-        # the y, and their order, of a walk over the N(A)-orbits of elements
-        # that takes each orbit's least point and skips the generators of a
-        # <y> already tried.  The representatives, and so the lattice pins,
-        # depend on that order.
+        # numbered by least generator and orbit_partition walks the roots in
+        # increasing order, starting each orbit at its least point, so y =
+        # rep[orbit[0]] is the least generator of any subgroup in the orbit,
+        # and the orbits come in increasing order of y.  The representatives,
+        # and so the lattice's representative pins, depend on that order.
         index = self.index
-        cyc_of, rep = self.pp_cyclics
+        cyc_of, rep, root = self._pp_numbering
+        n_cyc = len(rep)
         rep_tables = [self.elements[i] for i in rep]
         # each generator's map on the numbered subgroups, built once: N(A)'s
         # generators begin with A's, and A's with its parent's.  The maps
@@ -383,16 +395,16 @@ class GroupContext:
             fs, parent = rec["indices"], rec["parent"]
             # the parent was dequeued first, so its marks are final
             full = rec["full"] = (
-                bytearray(len(rep)) if parent is None else bytearray(records[parent]["full"])
+                bytearray(n_cyc) if parent is None else bytearray(records[parent]["full"])
             )
             # (index set, chain) of the proper extensions of A, by order
             overgroups: list[tuple[frozenset[int], PermGroup]] = []
             maps = [pp_map(t) for t in rec["normalizer_gens"]]
-            for members in orbit_partition(len(rep), maps)[1]:
-                i = rep[members[0]]
-                # N(A) fixes A, so an orbit lies inside A or outside it
-                if i in fs or any(map(full.__getitem__, members)):
+            roots = [s for s in range(n_cyc) if root[s] in fs and rep[s] not in fs]
+            for members in orbit_partition(n_cyc, maps, roots)[1]:
+                if any(map(full.__getitem__, members)):
                     continue
+                i = rep[members[0]]
                 amb = next((s for s_fs, s in overgroups if i in s_fs), g)
                 ext = extend_chain(chain, [self.elements[i]], ambient=amb)
                 # <A, y> <= amb: equal orders mean <A, y> = amb, whether the
@@ -409,8 +421,9 @@ class GroupContext:
                     raise MembershipError(
                         f"extension enumerated {len(fs2)} elements, BSGS order is {ext.order}"
                     )
-                if tuple(sorted(fs2)) not in seen:
-                    add_class(fs2, ext, cid)
+                key = tuple(sorted(fs2))
+                if key not in seen:
+                    add_class(key, ext, cid)
                 insort(overgroups, (fs2, ext), key=lambda p: p[1].order)
 
         records.sort(key=lambda r: (r["chain"].order, r["canonical"]))
@@ -457,11 +470,6 @@ def as_context(g: PermGroup | GroupContext, element_cap: int = ELEMENT_CAP) -> G
     if g._context is None:
         g._context = GroupContext(g)
     return g._context
-
-
-def canonical_form(orbit: list[frozenset[int]]) -> tuple[int, ...]:
-    """Label of a subgroup class: its least member as a sorted index tuple."""
-    return min(tuple(sorted(m)) for m in orbit)
 
 
 def _cyclic_tables(t: ImageTable, degree: int) -> list[ImageTable]:

@@ -563,13 +563,17 @@ def orbit_walk(start, act, n_gens: int) -> tuple[dict, list[int]]:
     return index, targets
 
 
-def orbit_partition(n: int, tables: Sequence) -> tuple[list[int], list[list[int]]]:
+def orbit_partition(
+    n: int, tables: Sequence, points: Iterable[int] | None = None
+) -> tuple[list[int], list[list[int]]]:
     """Orbits of the points 0..n-1 under index maps, ``tables[j][p]`` being
     the image of p under the j-th generator: ``(orbit_of, orbits)``, the
-    orbits numbered by least point and listed in breadth-first order."""
+    orbits numbered by least point and listed in breadth-first order.
+    Given ``points``, an invariant set of points in increasing order, only
+    its orbits are walked; ``orbit_of`` is -1 outside it."""
     orbit_of = [-1] * n
     orbits: list[list[int]] = []
-    for start in range(n):
+    for start in range(n) if points is None else points:
         if orbit_of[start] >= 0:
             continue
         oid = len(orbits)

@@ -492,8 +492,8 @@ def _assert_last_class_is_the_group(g, classes):
 # extensions the saturation finds, so this pins its exploration order as
 # well as its result.
 _LATTICE_DIGESTS = {
-    "psl2_7": "fcc3622ea99ae3575343eb6c0ed5c063fa650649a026cbf4a3f7eeeb19bcc7dd",
-    "psl2_9": "064d57d1901f1bf40cfcf2182c6e242e1a2dbdcca9609e1b1805d06b1183239d",
+    "psl2_7": "6cf9ed9f849865813584001af435439d8a13d4c5a1982287e490d610428b2e35",
+    "psl2_9": "7d2947a417258c8006b5214f8ac12e8b4ef62dbeda5f770443d1000a749faa64",
 }
 
 
@@ -519,13 +519,13 @@ def test_lattice_exploration_order_pinned(group_cache, sel):
 # internals; the generators of a representative are A's followed by the
 # extending y, so this still pins the saturation's exploration order.
 _LATTICE_ORDER_DIGESTS = {
-    "alt_7": "c8b8d4e29869e45664432c325af9ca3435c959159ae9eb46c0508c6751acf0f2",
-    "m11": "742c958227e9bc43bf1c1b24ba631f9c6a438006c9dabb61ee758b30b9526edf",
+    "alt_7": "397181e3caf72eb99d024d4c97072c7fdba529726177b44c8f5ef9ebe0251f98",
+    "m11": "054b45506d50ddd4b25f386466896f5553fc7c64d7a9ea3b4570af40cb715f9b",
     "psl2_16": "c43cb1218a0493f5c598f1a0aa76b0603fe8c95b486259b4417b3593509bf905",
-    "psl3_3": "a265de853447b0a12d0bef07efface5b4c4caf161f1477a9d70fe163f6c58f3c",
-    "psu3_3": "9a09af4a92d3370005cc4fc61a33bd5f3a68b0da11187ac7afd5345c16a1ee78",
-    "sym_5": "0d5d90236a6c657f4b89162922c5f28defe5f8ffc9cecc15fbfc79ba5c58e494",
-    "sym_6": "a83847b4484490f171d29f2eddc49ab873e912049325076b60e1320041936227",
+    "psl3_3": "34ce19d700b27b8103d026b607b54a64121a63f649469dd8d108e8bc908ba4a8",
+    "psu3_3": "e0134c199f5dde30fff6a6a6012ffa0243f223f94e148c49b758f5de62f15a03",
+    "sym_5": "46caecd5e784a4470a6827458fa8964a780f960ff1ae3cb46539fb9610ca3928",
+    "sym_6": "cfde271e104f767a4bbe7669b48754cdae0bf3fd3ecf5cd7f0a7d8f13dc942bf",
 }
 
 
@@ -545,11 +545,39 @@ def test_lattice_representatives_pinned(group_cache, sel):
     _assert_last_class_is_the_group(g, classes)
 
 
+# sha256 of each lattice's classes in order, G itself included: (order,
+# canonical, class size, normalizer order).  These depend only on G, not on
+# which extension found a class first, so a change to the saturation's
+# exploration order leaves them as they are while the pins above move.
+_LATTICE_INVARIANT_DIGESTS = {
+    "alt_7": "a6cc3307fe0663bd34cc21d5c1595a246ad3714e8e160800dc38a7f18ba682d2",
+    "m11": "004c5ee333af66fe0926c31427d4ffe4fd73dead0cba2b19051888718acde3cf",
+    "psl2_16": "be20182b7dceb47babad9de2edcf2e38b33b90507f620ad8390b33860ef8bf63",
+    "psl2_7": "875a4988f569c6a3f86f428428001a33903086e6634b574e5b255d738213f51a",
+    "psl2_9": "47a94d8a146c2d7592adc3d08aed5a327a57ea879bcdc458b623153968080867",
+    "psl3_3": "bd6bf1f6196421116c90ad4ee48eca3defda9d36a5b2ed499283f32e69cd0a66",
+    "psu3_3": "95d6b65c890fd5f3375201c93c4855954c6978d250c61d95f2b048e569f15f68",
+    "sym_5": "aa6b2a580b4a6cdee7d256dd1ea5bf0a9bcb31533a6a27f088df1825c79cfdd4",
+    "sym_6": "631e81492359685342e3e754c92ef2288749c8c41229332aebaae0193585ce07",
+}
+
+
+@pytest.mark.parametrize("sel", sorted(_LATTICE_DIGESTS.keys() | _LATTICE_ORDER_DIGESTS.keys()))
+def test_lattice_class_invariants_pinned(group_cache, sel):
+    rows = [
+        [sc.order, list(sc.canonical), sc.class_size, sc.normalizer_order]
+        for sc in as_context(group_cache(sel)).subgroup_classes()
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _LATTICE_INVARIANT_DIGESTS[sel]
+
+
 def test_saturation_skips_known_extensions(monkeypatch):
     # the saturation builds no chain whose result the marks of G-generating
-    # <y> settle, and enumerates no extension that equals an overgroup
-    # already built from the same class; m11 took 2,877 chain extensions
-    # and 939 enumerations before both shortcuts
+    # <y> settle, enumerates no extension that equals an overgroup already
+    # built from the same class, and tries only the <y> whose <y^p> lies in
+    # the class; m11 took 2,877 chain extensions and 939 enumerations before
+    # the first two shortcuts, and 1,816 and 243 before the third
     ctx = as_context(resolve_group("m11")[1])
     calls = Counter()
     extend_chain, iter_element_tables = enumeration.extend_chain, PermGroup.iter_element_tables
@@ -565,8 +593,8 @@ def test_saturation_skips_known_extensions(monkeypatch):
     monkeypatch.setattr(enumeration, "extend_chain", counted_extend)
     monkeypatch.setattr(PermGroup, "iter_element_tables", counted_iter)
     assert len(ctx.subgroup_classes()) == 39
-    assert calls["extend_chain"] <= 1816
-    assert calls["iter_element_tables"] <= 243
+    assert calls["extend_chain"] <= 1058
+    assert calls["iter_element_tables"] <= 201
 
 
 def test_saturation_skips_repeated_conjugation_work(monkeypatch):
@@ -604,8 +632,12 @@ def _subgroup_counts(g):
     return counts
 
 
-# total numbers of subgroups, from the literature
-_SUBGROUP_TOTALS = {"alt_5": 59, "psl2_7": 179, "alt_6": 501, "alt_7": 3786, "m11": 8651}
+# total numbers of subgroups, from the literature: sym_4, sym_5 and sym_6
+# from OEIS A005432, dihedral_8 (order 16) as tau(8) + sigma(8)
+_SUBGROUP_TOTALS = {
+    "alt_5": 59, "psl2_7": 179, "alt_6": 501, "alt_7": 3786, "m11": 8651,
+    "sym_4": 30, "sym_5": 156, "sym_6": 1455, "dihedral_8": 19,
+}
 
 
 @pytest.mark.parametrize("sel", sorted(_SUBGROUP_TOTALS))
