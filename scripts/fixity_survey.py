@@ -43,7 +43,7 @@ def survey(selector: str, highlight: int, caps: Caps) -> None:
         if fx < ctx.n // sc.order:  # else a kernel element fixes every coset
             hist[fx] += 1
     # confirmed by the fixity count of each candidate, in the same class order
-    hits = search_fixity_k(ctx, highlight, caps)
+    hits = search_fixity_k(g, highlight, caps)
     dt = time.time() - t0
     print(f"{name}: order {ctx.n}, {sum(hist.values())} faithful actions "
           f"({dt:.1f}s)")

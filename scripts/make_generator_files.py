@@ -314,17 +314,17 @@ def make_m22() -> PermGroup:
     check("order of M24", m24.order, 244823040)
     m23 = point_stabilizer(m24, INF)
     check("order of M23", m23.order, 10200960)
-    m22 = point_stabilizer(m23.group, 0)
+    m22 = point_stabilizer(m23, 0)
     check("order of M22", m22.order, 443520)
 
     moved = sorted(
-        {i for p in m22.group.generators for i, x in enumerate(p.images) if x != i}
+        {i for p in m22.generators for i, x in enumerate(p.images) if x != i}
     )
     if len(moved) != 22 or 0 in moved or INF in moved:
         raise GroupDataError(f"M22 generators move {len(moved)} points, wanted the 22 of 1..22")
     relabel = {old: new for new, old in enumerate(moved)}
     gens = []
-    for p in m22.group.generators:
+    for p in m22.generators:
         images = [0] * 22
         for old, new in relabel.items():
             images[new] = relabel[p.images[old]]

@@ -35,7 +35,7 @@ from .cosets import (
 )
 from .enumeration import as_context, subgroup_closure
 from .errors import FalsificationError, FixityError, GroupDataError, PreconditionError
-from .perm import PermGroup, Subgroup
+from .perm import PermGroup
 from .verifier import (
     CAPS_NOT_GIVEN,
     action_row,
@@ -112,9 +112,7 @@ def _caps_of(args: argparse.Namespace) -> dict[str, int]:
     return {k: v for k, v in caps.items() if v is not None}
 
 
-def _stabilizers(
-    g: PermGroup, args: argparse.Namespace, caps: Caps
-) -> list[Subgroup]:
+def _stabilizers(g: PermGroup, args: argparse.Namespace, caps: Caps) -> list[PermGroup]:
     """All stabilizers the flags select; ambiguity yields several."""
     if args.stab_file and args.stab_order is not None:
         raise PreconditionError("--stab-order and --stab-file are exclusive")
@@ -131,9 +129,7 @@ def _stabilizers(
     for sc in ctx.subgroup_classes(caps.subgroups):
         if sc.order != args.stab_order:
             continue
-        if args.stab_descriptor and not descriptor_matches(
-            args.stab_descriptor, sc.representative.group
-        ):
+        if args.stab_descriptor and not descriptor_matches(args.stab_descriptor, sc.representative):
             continue
         out.append(sc.representative)
     if not out:

@@ -57,8 +57,8 @@ from .perm import (
     ImageTable,
     PermGroup,
     Permutation,
-    Subgroup,
     build_bsgs,
+    check_subgroup,
     compose_tables,
     identity_table,
     invert_table,
@@ -91,7 +91,7 @@ class CosetAction:
     """
 
     group: PermGroup
-    stabilizer: Subgroup
+    stabilizer: PermGroup
     degree: int
     images: list[Permutation]
     canonical_reps: list[ImageTable]
@@ -128,7 +128,7 @@ class FixityReport:
     the first of its class, so the witness started its class's walk."""
 
     group: PermGroup
-    stabilizer: Subgroup
+    stabilizer: PermGroup
     fixity: int
     witness: ImageTable | None
     bundle_fixes: list[int]
@@ -176,19 +176,16 @@ def chain_canonicalizer(u: PermGroup) -> Callable[[ImageTable], ImageTable]:
     return canon
 
 
-def check_stabilizer(g: PermGroup, u: Subgroup) -> None:
+def check_stabilizer(g: PermGroup, u: PermGroup) -> None:
     """Raise MembershipError unless U is a subgroup of G whose order divides |G|."""
-    if u.parent is not g:
-        for p in u.group.generators:
-            if not g.contains(p):
-                raise MembershipError("stabilizer is not a subgroup of the group")
+    check_subgroup(g, u)
     if g.order % u.order:
         raise MembershipError(f"|U| = {u.order} does not divide |G| = {g.order}")
 
 
 def build_coset_action(
     g: PermGroup,
-    u: Subgroup,
+    u: PermGroup,
     max_cosets: int = COSET_CAP,
     element_cap: int = ELEMENT_CAP,
 ) -> CosetAction:
@@ -205,12 +202,12 @@ def build_coset_action(
     degree = g.order // u.order
     if degree > max_cosets:
         raise CapExceededError(f"coset space size {degree} exceeds cap {max_cosets}")
-    if u.group.order > element_cap:
+    if u.order > element_cap:
         raise CapExceededError(
             f"stabilizer order {u.order} exceeds element cap {element_cap}"
         )
-    u_tables = u.group.element_tables()
-    canon = chain_canonicalizer(u.group)
+    u_tables = u.element_tables()
+    canon = chain_canonicalizer(u)
     ident = identity_table(g.degree)
     if canon(ident) != ident:
         raise FalsificationError(
@@ -278,13 +275,13 @@ def fix_direct(action: CosetAction, x: Permutation | ImageTable) -> int:
     return len(fixed_cosets(action, t))
 
 
-def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
+def stabilizer_bundle_fixes(ctx: GroupContext, u: PermGroup) -> list[int]:
     """Fixed-coset count on G/U for one generator of each cyclic-subgroup
     class, by the normalizer-formula route; one O(|U|) pass for all rows."""
     boc = ctx.bundle_of_class
     class_of = ctx.class_of
     counts = [0] * len(ctx.bundles)
-    for i in ctx.indices_of(u.group):
+    for i in ctx.indices_of(u):
         b = boc[class_of[i]]
         if b >= 0:
             counts[b] += 1
@@ -310,7 +307,7 @@ def stabilizer_bundle_fixes(ctx: GroupContext, u: Subgroup) -> list[int]:
 # fixity, profiles, marks
 # ---------------------------------------------------------------------------
 
-def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport:
+def fixity(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> FixityReport:
     """Fixity of G on G/U: the largest fixed-coset count of a generator y of
     a class of cyclic subgroups of U.
 
@@ -323,7 +320,7 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
     bundles are tested against the classes walked; nothing is kept on G, G
     is never enumerated and no coset is materialized."""
     check_stabilizer(g, u)
-    u_ctx = as_context(u.group, caps.elements)
+    u_ctx = as_context(u, caps.elements)
     reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
     # a bundle joins the first class walked that holds its representative
     walked: list[CyclicOrbit] = []
@@ -352,7 +349,7 @@ def fixity(g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixityReport
     )
 
 
-def profile(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> FixedPointProfile:
+def profile(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> FixedPointProfile:
     """One row (element order, centralizer order, fixed cosets) per class of
     nontrivial cyclic subgroups, sorted by the triple."""
     ctx = as_context(g, caps.elements)
@@ -372,20 +369,20 @@ def mark_on_action(action: CosetAction, v_gen_tables: list[ImageTable]) -> int:
     return len(set.intersection(*fixed))
 
 
-def mark(g: PermGroup, u: Subgroup, v: Subgroup, caps: Caps = DEFAULT_CAPS) -> int:
+def mark(g: PermGroup, u: PermGroup, v: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
     action = build_coset_action(g, u, caps.cosets, caps.elements)
-    return mark_on_action(action, v.group.gen_tables)
+    return mark_on_action(action, v.gen_tables)
 
 
-def marks_row(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
+def marks_row(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
     """Marks of G/U on each representative of G's subgroup classes, for the
     classes up to and including U's own class in the (order, canonical)
     order of G's lattice."""
     ctx = as_context(g, caps.elements)
     classes = ctx.subgroup_classes(caps.subgroups)
-    action = build_coset_action(ctx.group, u, caps.cosets, caps.elements)
+    action = build_coset_action(g, u, caps.cosets, caps.elements)
     # the least of U's conjugates, as sorted index tuples, is its class's label
-    canon_u = min(ctx._subgroup_orbit(tuple(sorted(ctx.indices_of(u.group))), u.group)[0])
+    canon_u = min(ctx._subgroup_orbit(tuple(sorted(ctx.indices_of(u))), u)[0])
     pos = None
     for i, c in enumerate(classes):
         if c.order == u.order and c.canonical == canon_u:
@@ -394,7 +391,7 @@ def marks_row(g: PermGroup | GroupContext, u: Subgroup, caps: Caps = DEFAULT_CAP
     if pos is None:
         raise FalsificationError("the stabilizer's class is missing from the group's lattice")
     return [
-        mark_on_action(action, c.representative.group.gen_tables)
+        mark_on_action(action, c.representative.gen_tables)
         for c in classes[: pos + 1]
     ]
 

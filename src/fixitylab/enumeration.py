@@ -32,9 +32,9 @@ from .perm import (
     ImageTable,
     PermGroup,
     Permutation,
-    Subgroup,
     _greedy_chain,
     build_bsgs,
+    check_subgroup,
     compose_tables,
     conjugate_table,
     conjugator,
@@ -112,7 +112,7 @@ class StructureRecord:
 class SubgroupClass:
     """One conjugacy class of subgroups."""
 
-    representative: Subgroup
+    representative: PermGroup
     normalizer_order: int
     class_size: int
     order: int
@@ -248,7 +248,7 @@ class GroupContext:
     @cached_property
     def predicates(self) -> StructureRecord:
         """Structure flags of the group, computed on first read."""
-        return structure_predicates(self)
+        return structure_predicates(self.group)
 
     @property
     def pp_cyclics(self) -> tuple[list[int], list[int]]:
@@ -427,19 +427,17 @@ class GroupContext:
                 insort(overgroups, (fs2, ext), key=lambda p: p[1].order)
 
         records.sort(key=lambda r: (r["chain"].order, r["canonical"]))
-        out = []
-        for rec in records:
-            sub = Subgroup(rec["chain"], g)
-            out.append(
-                SubgroupClass(
-                    representative=sub,
-                    normalizer_order=rec["normalizer_order"],
-                    class_size=rec["class_size"],
-                    order=rec["chain"].order,
-                    indices=rec["indices"],
-                    canonical=rec["canonical"],
-                )
+        out = [
+            SubgroupClass(
+                representative=rec["chain"],
+                normalizer_order=rec["normalizer_order"],
+                class_size=rec["class_size"],
+                order=rec["chain"].order,
+                indices=rec["indices"],
+                canonical=rec["canonical"],
             )
+            for rec in records
+        ]
         for c in out:
             if c.class_size * c.normalizer_order != n:
                 raise FalsificationError(
@@ -459,14 +457,11 @@ class GroupContext:
         return self._subgroup_classes
 
 
-def as_context(g: PermGroup | GroupContext, element_cap: int = ELEMENT_CAP) -> GroupContext:
+def as_context(g: PermGroup, element_cap: int = ELEMENT_CAP) -> GroupContext:
     """The context of g, built on first use and kept on the group itself.
-    The cap is checked on every call, the cached or given context's too."""
-    grp = g.group if isinstance(g, GroupContext) else g
-    if grp.order > element_cap:
-        raise CapExceededError(f"group order {grp.order} exceeds element cap {element_cap}")
-    if isinstance(g, GroupContext):
-        return g
+    The cap is checked on every call, the cached context's too."""
+    if g.order > element_cap:
+        raise CapExceededError(f"group order {g.order} exceeds element cap {element_cap}")
     if g._context is None:
         g._context = GroupContext(g)
     return g._context
@@ -621,60 +616,56 @@ def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def centralizer(
-    g: PermGroup | GroupContext, x: Permutation, cap: int = ELEMENT_CAP
-) -> Subgroup:
+def centralizer(g: PermGroup, x: Permutation, cap: int = ELEMENT_CAP) -> PermGroup:
     """C_G(x), via the conjugation orbit of x and its Schreier generators."""
     ctx = as_context(g, cap)
     t = x.images if isinstance(x, Permutation) else x
     ix = ctx.index_of(t)
     conj = ctx.conj_tables
-    chain = orbit_stabilizer(ctx.group, ix, lambda i, j: conj[j][i], [t])[1]
-    return Subgroup(chain, ctx.group)
+    return orbit_stabilizer(g, ix, lambda i, j: conj[j][i], [t])[1]
 
 
-def normalizer(g: PermGroup | GroupContext, u: Subgroup | PermGroup) -> Subgroup:
+def normalizer(g: PermGroup, u: PermGroup) -> PermGroup:
     """N_G(U), via the conjugation orbit of U with Schreier generators for its
     stabilizer, seeded with U's generators; G is never enumerated.  A U given
     by one generator y has its conjugates labelled by their least generators
     (:func:`cyclic_conjugation`), any other U by their sets of element
     tables, which enumerates U.  The cyclic labels are walked under a point
-    stabilizer of G (:func:`cyclic_orbit`), the set labels under G."""
-    grp, ug = _group_of(g), _group_of(u)
-    if len(ug.generators) == 1:
-        return Subgroup(cyclic_orbit(grp, ug.gen_tables[0]).normalizer, grp)
-    conj = [conjugator(h) for h in grp.gen_tables]
+    stabilizer of G (:func:`cyclic_orbit`), the set labels under G.  A U
+    outside G raises MembershipError before any walk."""
+    check_subgroup(g, u)
+    if len(u.generators) == 1:
+        return cyclic_orbit(g, u.gen_tables[0]).normalizer
+    conj = [conjugator(h) for h in g.gen_tables]
 
     def act(s: frozenset[ImageTable], j: int) -> frozenset[ImageTable]:
         return frozenset(map(conj[j], s))
 
-    chain = orbit_stabilizer(grp, frozenset(ug.element_tables()), act, ug.gen_tables)[1]
-    return Subgroup(chain, grp)
+    return orbit_stabilizer(g, frozenset(u.element_tables()), act, u.gen_tables)[1]
 
 
-def sylow(g: PermGroup | GroupContext, p: int, cap: int = ELEMENT_CAP) -> Subgroup:
+def sylow(g: PermGroup, p: int, cap: int = ELEMENT_CAP) -> PermGroup:
     """A Sylow p-subgroup, grown through normalizers of p-subgroups from the
     first element of order p in breadth-first word order; G is never
     enumerated, each normalizer is (within ``cap``)."""
-    grp = _group_of(g)
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    if grp.order % p:
-        raise PreconditionError(f"{p} does not divide the group order {grp.order}")
-    pp = p_part(grp.order, p)
-    chain = build_bsgs([_find_element_of_order(grp, p, cap)], degree=grp.degree)
+    if g.order % p:
+        raise PreconditionError(f"{p} does not divide the group order {g.order}")
+    pp = p_part(g.order, p)
+    chain = build_bsgs([_find_element_of_order(g, p, cap)], degree=g.degree)
     while chain.order < pp:
-        norm = normalizer(grp, chain)
+        norm = normalizer(g, chain)
         if norm.order > cap:
             raise CapExceededError(f"normalizer order {norm.order} exceeds element cap {cap}")
-        p_elts = (t for t in norm.group.element_tables() if p_part(o := table_order(t), p) == o > 1)
+        p_elts = (t for t in norm.element_tables() if p_part(o := table_order(t), p) == o > 1)
         t = next((t for t in p_elts if not chain.contains_table(t)), None)
         if t is None:
             raise MembershipError("p-subgroup stalled below the full p-part")
         chain = extend_chain(chain, [t])
         if chain.order != p_part(chain.order, p):
             raise MembershipError("extension left the p-group family")
-    return Subgroup(chain, grp)
+    return chain
 
 
 def _find_element_of_order(g: PermGroup, n: int, limit: int = ELEMENT_CAP) -> ImageTable:
@@ -705,33 +696,29 @@ def _find_element_of_order(g: PermGroup, n: int, limit: int = ELEMENT_CAP) -> Im
     raise GroupDataError(f"group has no element of order divisible by {n}")
 
 
-def subgroup_closure(g: PermGroup, seed: list[Permutation]) -> Subgroup:
+def subgroup_closure(g: PermGroup, seed: list[Permutation]) -> PermGroup:
     """The smallest subgroup of g containing the seed elements."""
-    for s in seed:
-        if not g.contains(s):
-            raise MembershipError(f"seed {s!r} is not a member of the group")
-    return Subgroup(build_bsgs(seed, degree=g.degree), g)
+    # on the seeds' own degree, so that check_subgroup rejects another degree
+    u = build_bsgs(seed, degree=None if seed else g.degree)
+    check_subgroup(g, u)
+    return u
 
 
 # ---------------------------------------------------------------------------
 # structure predicates
 # ---------------------------------------------------------------------------
 
-def _group_of(u: Subgroup | PermGroup | GroupContext) -> PermGroup:
-    return u if isinstance(u, PermGroup) else u.group
-
-
-def structure_predicates(u: Subgroup | PermGroup | GroupContext) -> StructureRecord:
+def structure_predicates(u: PermGroup) -> StructureRecord:
     """Structure flags computed by definition on the element list of u's
     context; ``as_context(u).predicates`` keeps them."""
-    ctx = as_context(u.group if isinstance(u, Subgroup) else u)
-    grp, tables, orders = ctx.group, ctx.elements, ctx.element_orders
+    ctx = as_context(u)
+    tables, orders = ctx.elements, ctx.element_orders
     n = len(tables)
-    degree = grp.degree
+    degree = u.degree
     counts = Counter(orders)
     exponent = math.lcm(*counts.keys())
     max_order = max(orders)
-    gen_tables = grp.gen_tables
+    gen_tables = u.gen_tables
 
     is_cyclic = max_order == n
     is_abelian = all(
@@ -839,15 +826,15 @@ def _frobenius_cyclic_check(
     return False, None, None
 
 
-def is_simple_group(u: Subgroup | PermGroup) -> bool:
+def is_simple_group(u: PermGroup) -> bool:
     """No proper nontrivial normal subgroup: every nontrivial class has full
     normal closure."""
-    ctx = as_context(_group_of(u))
+    ctx = as_context(u)
     if ctx.n == 1:
         return False
     return all(
         _greedy_chain(
-            ctx.group.degree, [ctx.elements[m] for m in c.indices], target_order=ctx.n
+            u.degree, [ctx.elements[m] for m in c.indices], target_order=ctx.n
         ).order == ctx.n
         for c in ctx.classes[1:]
     )

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   is a ``bytes`` object (composition then runs through ``bytes.translate``),
   for larger degrees it is a ``tuple`` of ints.  Both compare
   lexicographically by image table, which every canonical choice in this
-  package relies on.
+  package relies on;
+* a subgroup is the PermGroup of its own chain, and :func:`check_subgroup`
+  is the one test that it lies in a given group.
 """
 
 from __future__ import annotations
@@ -680,28 +682,19 @@ def _schreier_generators(
             yield s
 
 
-@dataclass(eq=False)
-class Subgroup:
-    """A subgroup handle: its own PermGroup plus the enclosing parent."""
-
-    group: PermGroup
-    parent: PermGroup
-
-    def __post_init__(self):
-        if self.group.degree != self.parent.degree:
-            raise DegreeMismatchError("subgroup degree differs from parent degree")
-        for g in self.group.generators:
-            if not self.parent.contains(g):
-                raise MembershipError(f"generator {g!r} is not a member of the parent group")
-
-    @property
-    def order(self) -> int:
-        return self.group.order
+def check_subgroup(g: PermGroup, u: PermGroup) -> None:
+    """Raise MembershipError unless U <= G: equal degrees, and every
+    generator of U sifts to the identity in G."""
+    if u.degree != g.degree:
+        raise MembershipError(f"subgroup of degree {u.degree} in a group of degree {g.degree}")
+    for t in u.gen_tables:
+        if not g.contains_table(t):
+            raise MembershipError(f"generator {t!r} of the subgroup is not a member of the group")
 
 
-def point_stabilizer(g: PermGroup, point: int) -> Subgroup:
+def point_stabilizer(g: PermGroup, point: int) -> PermGroup:
     """Stabilizer of a point, through :func:`orbit_stabilizer`."""
     if not 0 <= point < g.degree:
         raise ValueError(f"point {point} out of range for degree {g.degree}")
     tables = g.gen_tables
-    return Subgroup(orbit_stabilizer(g, point, lambda p, j: tables[j][p])[1], g)
+    return orbit_stabilizer(g, point, lambda p, j: tables[j][p])[1]

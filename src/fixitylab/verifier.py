@@ -51,7 +51,6 @@ from .cosets import (
     stabilizer_bundle_fixes,
 )
 from .enumeration import (
-    GroupContext,
     SubgroupClass,
     _find_element_of_order,
     _normalized_by,
@@ -74,7 +73,6 @@ from .perm import (
     ImageTable,
     PermGroup,
     Permutation,
-    Subgroup,
     _greedy_chain,
     compose_tables,
     conjugate_table,
@@ -130,7 +128,7 @@ def descriptor_order(name: str) -> int:
 
 def _normal_sylow(grp: PermGroup, p: int) -> tuple[bool, PermGroup]:
     """(is the Sylow p-subgroup of grp normal, that subgroup)."""
-    syl = sylow(grp, p).group
+    syl = sylow(grp, p)
     return _normalized_by(grp.gen_tables, syl.gen_tables, set(syl.element_tables())), syl
 
 
@@ -220,9 +218,7 @@ class FixityHit:
     report: FixityReport
 
 
-def search_fixity_k(
-    g: PermGroup | GroupContext, k: int = 4, caps: Caps = DEFAULT_CAPS
-) -> list[FixityHit]:
+def search_fixity_k(g: PermGroup, k: int = 4, caps: Caps = DEFAULT_CAPS) -> list[FixityHit]:
     """All subgroup classes 1 < U < G whose coset action has fixity exactly k.
 
     Classes are screened by the normalizer-formula counts of G's context
@@ -244,7 +240,7 @@ def search_fixity_k(
         fixes = stabilizer_bundle_fixes(ctx, sc.representative)
         if (max(fixes) if fixes else 0) != k:
             continue
-        rep = fixity(ctx.group, sc.representative, caps)
+        rep = fixity(g, sc.representative, caps)
         if rep.fixity != k:
             raise FalsificationError(
                 f"normalizer-formula screen says fixity {k} but the direct "
@@ -312,7 +308,7 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
         raise PreconditionError(
             "structural checks apply to a confirmed fixity-4 action with a witness"
         )
-    u_ctx = as_context(u.group, caps.elements)
+    u_ctx = as_context(u, caps.elements)
     reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
     k = reps.index(y) if y in reps else -1
     if k < 0 or report.orbits.index(report.orbits[k]) != k:
@@ -335,7 +331,7 @@ def check_structural_lemmas(report: FixityReport, caps: Caps = DEFAULT_CAPS) -> 
     # the four cosets, as the orbits under N_G(<y>) of the U x^-1; U's
     # label, the identity, is the least
     rec = report.orbits[k]
-    canon = chain_canonicalizer(u.group)
+    canon = chain_canonicalizer(u)
     act, as_operand = table_action(g.degree)
     n_ops = [as_operand(t) for t in rec.normalizer.gen_tables]
     fixed: set[ImageTable] = set()
@@ -450,7 +446,7 @@ def _is_maximal_class(degree: int, tables: list[ImageTable], p: int) -> bool:
 
 
 def classify_sylow3_orbits(
-    g: PermGroup, u: Subgroup, caps: Caps = DEFAULT_CAPS
+    g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS
 ) -> Sylow3Classification:
     """Orbit shape of a Sylow 3-subgroup P on the coset space G/U.
 
@@ -483,7 +479,7 @@ def classify_sylow3_orbits(
             orbit_sizes=((p_order, degree // p_order),),
         )
     action = build_coset_action(g, u, caps.cosets, caps.elements)
-    p_grp = sylow(g, 3, caps.elements).group
+    p_grp = sylow(g, 3, caps.elements)
     p_gens = p_grp.gen_tables
     rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
     _, orbits = orbit_partition(action.degree, rows)
@@ -564,7 +560,7 @@ def evaluate_action(
     ev = ActionEvaluation(report, [], None)
     if report.fixity != 4:
         ev.failures.append(f"fixity {report.fixity}, wanted 4")
-    if descriptor is not None and not descriptor_matches(descriptor, report.stabilizer.group):
+    if descriptor is not None and not descriptor_matches(descriptor, report.stabilizer):
         ev.failures.append(f"does not match {descriptor}")
     # the lemmas need no element of G; they are still held to the element
     # cap, because above it they would give the m22 rows a sylow3_case that
@@ -591,7 +587,7 @@ def _family_descriptor_borel_half(q: int) -> str:
 
 
 def _family_row(
-    g: PermGroup, u: Subgroup, descriptor: str, caps: Caps, failures: list[str]
+    g: PermGroup, u: PermGroup, descriptor: str, caps: Caps, failures: list[str]
 ) -> dict:
     ev = evaluate_action(fixity(g, u, caps), descriptor, caps)
     failures.extend(f"constructed stabilizer of order {u.order}: {f}" for f in ev.failures)
@@ -618,11 +614,12 @@ def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], li
     if q < 17 or q % 2 == 0 or not prime_power(q):
         raise PreconditionError(f"q = {q} is outside the covered family range")
     spec = psl2_spec(q)
-    g = spec.build()
-    if g.order > caps.elements:
+    # the order pledge decides the cap before the group is built
+    if spec.expected_order > caps.elements:
         raise CapExceededError(
-            f"group order {g.order} exceeds element cap {caps.elements}"
+            f"group order {spec.expected_order} exceeds element cap {caps.elements}"
         )
+    g = spec.build()
     p, n = prime_power(q)
     if q % 4 == 1:
         # the spec lists the n translations, then the torus generator;
@@ -788,7 +785,7 @@ def _parse_recipe(source: str, what: str) -> tuple[str, int]:
     return kind, int(arg)
 
 
-def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> Subgroup:
+def _build_stabilizer(g: PermGroup, source: str, caps: Caps) -> PermGroup:
     kind, n = _parse_recipe(source, "bad source")
     if kind == "point_stabilizer":
         if n >= g.degree:
@@ -827,7 +824,7 @@ def _run_search_claim(cid: str, claim: dict, g: PermGroup, caps: Caps) -> ClaimR
     if found != want:
         detail = f"stabilizer orders {found} differ from expected {want}"
         return ClaimResult(cid, "FAIL", detail, rows)
-    assign = match_descriptors(expected, [h.subgroup_class.representative.group for h in hits])
+    assign = match_descriptors(expected, [h.subgroup_class.representative for h in hits])
     if assign is None:
         return ClaimResult(cid, "FAIL", "no assignment of descriptors to found classes", rows)
     for i, d in enumerate(expected):

@@ -16,21 +16,14 @@ and ``normalizer_brute`` finds N_G(U) by scanning every element of G.
 """
 
 from fixitylab.cosets import stabilizer_bundle_fixes
-from fixitylab.enumeration import (
-    ELEMENT_CAP,
-    GroupContext,
-    _cyclic_tables,
-    _group_of,
-    _normalized_by,
-    as_context,
-)
+from fixitylab.enumeration import ELEMENT_CAP, _cyclic_tables, _normalized_by, as_context
 from fixitylab.errors import FalsificationError, PreconditionError
 from fixitylab.perm import (
     ImageTable,
     PermGroup,
     Permutation,
-    Subgroup,
     _greedy_chain,
+    check_subgroup,
     orbit_walk,
     table_order,
 )
@@ -38,24 +31,22 @@ from fixitylab.perm import (
 
 def subgroup_from_tables(
     parent: PermGroup, tables: list[ImageTable], target_order: int | None = None
-) -> Subgroup:
-    return Subgroup(_greedy_chain(parent.degree, tables, target_order), parent)
+) -> PermGroup:
+    """The subgroup of ``parent`` the tables generate."""
+    u = _greedy_chain(parent.degree, tables, target_order)
+    check_subgroup(parent, u)
+    return u
 
 
-def normalizer_brute(
-    g: PermGroup | GroupContext, u: Subgroup | PermGroup, cap: int = ELEMENT_CAP
-) -> Subgroup:
+def normalizer_brute(g: PermGroup, u: PermGroup, cap: int = ELEMENT_CAP) -> PermGroup:
     """N_G(U) by scanning every element of G; small-scale oracle."""
     ctx = as_context(g, cap)
-    ug = _group_of(u)
-    u_set = frozenset(ug.element_tables())
-    members = [e for e in ctx.elements if _normalized_by([e], ug.gen_tables, u_set)]
-    return subgroup_from_tables(ctx.group, members, target_order=len(members))
+    u_set = frozenset(u.element_tables())
+    members = [e for e in ctx.elements if _normalized_by([e], u.gen_tables, u_set)]
+    return subgroup_from_tables(g, members, target_order=len(members))
 
 
-def fix_by_normalizer_formula(
-    g: PermGroup | GroupContext, u: Subgroup, x: Permutation
-) -> int:
+def fix_by_normalizer_formula(g: PermGroup, u: PermGroup, x: Permutation) -> int:
     """|{<x>^g <= U}| * |N_G(<x>)| / |U|: the screen's count for the class
     of cyclic subgroups that <x> lies in."""
     ctx = as_context(g)
@@ -65,7 +56,7 @@ def fix_by_normalizer_formula(
     return stabilizer_bundle_fixes(ctx, u)[ctx.bundle_of_class[ctx.class_of[ix]]]
 
 
-def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
+def fix_by_class_sum(g: PermGroup, u: PermGroup, x: Permutation) -> int:
     """Sum over U-classes of subgroups <y> with y in x^G cap U of the
     normalizer index |N_G(<y>) : N_U(<y>)|."""
     ctx = as_context(g)
@@ -75,8 +66,8 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
         return ctx.n // u.order
     cx = ctx.class_of[ix]
     ng_order = ctx.bundles[ctx.bundle_of_class[cx]].normalizer_order
-    u_gens = u.group.gen_tables
-    members = [i for i in ctx.indices_of(u.group) if ctx.class_of[i] == cx]
+    u_gens = u.gen_tables
+    members = [i for i in ctx.indices_of(u) if ctx.class_of[i] == cx]
 
     def conj_by_u(fs: frozenset[int], j: int) -> frozenset[int]:
         return frozenset(ctx.conj_map(u_gens[j], [ctx.elements[k] for k in fs]))
@@ -84,9 +75,7 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
     seen: set[frozenset[int]] = set()
     total = 0
     for i in members:
-        fsy = frozenset(
-            ctx.index[tab] for tab in _cyclic_tables(ctx.elements[i], ctx.group.degree)
-        )
+        fsy = frozenset(ctx.index[tab] for tab in _cyclic_tables(ctx.elements[i], g.degree))
         if fsy in seen:
             continue
         orbit = orbit_walk(fsy, conj_by_u, len(u_gens))[0]
@@ -102,9 +91,9 @@ def fix_by_class_sum(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -
     return total
 
 
-def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> int:
+def fix_frobenius(g: PermGroup, u: PermGroup, x: Permutation) -> int:
     """|N_G(<x>)| / |J| for U = K : J Frobenius, x in U outside K."""
-    rec = as_context(u.group).predicates
+    rec = as_context(u).predicates
     if not rec.is_frobenius_cyclic_complement:
         raise PreconditionError(
             "stabilizer is not Frobenius with nilpotent kernel and cyclic complement"
@@ -112,7 +101,7 @@ def fix_frobenius(g: PermGroup | GroupContext, u: Subgroup, x: Permutation) -> i
     a = rec.frobenius_kernel_order
     b = rec.frobenius_complement_order
     t = x.images
-    if not u.group.contains_table(t):
+    if not u.contains_table(t):
         raise PreconditionError("element must lie in the stabilizer")
     if a % table_order(t) == 0:
         raise PreconditionError("element lies in the Frobenius kernel")

@@ -68,8 +68,8 @@ def _order18_stabilizer(g):
     p3 = sylow(g, 3)
     n36 = normalizer(g, p3)
     assert n36.order == 36
-    y4 = next(t for t in n36.group.element_tables() if table_order(t) == 4)
-    gens = [Permutation(t) for t in p3.group.gen_tables]
+    y4 = next(t for t in n36.element_tables() if table_order(t) == 4)
+    gens = [Permutation(t) for t in p3.gen_tables]
     gens.append(Permutation(table_power(y4, 2)))
     u = subgroup_closure(g, gens)
     assert u.order == 18
@@ -123,7 +123,7 @@ def test_fixity4_search_table(psl2_9_hits):
         (60, 6),
         (180, 2),
     ]
-    groups = [h.subgroup_class.representative.group for h in hits]
+    groups = [h.subgroup_class.representative for h in hits]
     expected = ["C2", "S3", "S3", "C3xC3", "D10", "(C3xC3):C2"]
     assert match_descriptors(expected, groups) is not None
 
@@ -179,19 +179,19 @@ def test_counting_routes_agree_and_burnside_sweep(group_cache):
             for c in ctx.classes:
                 x = c.representative
                 d = fix_direct(action, x)
-                assert d == fix_by_normalizer_formula(ctx, u, x)
-                assert d == fix_by_class_sum(ctx, u, x)
+                assert d == fix_by_normalizer_formula(g, u, x)
+                assert d == fix_by_class_sum(g, u, x)
                 total += c.size * d
             # Burnside: the action is transitive, so the average number of
             # fixed cosets over the group is exactly 1
             assert total == g.order
             checked_actions += 1
-            rec = as_context(u.group).predicates
+            rec = as_context(u).predicates
             if rec.is_frobenius_cyclic_complement:
-                for t in u.group.element_tables():
+                for t in u.element_tables():
                     o = table_order(t)
                     if o > 1 and rec.frobenius_kernel_order % o != 0:
-                        assert fix_frobenius(ctx, u, Permutation(t)) == fix_direct(
+                        assert fix_frobenius(g, u, Permutation(t)) == fix_direct(
                             action, t
                         )
     assert checked_actions > 150

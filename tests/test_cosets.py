@@ -25,6 +25,7 @@ from fixitylab.enumeration import (
     as_context,
     canonical_generator,
     cyclic_orbit,
+    normalizer,
     structure_predicates,
     subgroup_closure,
 )
@@ -109,7 +110,7 @@ def test_chain_canonicalizer_is_least_table_of_coset(case):
 
 
 def test_chain_canonicalizer_trivial_group(psl2_9):
-    canon = chain_canonicalizer(_trivial(psl2_9).group)
+    canon = chain_canonicalizer(_trivial(psl2_9))
     for z in psl2_9.element_tables()[:50]:
         assert canon(z) == z
 
@@ -296,7 +297,7 @@ def test_stabilizer_classes_decide_fixity(group_cache, sel):
         action = build_coset_action(g, u)
         over_g = [fix_direct(action, c.representative) for c in ctx.classes]
         assert rep.fixity == max(fx for c, fx in zip(ctx.classes, over_g) if c.element_order > 1)
-        u_ctx = as_context(u.group)
+        u_ctx = as_context(u)
         assert len(rep.orbits) == len(u_ctx.bundles)
         for b, rec in zip(u_ctx.bundles, rep.orbits):
             y = u_ctx.elements[b.rep_index]
@@ -312,8 +313,8 @@ def test_counting_routes_agree(sym4, alt5):
             action = build_coset_action(g, sc.representative)
             for c in ctx.classes:
                 d = fix_direct(action, c.representative)
-                assert d == fix_by_normalizer_formula(ctx, sc.representative, c.representative)
-                assert d == fix_by_class_sum(ctx, sc.representative, c.representative)
+                assert d == fix_by_normalizer_formula(g, sc.representative, c.representative)
+                assert d == fix_by_class_sum(g, sc.representative, c.representative)
 
 
 def test_frobenius_route(alt5):
@@ -325,14 +326,14 @@ def test_frobenius_route(alt5):
     assert rec.is_frobenius_cyclic_complement
     action = build_coset_action(alt5, d10)
     hits = 0
-    for t in d10.group.element_tables():
+    for t in d10.element_tables():
         if table_order(t) == 2:
             x = Permutation(t)
             assert fix_frobenius(alt5, d10, x) == fix_direct(action, x)
             hits += 1
     assert hits == 5
     # kernel elements are rejected
-    five = next(t for t in d10.group.element_tables() if table_order(t) == 5)
+    five = next(t for t in d10.element_tables() if table_order(t) == 5)
     with pytest.raises(PreconditionError):
         fix_frobenius(alt5, d10, Permutation(five))
     # non-Frobenius stabilizer is rejected
@@ -386,7 +387,7 @@ def test_slow_path_matches_fast(group_cache):
         assert slow.fixity == fast.fixity
         assert slow.bundle_fixes == fast.bundle_fixes
         assert slow.witness == fast.witness
-        u_ctx = as_context(u.group)
+        u_ctx = as_context(u)
         reps = [u_ctx.elements[b.rep_index] for b in u_ctx.bundles]
         action = build_coset_action(g, u)
         assert slow.bundle_fixes == [fix_direct(action, y) for y in reps]
@@ -423,7 +424,7 @@ def test_fixity_counts_match_the_coset_action_on_the_catalog(monkeypatch):
     within = [r for r in reports if r.group.order <= Caps().elements]
     assert len(within) == 41 and len(reports) == 43
     for rep in within:
-        u_ctx = as_context(rep.stabilizer.group)
+        u_ctx = as_context(rep.stabilizer)
         action = build_coset_action(rep.group, rep.stabilizer)
         direct = [fix_direct(action, u_ctx.elements[b.rep_index]) for b in u_ctx.bundles]
         assert rep.bundle_fixes == direct
@@ -512,6 +513,39 @@ def test_fixity_rejects_a_stabilizer_outside_the_group(group_cache, caps):
     u = subgroup_closure(group_cache("sym_8"), [Permutation.from_cycles(8, [(0, 1)])])
     with pytest.raises(MembershipError):
         fixity(g, u, caps)
+
+
+# subgroups that do not lie in PSL2(7) on 8 points, each given as (degree, cycles of
+# its generators): a transposition (|U| = 2, Sylow-3 case (a)), a 3-cycle
+# (3 divides |U|), a 3-cycle on 5 points, and <(0 1), (2 3)>, whose two
+# generators send normalizer through its set-labelled walk
+_OUTSIDE = {
+    "transposition": (8, [[(0, 1)]]),
+    "3-cycle": (8, [[(0, 1, 2)]]),
+    "3-cycle-on-5-points": (5, [[(0, 1, 2)]]),
+    "two-transpositions": (8, [[(0, 1)], [(2, 3)]]),
+}
+_ENTRY_POINTS = {
+    "normalizer": normalizer,
+    "fixity": fixity,
+    "fixity-small-element-cap": lambda g, u: fixity(g, u, Caps(elements=100)),
+    "profile": profile,
+    "marks_row": marks_row,
+    "build_coset_action": build_coset_action,
+    "classify_sylow3_orbits": classify_sylow3_orbits,
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("outside", _OUTSIDE)
+def test_a_subgroup_outside_the_group_is_a_membership_error(group_cache, outside, entry):
+    # every entry point that takes U rejects a U outside G as a membership
+    # error, never as a falsified theorem or a bare ValueError
+    g = group_cache("psl2_7")
+    degree, gens = _OUTSIDE[outside]
+    u = build_bsgs([Permutation.from_cycles(degree, c) for c in gens], degree=degree)
+    with pytest.raises(MembershipError):
+        _ENTRY_POINTS[entry](g, u)
 
 
 def test_canonical_generator(sym4):

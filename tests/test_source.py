@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import shutil
+import statistics
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,58 @@ def test_group_caches_are_elements_and_context():
     assert set_elsewhere == []
 
 
+def _annotations(tree: ast.AST):
+    """Every annotation in a module: of parameters, returns and annotated
+    names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+            yield node.returns
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _unions_in(node: ast.AST) -> list[ast.AST]:
+    """The unions inside an annotation: ``A | B``, ``Union[...]`` and
+    ``Optional[...]``."""
+    return [
+        n for n in ast.walk(node)
+        if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitOr))
+        or (isinstance(n, ast.Subscript) and _names_in(n.value) & {"Union", "Optional"})
+    ]
+
+
+def test_a_subgroup_is_a_perm_group():
+    # one group type: no module defines a subgroup wrapper or a helper that
+    # unwraps one, no annotation names the wrapper, and no parameter or
+    # result is "a group or its context"
+    offenders = []
+    for path in sorted(Path(fixitylab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno} defines {name}"
+            for node in ast.walk(tree)
+            for name in (
+                [node.name] if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                else [node.id] if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                else []
+            )
+            if name in ("Subgroup", "_group_of")
+        ]
+        for ann in _annotations(tree):
+            if "Subgroup" in _names_in(ann) or any(
+                "GroupContext" in _names_in(u) for u in _unions_in(ann)
+            ):
+                offenders.append(f"{path.name}:{ann.lineno} annotates {ast.unparse(ann)}")
+    assert offenders == []
+
+
 def test_perfbench_probes_resolve():
     # the benchmark's tracer wraps the library functions named in its
     # PROBES table; a rename or removal here must not leave a probe dangling
@@ -266,3 +319,81 @@ def test_generator_files_script_usage(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("usage:") and "--bogus" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def _bench_pairs(monkeypatch):
+    """scripts/bench_pairs.py with git and every subprocess refused."""
+    bench = _load_script("bench_pairs")
+
+    def refused(*args, **kwargs):
+        pytest.fail(f"bench_pairs ran a command: {args}")
+
+    monkeypatch.setattr(bench, "git", refused)
+    monkeypatch.setattr(bench.subprocess, "run", refused)
+    return bench
+
+
+def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
+    # each seed runs both sides, the change first on odd seeds; a tie is a
+    # pair the change did not win; the median and quartiles are those of
+    # statistics (exclusive quartiles); notes give one line per workload
+    # and metric
+    bench = _bench_pairs(monkeypatch)
+    walls = {
+        "parent": [1.0, 2.0, 3.0, 4.0, 5.0],
+        "change": [0.5, 2.0, 3.5, 1.0, 4.0],
+    }
+    calls = []
+
+    def run_side(side, workload, seed, seconds):
+        calls.append((seed, side.name))
+        return {
+            "correct": True, "failed": 0,
+            "metrics": {
+                "wall_s": {"value": walls[side.name][seed - 1]},
+                "claim_pass_share": {"value": 1.0},
+            },
+        }
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "claim_pass_share", "unit": "ratio", "better": "higher"},
+    ]
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    out = bench.bench_workload(sides, "w", 5, 1.0, metrics)
+    assert calls == [
+        (1, "change"), (1, "parent"), (2, "parent"), (2, "change"), (3, "change"),
+        (3, "parent"), (4, "parent"), (4, "change"), (5, "change"), (5, "parent"),
+    ]
+    assert out["seeds"] == [1, 2, 3, 4, 5] and out["all_correct"] and out["failed"] == 0
+    wall = out["metrics"]["wall_s"]
+    # seeds 1, 4 and 5; the tie at seed 2 counts for neither side
+    assert wall["change_lower_in_pairs"] == 3
+    assert "change_lower_in_pairs" not in out["metrics"]["claim_pass_share"]
+    for name, runs in walls.items():
+        q1, _, q3 = statistics.quantiles(runs, n=4)
+        assert wall[name] == {
+            "runs": runs, "median": statistics.median(runs), "q1": round(q1, 4), "q3": round(q3, 4),
+        }
+    assert (wall["parent"]["q1"], wall["parent"]["median"], wall["parent"]["q3"]) == (1.5, 3.0, 4.5)
+
+    lines = bench.notes({"w": out, "v": out}, metrics).splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "w wall_s", "w claim_pass_share", "v wall_s", "v claim_pass_share",
+    ]
+    assert lines[0] == (
+        "w wall_s: 3.0 -> 2.0 s (-33.3%), change lower in 3 of 5 pairs; parent Q3 - Q1 3.0000"
+    )
+    assert lines[1] == "w claim_pass_share: 1.0 -> 1.0 ratio (+0.0%); parent Q3 - Q1 0.0000"
+
+
+def test_bench_pairs_needs_two_pairs(monkeypatch, tmp_path, capsys):
+    # one pair has no quartiles: a usage error, before any side is exported
+    bench = _bench_pairs(monkeypatch)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as e:
+        bench.main(["--parent", "HEAD", "--out", str(out), "--pairs", "1"])
+    assert e.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()

@@ -63,7 +63,7 @@ from fixitylab.verifier import (
     run_claim_catalog,
     search_fixity_k,
 )
-from fixitylab.zoo import psl2_spec, resolve_group
+from fixitylab.zoo import GroupSpec, psl2_spec, resolve_group
 from oracles import normalizer_brute, subgroup_from_tables
 
 
@@ -151,7 +151,7 @@ def test_elementary_abelian_descriptor():
     translations = next(
         sc for sc in as_context(gd).subgroup_classes() if sc.order == 9
     )
-    assert descriptor_matches("C3xC3", translations.representative.group)
+    assert descriptor_matches("C3xC3", translations.representative)
     assert not descriptor_matches("C3xC3", resolve_group("cyclic_9")[1])
 
 
@@ -179,7 +179,7 @@ def test_search_fixity_4_psl2_7(group_cache):
     assert [h.subgroup_class.canonical for h in hits] == [
         h.subgroup_class.canonical for h in again
     ]
-    groups = [h.subgroup_class.representative.group for h in hits]
+    groups = [h.subgroup_class.representative for h in hits]
     assert match_descriptors(["C2", "S3"], groups) == [0, 1]
 
 
@@ -238,7 +238,7 @@ def _sylow3_by_elements(g, u, action):
     ctx = as_context(g)
     p_order = p_part(ctx.n, 3)
     assert p_order > 1
-    p_grp = sylow(ctx, 3).group
+    p_grp = sylow(g, 3)
     p_gens, p_tables = p_grp.gen_tables, p_grp.element_tables()
     gen_rows = [
         [action.coset_of(compose_tables(r, gt)) for r in action.canonical_reps]
@@ -347,7 +347,7 @@ def _sylow3_by_rows(action):
     them regular."""
     g, u = action.group, action.stabilizer
     p_order = p_part(g.order, 3)
-    p_gens = sylow(g, 3).group.gen_tables if p_order > 1 else []
+    p_gens = sylow(g, 3).gen_tables if p_order > 1 else []
     rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
     _, orbits = orbit_partition(action.degree, rows)
     delta_size = sum(len(o) for o in orbits if len(o) <= 3)
@@ -466,7 +466,7 @@ def test_find_element_of_order_stopped_by_the_cap(group_cache):
 def test_build_stabilizer(sym4, alt5):
     u = _build_stabilizer(sym4, "point_stabilizer:1", Caps())
     assert u.order == 6
-    assert all(t[1] == 1 for t in u.group.element_tables())
+    assert all(t[1] == 1 for t in u.element_tables())
 
     u = _build_stabilizer(sym4, "cyclic_least:4", Caps())
     assert u.order == 4
@@ -668,7 +668,7 @@ def _lemmas_on_the_action(report):
     g, u = report.group, report.stabilizer
     action = build_coset_action(g, u)
     failures = []
-    u_ctx = as_context(u.group)
+    u_ctx = as_context(u)
     cyclic_indices = []
     for b in u_ctx.bundles:
         rec = cyclic_orbit(g, u_ctx.elements[b.rep_index])
@@ -718,7 +718,6 @@ def test_h_normalizer_index_matches_brute_force(group_cache, name):
     # conjugates of H inside U; the oracle intersects an enumerated N_G(H)
     # with the enumerated stabilizer G_a of the first fixed coset, U itself
     g = group_cache(name)
-    ctx = as_context(g)
     if name == "sym_7":
         reports = [_forged_sym7_report(group_cache)]
     else:
@@ -731,9 +730,9 @@ def test_h_normalizer_index_matches_brute_force(group_cache, name):
         h_tables = _four_point_stabilizer(action, report.witness)
         assert len(h_tables) >= 2
         h_sub = subgroup_from_tables(g, h_tables, target_order=len(h_tables))
-        ngh = normalizer_brute(ctx, h_sub)
+        ngh = normalizer_brute(g, h_sub)
         g_a = frozenset(_coset_stabilizer(action, fixed[0]))
-        inside = sum(1 for t in ngh.group.element_tables() if t in g_a)
+        inside = sum(1 for t in ngh.element_tables() if t in g_a)
         indices.append(ngh.order // inside)
         checks = check_structural_lemmas(report)
         assert checks.four_point_order == len(h_tables)
@@ -885,11 +884,11 @@ def test_lemmas_need_the_witness_to_start_its_walk(group_cache):
     g = group_cache("alt_7")
     klein = next(
         sc.representative for sc in as_context(g).subgroup_classes()
-        if sc.order == 4 and not as_context(sc.representative.group).predicates.is_cyclic
+        if sc.order == 4 and not as_context(sc.representative).predicates.is_cyclic
         and len(set(map(id, fixitylab.cosets.fixity(g, sc.representative).orbits))) == 1
     )
     fused = fixitylab.cosets.fixity(g, klein)
-    u_ctx = as_context(klein.group)
+    u_ctx = as_context(klein)
     assert len(fused.orbits) == 3
     later = u_ctx.elements[u_ctx.bundles[1].rep_index]
     with pytest.raises(PreconditionError, match="witness"):
@@ -957,6 +956,19 @@ def test_fields_past_the_old_prime_limit_are_built():
     assert res.verdict == "SKIPPED"
     assert res.detail == "cap exceeded: field size 8191^1 exceeds the cap 4096"
     assert psl2_spec(127).build().order == 1_024_128
+
+
+def test_family_cap_is_checked_before_the_group_is_built(monkeypatch):
+    # the order pledge of PSL2(4093) decides the element cap: the claim is
+    # SKIPPED with the cap's message, and the group, seconds of work, is
+    # never built
+    def build(spec):
+        pytest.fail(f"{spec.name} was built")
+
+    monkeypatch.setattr(GroupSpec, "build", build)
+    res = run_claim({"id": "f", "mode": "psl2_family", "q": 4093})
+    assert (res.verdict, res.rows) == ("SKIPPED", [])
+    assert res.detail == "cap exceeded: group order 34284294132 exceeds element cap 200000"
 
 
 def test_family_rejects_bad_q():
@@ -1141,7 +1153,7 @@ def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_c
         y = rep.witness
         g, u = rep.group, rep.stabilizer
         rec = cyclic_orbit(g, y)
-        u_ctx = as_context(u.group)
+        u_ctx = as_context(u)
         k = rep.bundle_fixes.index(4)
         assert u_ctx.elements[u_ctx.bundles[k].rep_index] == y
         order, idx = check_structural_lemmas(rep).cyclic_indices[k]
