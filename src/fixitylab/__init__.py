@@ -14,17 +14,6 @@ from .errors import (
 )
 from .perm import PermGroup, Permutation, build_bsgs, point_stabilizer
 from .ffield import Field, FieldElement, make_field, primitive_element
-from .zoo import (
-    alt,
-    cyclic,
-    dihedral,
-    load_group,
-    mathieu,
-    pgl2,
-    psl2,
-    resolve_group,
-    save_group,
-    sym,
-)
+from .zoo import load_group, resolve_group, save_group
 
 __version__ = "0.1.0"

@@ -71,13 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fixitylab")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add_outputs(p: argparse.ArgumentParser) -> None:
+    def add_outputs(p: argparse.ArgumentParser, cosets: bool) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--element-cap", type=_positive_int)
         p.add_argument("--subgroup-cap", type=_positive_int)
-        p.add_argument("--coset-cap", type=_positive_int)
+        # only the subcommands that build coset actions take a coset cap
+        if cosets:
+            p.add_argument("--coset-cap", type=_positive_int)
 
-    def add_common(p: argparse.ArgumentParser, stab: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, stab: bool, cosets: bool) -> None:
         p.add_argument("--group", required=True, help="group selector, see `zoo`")
         if stab:
             p.add_argument("--stab-order", type=int, help="stabilizer order filter")
@@ -86,20 +88,20 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="narrow --stab-order matches to one structure, e.g. D10",
             )
             p.add_argument("--stab-file", help="generator file for the stabilizer")
-        add_outputs(p)
+        add_outputs(p, cosets)
 
     for name in ("fixity", "profile", "marks", "sylow"):
-        add_common(sub.add_parser(name), stab=True)
+        add_common(sub.add_parser(name), stab=True, cosets=name in ("marks", "sylow"))
 
     p = sub.add_parser("search")
-    add_common(p, stab=False)
+    add_common(p, stab=False, cosets=False)
     p.add_argument("--k", type=_positive_int, default=4, help="target fixity (default 4)")
 
     p = sub.add_parser("verify")
     p.add_argument("--catalog", required=True, help="claim catalog JSON file")
     p.add_argument("--only", type=_claim_ids, help="comma-separated claim ids to run")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    add_outputs(p)
+    add_outputs(p, cosets=True)
 
     p = sub.add_parser("zoo")
     p.add_argument("--out", help="write JSON here instead of stdout")
@@ -107,8 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _caps_of(args: argparse.Namespace) -> dict[str, int]:
-    """The caps given on the command line; a flag left out is not given."""
-    caps = {"elements": args.element_cap, "subgroups": args.subgroup_cap, "cosets": args.coset_cap}
+    """The caps given on the command line; a flag left out, or one the
+    subcommand does not take, is not given."""
+    caps = {"elements": args.element_cap, "subgroups": args.subgroup_cap}
+    caps["cosets"] = getattr(args, "coset_cap", None)
     return {k: v for k, v in caps.items() if v is not None}
 
 
@@ -166,7 +170,7 @@ def _cmd_action_reports(args: argparse.Namespace) -> int:
             continue
         obj = {"group": name, "stabilizer_order": u.order, "degree": g.order // u.order}
         if args.subcommand == "profile":
-            obj["profile"] = [list(r) for r in profile(g, u, caps).rows]
+            obj["profile"] = [list(r) for r in profile(g, u, caps)]
         elif args.subcommand == "marks":
             obj["marks"] = marks_row(g, u, caps)
         else:

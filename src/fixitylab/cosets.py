@@ -96,7 +96,6 @@ class CosetAction:
     images: list[Permutation]
     canonical_reps: list[ImageTable]
     coset_index: dict[ImageTable, int]
-    u_tables: list[ImageTable]
     u_set: frozenset[ImageTable]
     canon: Callable[[ImageTable], ImageTable]
 
@@ -133,14 +132,6 @@ class FixityReport:
     witness: ImageTable | None
     bundle_fixes: list[int]
     orbits: list[CyclicOrbit]
-
-
-@dataclass(frozen=True)
-class FixedPointProfile:
-    """Rows (element order, centralizer order, fixed cosets), one per
-    conjugacy class of nontrivial cyclic subgroups, sorted."""
-
-    rows: tuple[tuple[int, int, int], ...]
 
 
 def chain_canonicalizer(u: PermGroup) -> Callable[[ImageTable], ImageTable]:
@@ -206,7 +197,6 @@ def build_coset_action(
         raise CapExceededError(
             f"stabilizer order {u.order} exceeds element cap {element_cap}"
         )
-    u_tables = u.element_tables()
     canon = chain_canonicalizer(u)
     ident = identity_table(g.degree)
     if canon(ident) != ident:
@@ -228,8 +218,7 @@ def build_coset_action(
         images=[Permutation(pack_table(targets[j::n]), _trusted=True) for j in range(n)],
         canonical_reps=list(index),
         coset_index=index,
-        u_tables=u_tables,
-        u_set=frozenset(u_tables),
+        u_set=frozenset(u.element_tables()),
         canon=canon,
     )
     check_homomorphism(action)
@@ -349,16 +338,15 @@ def fixity(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> FixityRepor
     )
 
 
-def profile(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> FixedPointProfile:
+def profile(
+    g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS
+) -> tuple[tuple[int, int, int], ...]:
     """One row (element order, centralizer order, fixed cosets) per class of
     nontrivial cyclic subgroups, sorted by the triple."""
     ctx = as_context(g, caps.elements)
     fixes = stabilizer_bundle_fixes(ctx, u)
-    rows = sorted(
-        (b.element_order, b.centralizer_order, fx)
-        for b, fx in zip(ctx.bundles, fixes)
-    )
-    return FixedPointProfile(rows=tuple(rows))
+    rows = ((b.element_order, b.centralizer_order, fx) for b, fx in zip(ctx.bundles, fixes))
+    return tuple(sorted(rows))
 
 
 def mark_on_action(action: CosetAction, v_gen_tables: list[ImageTable]) -> int:
@@ -369,15 +357,12 @@ def mark_on_action(action: CosetAction, v_gen_tables: list[ImageTable]) -> int:
     return len(set.intersection(*fixed))
 
 
-def mark(g: PermGroup, u: PermGroup, v: PermGroup, caps: Caps = DEFAULT_CAPS) -> int:
-    action = build_coset_action(g, u, caps.cosets, caps.elements)
-    return mark_on_action(action, v.gen_tables)
-
-
 def marks_row(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[int]:
     """Marks of G/U on each representative of G's subgroup classes, for the
     classes up to and including U's own class in the (order, canonical)
     order of G's lattice."""
+    # reject a U outside G before G's context and lattice are built
+    check_stabilizer(g, u)
     ctx = as_context(g, caps.elements)
     classes = ctx.subgroup_classes(caps.subgroups)
     action = build_coset_action(g, u, caps.cosets, caps.elements)
@@ -400,12 +385,12 @@ def marks_row(g: PermGroup, u: PermGroup, caps: Caps = DEFAULT_CAPS) -> list[int
 # golden-file serialization
 # ---------------------------------------------------------------------------
 
-def report_json(group_name: str, rep: FixityReport, prof: FixedPointProfile) -> str:
+def report_json(group_name: str, rep: FixityReport, prof: tuple[tuple[int, int, int], ...]) -> str:
     obj = {
         "group": group_name,
         "stabilizer_order": rep.stabilizer.order,
         "degree": rep.group.order // rep.stabilizer.order,
         "fixity": rep.fixity,
-        "profile": [list(r) for r in prof.rows],
+        "profile": [list(r) for r in prof],
     }
     return json.dumps(obj, indent=2)

@@ -78,7 +78,6 @@ class CyclicBundle:
     rep_index: int
     element_order: int
     centralizer_order: int
-    n_generators: int
     n_subgroups: int
     normalizer_order: int
 
@@ -93,8 +92,6 @@ class StructureRecord:
     is_abelian: bool
     is_elementary_abelian: bool
     is_dihedral: bool
-    is_nilpotent: bool
-    p_group_prime: int | None
     n_involutions: int
     is_frobenius_cyclic_complement: bool
     frobenius_kernel_order: int | None
@@ -236,7 +233,6 @@ class GroupContext:
                     rep_index=c0.rep_index,
                     element_order=o,
                     centralizer_order=c0.centralizer_order,
-                    n_generators=n_gen,
                     n_subgroups=n_gen // phi,
                     normalizer_order=self.n * phi // n_gen,
                 )
@@ -250,19 +246,15 @@ class GroupContext:
         """Structure flags of the group, computed on first read."""
         return structure_predicates(self.group)
 
-    @property
-    def pp_cyclics(self) -> tuple[list[int], list[int]]:
-        """``(cyc_of, rep)`` for the cyclic subgroups of prime-power order > 1,
-        numbered in order of their least generator index: ``cyc_of[i]`` is
-        the subgroup element i generates (-1 for the identity and elements of
-        other orders), ``rep[s]`` the least generator of subgroup s."""
-        return self._pp_numbering[:2]
-
     @cached_property
     def _pp_numbering(self) -> tuple[list[int], list[int], list[int]]:
-        """``(cyc_of, rep, root)`` of :attr:`pp_cyclics`, where ``root[s]`` is
-        the index of y^p for y = e_rep[s] of order p^k: the generator of
-        the subgroup of index p in <y>, read off the powers that number <y>."""
+        """``(cyc_of, rep, root)`` for the cyclic subgroups of prime-power
+        order > 1, numbered in order of their least generator index:
+        ``cyc_of[i]`` is the subgroup element i generates (-1 for the
+        identity and elements of other orders), ``rep[s]`` the least
+        generator of subgroup s, and ``root[s]`` the index of y^p for
+        y = e_rep[s] of order p^k: the generator of the subgroup of index p
+        in <y>, read off the powers that number <y>."""
         index, elements, degree = self.index, self.elements, self.group.degree
         cyc_of = [-1] * self.n
         rep: list[int] = []
@@ -512,18 +504,9 @@ def _least_generator(order: int, degree: int) -> Callable[[ImageTable], ImageTab
     return least
 
 
-def canonical_generator(t: ImageTable, degree: int) -> ImageTable:
-    """The lexicographically least generator of <t>.
-
-    Conjugation commutes with taking powers, so this is a stable label for
-    the cyclic subgroup: <a> = <b> iff their canonical generators coincide.
-    """
-    return _least_generator(table_order(t), degree)(t)
-
-
 def cyclic_conjugation(g: PermGroup, order: int):
     """G acting by conjugation on its cyclic subgroups of one order, each
-    labelled by its canonical generator: ``act(c, j)`` is the label of
+    labelled by its least generator: ``act(c, j)`` is the label of
     <c>^(g_j).  A conjugate keeps the order, so the label is read off its
     powers without finding the order again (:func:`_least_generator`)."""
     conj = [conjugator(h) for h in g.gen_tables]
@@ -741,8 +724,6 @@ def structure_predicates(u: PermGroup) -> StructureRecord:
         is_abelian=is_abelian,
         is_elementary_abelian=is_elem_ab,
         is_dihedral=is_dihedral,
-        is_nilpotent=_is_nilpotent(orders),
-        p_group_prime=p_prime,
         n_involutions=n_invol,
         is_frobenius_cyclic_complement=frob,
         frobenius_kernel_order=k_ord,

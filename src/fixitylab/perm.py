@@ -223,9 +223,6 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self.images)
 
-    def is_identity(self) -> bool:
-        return self.images == identity_table(self.degree)
-
     def order(self) -> int:
         return table_order(self.images)
 

@@ -126,22 +126,6 @@ def dihedral_spec(n: int) -> GroupSpec:
     return GroupSpec(f"dihedral_{n}", n, [rot, refl], 2 * n)
 
 
-def sym(n: int) -> PermGroup:
-    return sym_spec(n).build()
-
-
-def alt(n: int) -> PermGroup:
-    return alt_spec(n).build()
-
-
-def cyclic(n: int) -> PermGroup:
-    return cyclic_spec(n).build()
-
-
-def dihedral(n: int) -> PermGroup:
-    return dihedral_spec(n).build()
-
-
 # ---------------------------------------------------------------------------
 # projective-line groups
 # ---------------------------------------------------------------------------
@@ -211,14 +195,6 @@ def pgl2_spec(q: int) -> GroupSpec:
     return GroupSpec(f"pgl2_{q}", q + 1, gens, q * (q * q - 1))
 
 
-def psl2(q: int) -> PermGroup:
-    return psl2_spec(q).build()
-
-
-def pgl2(q: int) -> PermGroup:
-    return pgl2_spec(q).build()
-
-
 # ---------------------------------------------------------------------------
 # Mathieu groups on 11 and 12 points
 # ---------------------------------------------------------------------------
@@ -238,10 +214,6 @@ def mathieu_spec(name: str) -> GroupSpec:
         )
         return GroupSpec("m12", 12, ext + [swap], 95040)
     raise PreconditionError(f"unknown Mathieu group {name!r} (M11 or M12)")
-
-
-def mathieu(name: str) -> PermGroup:
-    return mathieu_spec(name).build()
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_golden_profile_order18_stabilizer(psl2_9):
     start = time.perf_counter()
     prof = profile(psl2_9, u)
     elapsed = time.perf_counter() - start
-    assert prof.rows == ((2, 8, 4), (3, 9, 2), (3, 9, 2), (4, 4, 0), (5, 5, 0))
+    assert prof == ((2, 8, 4), (3, 9, 2), (3, 9, 2), (4, 4, 0), (5, 5, 0))
     assert elapsed < 1.0
 
 

@@ -251,6 +251,22 @@ def test_sylow_coset_cap_binds_only_when_3_divides_u(capsys):
     assert err == "error: coset space size 20 exceeds cap 10\n"
 
 
+def test_coset_cap_is_taken_only_where_cosets_are_built(capsys):
+    # fixity, profile and search build no coset action, so they take no
+    # coset cap; marks and sylow (with 3 dividing |U|) build one, and the
+    # cap binds there
+    for argv in (["fixity", "--stab-order", "3"], ["profile", "--stab-order", "3"], ["search"]):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--group", "sym_4", "--coset-cap", "5"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --coset-cap 5" in capsys.readouterr().err
+    for sub in ("marks", "sylow"):
+        argv = [sub, "--group", "sym_4", "--stab-order", "3", "--coset-cap", "5"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: coset space size 8 exceeds cap 5\n"
+
+
 def test_out_on_a_directory_is_a_usage_error(capsys, tmp_path):
     cat = tmp_path / "cat.json"
     cat.write_text('{"claims": [{"id": "o27", "mode": "order27"}]}')

@@ -15,15 +15,14 @@ from fixitylab.cosets import (
     check_homomorphism,
     fix_direct,
     fixity,
-    mark,
     mark_on_action,
     marks_row,
     profile,
     report_json,
 )
 from fixitylab.enumeration import (
+    _least_generator,
     as_context,
-    canonical_generator,
     cyclic_orbit,
     normalizer,
     structure_predicates,
@@ -73,7 +72,7 @@ def test_action_transitive_and_consistent(psl2_9):
     for i, r in enumerate(action.canonical_reps):
         # the stored rep is its own canonical form and indexes itself
         assert canon_of[r] == i
-        assert min(compose_tables(t, r) for t in action.u_tables) == r
+        assert min(compose_tables(t, r) for t in action.stabilizer.element_tables()) == r
 
 
 def _brute_canon(u_tables, z):
@@ -220,7 +219,9 @@ def test_check_covers_every_generator_pair():
 def test_coset_of(alt5):
     action = build_coset_action(alt5, point_stabilizer(alt5, 0))
     for i, r in enumerate(action.canonical_reps):
-        assert all(action.coset_of(compose_tables(t, r)) == i for t in action.u_tables)
+        assert all(
+            action.coset_of(compose_tables(t, r)) == i for t in action.stabilizer.element_tables()
+        )
     with pytest.raises(MembershipError):
         action.coset_of(pack_table([1, 0, 2, 3, 4]))
 
@@ -231,7 +232,9 @@ def test_coset_stabilizers_are_conjugates(sym4):
     u = point_stabilizer(sym4, 0)
     action = build_coset_action(sym4, u)
     for i in range(action.degree):
-        tabs = [conjugate_table(t, action.canonical_reps[i]) for t in action.u_tables]
+        tabs = [
+            conjugate_table(t, action.canonical_reps[i]) for t in action.stabilizer.element_tables()
+        ]
         assert len(tabs) == u.order
         fs = set(tabs)
         assert sym4.identity_table() in fs
@@ -240,7 +243,9 @@ def test_coset_stabilizers_are_conjugates(sym4):
         # definitional check: members fix coset i, non-members move it
         for t in action.group.element_tables()[:8]:
             z = compose_tables(action.canonical_reps[i], t)
-            fixed = min(compose_tables(ut, z) for ut in action.u_tables) == action.canonical_reps[i]
+            fixed = min(
+                compose_tables(ut, z) for ut in action.stabilizer.element_tables()
+            ) == action.canonical_reps[i]
             assert fixed == (t in fs)
 
 
@@ -434,19 +439,19 @@ def test_profile(sym4, group_cache):
     ctx = as_context(sym4)
     u = point_stabilizer(sym4, 0)
     prof = profile(sym4, u)
-    assert len(prof.rows) == len(ctx.bundles)
-    assert list(prof.rows) == sorted(prof.rows)
-    assert max(r[2] for r in prof.rows) == fixity(sym4, u).fixity
+    assert len(prof) == len(ctx.bundles)
+    assert list(prof) == sorted(prof)
+    assert max(r[2] for r in prof) == fixity(sym4, u).fixity
     # natural Sym(4): transpositions fix 2 points, 3-cycles 1, 4-cycles and
     # double transpositions 0
-    assert prof.rows == ((2, 4, 2), (2, 8, 0), (3, 3, 1), (4, 4, 0))
+    assert prof == ((2, 4, 2), (2, 8, 0), (3, 3, 1), (4, 4, 0))
 
 
 def test_mark_values(sym4):
     u = point_stabilizer(sym4, 0)
-    assert mark(sym4, u, _trivial(sym4)) == 4
+    assert mark_on_action(build_coset_action(sym4, u), _trivial(sym4).gen_tables) == 4
     # m_U(U) = |N(U):U|; a point stabilizer of Sym(4) is self-normalizing
-    assert mark(sym4, u, u) == 1
+    assert mark_on_action(build_coset_action(sym4, u), u.gen_tables) == 1
     row = marks_row(sym4, u)
     assert row[0] == 4
     assert row[-1] == 1
@@ -488,7 +493,6 @@ def test_caps_and_membership(group_cache, sym4):
     assert classify_sylow3_orbits(g, c2, coset_cap).case == "a"
     for call in (
         lambda: classify_sylow3_orbits(g, c3, coset_cap),
-        lambda: mark(g, c3, c2, coset_cap),
         lambda: marks_row(g, c3, coset_cap),
     ):
         with pytest.raises(CapExceededError, match="coset space size 56 exceeds cap 50"):
@@ -501,6 +505,16 @@ def test_caps_and_membership(group_cache, sym4):
     action = build_coset_action(alt5, point_stabilizer(alt5, 0))
     with pytest.raises(MembershipError):
         fix_direct(action, pack_table([1, 0, 2, 3, 4]))
+
+
+def test_marks_row_rejects_a_stabilizer_outside_the_group_before_any_work():
+    # U <= G is checked before G's context and subgroup lattice are built,
+    # so a freshly resolved alt_7 (not the session's) is left without one
+    g = resolve_group("alt_7")[1]
+    u = build_bsgs([Permutation.from_cycles(7, [(0, 1)])], degree=7)
+    with pytest.raises(MembershipError):
+        marks_row(g, u)
+    assert g._context is None
 
 
 @pytest.mark.parametrize("caps", [Caps(), Caps(elements=100)], ids=["action", "orbits"])
@@ -554,8 +568,8 @@ def test_canonical_generator(sym4):
         o = table_order(t)
         if o == 1:
             continue
-        c = canonical_generator(t, 4)
-        assert canonical_generator(c, 4) == c
+        c = _least_generator(table_order(t), 4)(t)
+        assert _least_generator(table_order(c), 4)(c) == c
         # same cyclic subgroup, same label
         powers = {t}
         cur = t
@@ -563,7 +577,7 @@ def test_canonical_generator(sym4):
             cur = compose_tables(cur, t)
             powers.add(cur)
         gens = {p for p in powers if table_order(p) == o}
-        assert {canonical_generator(p, 4) for p in gens} == {c}
+        assert {_least_generator(table_order(p), 4)(p) for p in gens} == {c}
         assert c == min(gens)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fixitylab import perm
 from fixitylab.cosets import build_coset_action, chain_canonicalizer
-from fixitylab.enumeration import canonical_generator, cyclic_conjugation
+from fixitylab.enumeration import _least_generator, cyclic_conjugation
 from fixitylab.errors import (
     DegreeMismatchError,
     FalsificationError,
@@ -32,7 +32,7 @@ from fixitylab.perm import (
     table_order,
     table_power,
 )
-from fixitylab.zoo import alt, resolve_group, sym
+from fixitylab.zoo import alt_spec, resolve_group, sym_spec
 
 
 def random_table(degree: int, seed: int):
@@ -331,7 +331,7 @@ def test_orbit_stabilizer_matches_eager_on_cyclic_conjugation(name):
     a, b = g.gen_tables[:2]
     for t in (a, b, compose_tables(a, b), compose_tables(compose_tables(a, b), b)):
         if t != g.identity_table():
-            start = canonical_generator(t, g.degree)
+            start = _least_generator(table_order(t), g.degree)(t)
             _assert_matches_eager(g, start, cyclic_conjugation(g, table_order(t)), [t])
 
 
@@ -369,7 +369,11 @@ def test_extend_chain_matches_rebuild(n, seed):
     assert (chain.base, chain.strong_gens, chain.order) == before
 
 
-_AMBIENTS = {(name, n): f(n) for name, f in (("alt", alt), ("sym", sym)) for n in range(3, 8)}
+_AMBIENTS = {
+    (name, n): f(n).build()
+    for name, f in (("alt", alt_spec), ("sym", sym_spec))
+    for n in range(3, 8)
+}
 
 
 def _random_member(g, rng):
@@ -411,7 +415,7 @@ def test_extend_chain_known_order_stop(key, seed):
     assert _snapshot(chain) == before
 
 
-_CHAIN_AMBIENTS = {**_AMBIENTS, ("alt", 8): alt(8), ("sym", 8): sym(8)}
+_CHAIN_AMBIENTS = {**_AMBIENTS, ("alt", 8): alt_spec(8).build(), ("sym", 8): sym_spec(8).build()}
 
 
 @settings(max_examples=40)

@@ -127,7 +127,7 @@ def test_coset_actions_are_built_only_where_cosets_are_read():
     assert "action" not in {
         node.target.id for node in report.body if isinstance(node, ast.AnnAssign)
     }
-    homes = {"verifier.py": ("classify_sylow3_orbits",), "cosets.py": ("mark", "marks_row")}
+    homes = {"verifier.py": ("classify_sylow3_orbits",), "cosets.py": ("marks_row",)}
     assert _calls_outside("build_coset_action", homes) == []
     lemmas = _function("verifier.py", "check_structural_lemmas")
     called = {
@@ -214,6 +214,59 @@ def test_a_subgroup_is_a_perm_group():
                 "GroupContext" in _names_in(u) for u in _unions_in(ann)
             ):
                 offenders.append(f"{path.name}:{ann.lineno} annotates {ast.unparse(ann)}")
+    assert offenders == []
+
+
+# aliases of routes that stay: the zoo constructors (resolve_group and
+# *_spec(n).build()), cosets.mark (marks_row, mark_on_action), the profile
+# record (profile returns its rows), canonical_generator (_least_generator),
+# GroupContext.pp_cyclics (_pp_numbering) and Permutation.is_identity
+_DELETED_NAMES = {
+    "sym", "alt", "cyclic", "dihedral", "psl2", "pgl2", "mathieu", "mark",
+    "FixedPointProfile", "canonical_generator", "pp_cyclics", "is_identity",
+}
+# record fields that no library code read, or that repeated another route
+_DELETED_FIELDS = {
+    "StructureRecord": {"is_nilpotent", "p_group_prime"},
+    "CyclicBundle": {"n_generators"},
+    "CosetAction": {"u_tables"},
+}
+
+
+def test_deleted_aliases_stay_deleted():
+    # no module defines a deleted name, as a function, class, method or
+    # module-level assignment; the package exports none of them; and the
+    # records declare none of the deleted fields
+    offenders = []
+    for path in sorted(Path(fixitylab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assigned = [
+            (node, target.id)
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        ]
+        defined = [
+            (node, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        ]
+        offenders += [
+            f"{path.name}:{node.lineno} defines {name}"
+            for node, name in assigned + defined if name in _DELETED_NAMES
+        ]
+        offenders += [
+            f"{path.name}:{field.lineno} declares {node.name}.{field.target.id}"
+            for node, name in defined if isinstance(node, ast.ClassDef)
+            for field in node.body if isinstance(field, ast.AnnAssign)
+            if field.target.id in _DELETED_FIELDS.get(name, ())
+        ]
+    init = Path(fixitylab.__file__)
+    offenders += [
+        f"{init.name}:{node.lineno} exports {alias.asname or alias.name}"
+        for node in ast.walk(ast.parse(init.read_text(), filename=str(init)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names if (alias.asname or alias.name) in _DELETED_NAMES
+    ]
     assert offenders == []
 
 

@@ -636,7 +636,7 @@ def test_stabilizer_claim_on_the_slow_path():
 def _coset_stabilizer(action, i):
     """Tables of the stabilizer r_i^-1 U r_i of coset i."""
     r = action.canonical_reps[i]
-    return [conjugate_table(t, r) for t in action.u_tables]
+    return [conjugate_table(t, r) for t in action.stabilizer.element_tables()]
 
 
 def _four_point_stabilizer(action, witness):
