@@ -8,10 +8,11 @@ under that conjugation action, with Schreier generators supplying the
 stabilizers.  ``normalizer`` and ``sylow`` need no context: they label a
 subgroup's conjugates, a cyclic subgroup given by one generator by its least
 generator and any other by its set of element tables, so G is never
-enumerated.  A cyclic subgroup's conjugates are walked under a point
-stabilizer of G, one coset test per point giving the rest of its normalizer
-(``cyclic_orbit``); the same test decides whether two cyclic subgroups are
-conjugate, so no walk is kept on the group.
+enumerated.  A cyclic subgroup's conjugates are walked under the pointwise
+stabilizer of a short base prefix of G, one coset test per image of the
+prefix giving the rest of its normalizer (``cyclic_orbit``); the same test
+decides whether two cyclic subgroups are conjugate, so no walk is kept on
+the group.
 """
 
 from __future__ import annotations
@@ -518,23 +519,25 @@ def cyclic_conjugation(g: PermGroup, order: int):
 class CyclicOrbit:
     """The conjugation orbit of a cyclic subgroup <y> of a group G: its
     length |G : N_G(<y>)| and the chain of N_G(<y>).  The orbit is not
-    listed; it is held as the walk of <y>'s conjugates under a point
-    stabilizer H = G_a, and ``carrier(z, b)`` is an element of the coset
-    H u_b (u_b carrying a to b) that conjugates <y> to <z>, or None."""
+    listed; it is held as the walk of <y>'s conjugates under the pointwise
+    stabilizer H of a base prefix P = (a, b, ...), ``points`` are the
+    images of P under G (tables of P's length), and ``carrier(z, s)`` is an
+    element of the coset H u_s (u_s carrying P to s) that conjugates <y> to
+    <z>, or None."""
 
     length: int
     normalizer: PermGroup
     element_order: int
-    points: list[int]
-    carrier: Callable[[ImageTable, int], ImageTable | None]
+    points: list[ImageTable]
+    carrier: Callable[[ImageTable, ImageTable], ImageTable | None]
 
     def carrier_of(self, z: ImageTable) -> ImageTable | None:
         """An x with <y>^x = <z>, or None when <z> is no G-conjugate of
-        <y>: G is the union of the cosets H u_b over the points b of a^G,
+        <y>: G is the union of the cosets H u_s over the images s of P,
         each tested once."""
         if table_order(z) != self.element_order:
             return None
-        return next(filter(None, (self.carrier(z, b) for b in self.points)), None)
+        return next(filter(None, (self.carrier(z, s) for s in self.points)), None)
 
     def contains(self, z: ImageTable) -> bool:
         """Whether <z> is a G-conjugate of <y>."""
@@ -542,57 +545,84 @@ class CyclicOrbit:
 
 
 def cyclic_orbit(g: PermGroup, y: ImageTable) -> CyclicOrbit:
-    """<y>'s conjugation orbit under g, walked under the stabilizer H = G_a
-    of the least point a that y fixes (or 0 if y fixes none).
+    """<y>'s conjugation orbit under g, walked under the pointwise
+    stabilizer H of a short base prefix P.
 
-    Two walks of :func:`orbit_stabilizer` are made.  The walk of a under g
-    gives a^G, H and the u_b carrying a to b, each u_b formed when
-    ``carrier`` first needs it.  The walk of <y>'s least-generator label
-    under H gives N_H(<y>) from its Schreier generators, with y when y lies
-    in H, and the t_q carrying the label to state q.  An element s u_b
-    normalizes <y> exactly when <y>^s = <y>^(u_b^-1), that is when the label
-    of <y>^(u_b^-1) lies in the walk, at a state q; then t_q u_b
-    normalizes <y>.  So each point b of a^G is tested once: a hit
-    adds t_q u_b, and every point of a's orbit under the elements found is
-    a hit; a miss rules out b's orbit under them.  At the end a^N is that
-    orbit of a, |N_G(<y>)| = |N_H(<y>)| |a^N|, and the chain from y, N_H's
-    generators and the hits' elements must have that order.  Nothing is
-    kept on g."""
+    P starts at the least point a that y fixes (or 0 if y fixes none); the
+    points y fixes, in increasing order, then those it moves are the
+    candidates for the next point.  A candidate b that H moves is appended
+    while the prefix orbit stays no longer than its stabilizer,
+    |P^G| |b^H| <= |H| / |b^H|, so the label walk under H shrinks faster
+    than the coset tests below grow (Seress, ch. 4-5); b^H is one orbit of
+    integers, and only an appended b costs a walk of P under g.
+
+    Two walks of :func:`orbit_stabilizer` are kept.  The walk of P under g,
+    P held as its table of images, gives P^G, H and the u_s carrying P to
+    s, each u_s formed when ``carrier`` first needs it.  The walk of <y>'s
+    least-generator label under H gives N_H(<y>) from its Schreier
+    generators, with y when y fixes P, and the t_q carrying the label to
+    state q.  An element h u_s normalizes <y> exactly when <y>^h =
+    <y>^(u_s^-1), that is when the label of <y>^(u_s^-1) lies in the walk,
+    at a state q; then t_q u_s normalizes <y>.  So each image s of P is
+    tested once: a hit adds t_q u_s, and every image of P under the
+    elements found is a hit; a miss rules out s's orbit under them.  At the
+    end P^N is that orbit of P, |N_G(<y>)| = |N_H(<y>)| |P^N|, and the
+    chain from y, N_H's generators and the hits' elements must have that
+    order.  Nothing is kept on g."""
     deg, order = g.degree, table_order(y)
-    a = next((p for p, q in enumerate(y) if p == q), 0)
-    tables = g.gen_tables
-    points, h, u_of = orbit_stabilizer(g, a, lambda p, j: tables[j][p])
+    act, as_operand = table_action(deg)
+    # the points y fixes, then those it moves, each in increasing order
+    candidates = sorted(range(deg), key=lambda p: y[p] != p)
+    ops = [as_operand(t) for t in g.gen_tables]
+
+    def walk_prefix(prefix: list[int]):
+        # P's images are tables of y's type, moved as a product P * t
+        return orbit_stabilizer(g, type(y)(prefix), lambda s, j: act(s, ops[j]))
+
+    prefix = candidates[:1]
+    states, h, u_of = walk_prefix(prefix)
+    for b in candidates[1:]:
+        b_len = len(orbit_partition(deg, h.gen_tables, (b,))[1][0])
+        if len(states) * b_len * b_len > h.order:
+            break
+        # a b that H fixes leaves P^G and H as they are
+        if b_len > 1:
+            prefix.append(b)
+            states, h, u_of = walk_prefix(prefix)
     least = _least_generator(order, deg)
-    seed = [y] if y[a] == a else []
+    seed = [y] if all(y[p] == p for p in prefix) else []
     labels, n_h, t_of = orbit_stabilizer(h, least(y), cyclic_conjugation(h, order), seed)
 
-    def carrier(z: ImageTable, b: int) -> ImageTable | None:
-        u = u_of(points[b])
+    def carrier(z: ImageTable, s: ImageTable) -> ImageTable | None:
+        u = u_of(states[s])
         q = labels.get(least(conjugate_table(z, invert_table(u))))
         return None if q is None else compose_tables(t_of(q), u)
 
     gens = [y, *n_h.gen_tables]
+    gen_ops = [as_operand(t) for t in gens]
 
-    def orbit_of(p: int) -> dict[int, int]:
-        return orbit_walk(p, lambda c, j: gens[j][c], len(gens))[0]
+    def orbit_of(s: ImageTable) -> dict[ImageTable, int]:
+        return orbit_walk(s, lambda c, j: act(c, gen_ops[j]), len(gen_ops))[0]
 
-    hits, missed = orbit_of(a), set()
-    for b in points:
-        if b in hits or b in missed:
+    start = next(iter(states))
+    hits, missed = orbit_of(start), set()
+    for s in states:
+        if s in hits or s in missed:
             continue
-        x = carrier(y, b)
+        x = carrier(y, s)
         if x is None:
-            missed.update(orbit_of(b))
+            missed.update(orbit_of(s))
         else:
             gens.append(x)
-            hits = orbit_of(a)
+            gen_ops.append(as_operand(x))
+            hits = orbit_of(start)
     chain = _greedy_chain(deg, gens)
     if chain.order != n_h.order * len(hits) or g.order % chain.order:
         raise FalsificationError(
-            f"normalizer order {chain.order} != |N_H| * |a^N| = {n_h.order} * {len(hits)}"
+            f"normalizer order {chain.order} != |N_H| * |P^N| = {n_h.order} * {len(hits)}"
             f" or does not divide |G| = {g.order}"
         )
-    return CyclicOrbit(g.order // chain.order, chain, order, list(points), carrier)
+    return CyclicOrbit(g.order // chain.order, chain, order, list(states), carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +643,9 @@ def normalizer(g: PermGroup, u: PermGroup) -> PermGroup:
     stabilizer, seeded with U's generators; G is never enumerated.  A U given
     by one generator y has its conjugates labelled by their least generators
     (:func:`cyclic_conjugation`), any other U by their sets of element
-    tables, which enumerates U.  The cyclic labels are walked under a point
-    stabilizer of G (:func:`cyclic_orbit`), the set labels under G.  A U
-    outside G raises MembershipError before any walk."""
+    tables, which enumerates U.  The cyclic labels are walked under the
+    stabilizer of a base prefix of G (:func:`cyclic_orbit`), the set labels
+    under G.  A U outside G raises MembershipError before any walk."""
     check_subgroup(g, u)
     if len(u.generators) == 1:
         return cyclic_orbit(g, u.gen_tables[0]).normalizer

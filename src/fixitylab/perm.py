@@ -568,8 +568,9 @@ def orbit_partition(
     """Orbits of the points 0..n-1 under index maps, ``tables[j][p]`` being
     the image of p under the j-th generator: ``(orbit_of, orbits)``, the
     orbits numbered by least point and listed in breadth-first order.
-    Given ``points``, an invariant set of points in increasing order, only
-    its orbits are walked; ``orbit_of`` is -1 outside it."""
+    Given ``points``, only their orbits are walked, numbered in the order
+    of their first point there (by least point for an invariant set in
+    increasing order); ``orbit_of`` is -1 outside them."""
     orbit_of = [-1] * n
     orbits: list[list[int]] = []
     for start in range(n) if points is None else points:

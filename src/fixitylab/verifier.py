@@ -480,8 +480,10 @@ def classify_sylow3_orbits(
         )
     action = build_coset_action(g, u, caps.cosets, caps.elements)
     p_grp = sylow(g, 3, caps.elements)
-    p_gens = p_grp.gen_tables
-    rows = [[action.image(c, t) for c in range(action.degree)] for t in p_gens]
+    # each generator prepared once as an operand: no check or padding per coset
+    act, as_operand = table_action(g.degree)
+    reps = action.canonical_reps
+    rows = [[action.coset_of(act(r, op)) for r in reps] for op in map(as_operand, p_grp.gen_tables)]
     _, orbits = orbit_partition(action.degree, rows)
 
     delta_orbits = [o for o in orbits if len(o) <= 3]

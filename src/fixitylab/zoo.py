@@ -78,7 +78,7 @@ def _pair_candidates(gens: list[Permutation]) -> Iterator[tuple[Permutation, Per
 
 def sym_spec(n: int) -> GroupSpec:
     if n < 1:
-        raise PreconditionError("sym(n) needs n >= 1")
+        raise PreconditionError(f"sym_<n> needs n >= 1, got {n}")
     if n == 1:
         gens = [Permutation.identity(1)]
     elif n == 2:
@@ -93,7 +93,7 @@ def sym_spec(n: int) -> GroupSpec:
 
 def alt_spec(n: int) -> GroupSpec:
     if n < 1:
-        raise PreconditionError("alt(n) needs n >= 1")
+        raise PreconditionError(f"alt_<n> needs n >= 1, got {n}")
     if n <= 2:
         gens = [Permutation.identity(n)]
     elif n == 3:
@@ -113,14 +113,14 @@ def alt_spec(n: int) -> GroupSpec:
 
 def cyclic_spec(n: int) -> GroupSpec:
     if n < 1:
-        raise PreconditionError("cyclic(n) needs n >= 1")
+        raise PreconditionError(f"cyclic_<n> needs n >= 1, got {n}")
     return GroupSpec(f"cyclic_{n}", n, [Permutation.from_cycles(n, [tuple(range(n))])], n)
 
 
 def dihedral_spec(n: int) -> GroupSpec:
-    """Dihedral group on n vertices, order 2n (so dihedral(5) is D10)."""
+    """Dihedral group on n vertices, order 2n (so dihedral_5 is D10)."""
     if n < 3:
-        raise PreconditionError("dihedral(n) needs n >= 3")
+        raise PreconditionError(f"dihedral_<n> needs n >= 3, got {n}")
     rot = Permutation.from_cycles(n, [tuple(range(n))])
     refl = Permutation(pack_table([(n - i) % n for i in range(n)]), _trusted=True)
     return GroupSpec(f"dihedral_{n}", n, [rot, refl], 2 * n)
@@ -178,7 +178,7 @@ def _psl2_generators(field: Field) -> list[Permutation]:
 def psl2_spec(q: int) -> GroupSpec:
     pp = prime_power(q)
     if pp is None or q < 4:
-        raise PreconditionError(f"psl2(q) needs a prime power q >= 4, got {q}")
+        raise PreconditionError(f"psl2_<q> needs a prime power q >= 4, got {q}")
     field = make_field(*pp)
     order = q * (q * q - 1) // math.gcd(2, q - 1)
     return GroupSpec(f"psl2_{q}", q + 1, _psl2_generators(field), order)
@@ -187,7 +187,7 @@ def psl2_spec(q: int) -> GroupSpec:
 def pgl2_spec(q: int) -> GroupSpec:
     pp = prime_power(q)
     if pp is None or q < 2:
-        raise PreconditionError(f"pgl2(q) needs a prime power q >= 2, got {q}")
+        raise PreconditionError(f"pgl2_<q> needs a prime power q >= 2, got {q}")
     field = make_field(*pp)
     lam = primitive_element(field)
     gens = _psl2_generators(field)

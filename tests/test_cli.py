@@ -71,6 +71,19 @@ def test_no_matching_stabilizer(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "group, message",
+    [("sym_0", "sym_<n> needs n >= 1, got 0"),
+     ("psl2_3", "psl2_<q> needs a prime power q >= 4, got 3")],
+)
+def test_family_range_error_names_the_selector(capsys, group, message):
+    # a family parameter out of range is reported in the selector form the
+    # user typed
+    code, out, err = run(capsys, ["fixity", "--group", group, "--stab-order", "1"])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_stab_flags_exclusive(capsys, tmp_path):
     p = tmp_path / "u.grp"
     p.write_text("degree 4\n2 1 3 4\n")

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -228,12 +229,14 @@ def _intransitive_group():
      ("sz8", True), ("m12", False), ("intransitive", True), ("dihedral_300", True)],
 )
 def test_point_stabilizer_walk_matches_whole_group_walk(group_cache, sel, brute):
-    # cyclic_orbit walks <y>'s conjugates under G_a and tests one coset
-    # H u_b per point; the whole-G walk and, where G is enumerated for it,
-    # the scan of G give the same normalizer and orbit length.  The samples
-    # include the identity and elements with and without fixed points;
-    # dihedral_300 has tuple tables, and its rotations of order 300 are left
-    # out, as they take seconds on either walk
+    # cyclic_orbit walks <y>'s conjugates under the stabilizer H of a base
+    # prefix P (two points on alt_7, m12 and the intransitive group, one
+    # elsewhere) and tests one coset H u_s per image s of P; the whole-G walk
+    # and, where G is enumerated for it, the scan of G give the same
+    # normalizer and orbit length.  The samples include the identity and
+    # elements with and without fixed points; dihedral_300 has tuple tables,
+    # and its rotations of order 300 are left out, as they take seconds on
+    # either walk
     g = _intransitive_group() if sel == "intransitive" else group_cache(sel)
     if sel == "dihedral_300":
         r, s = g.generators
@@ -255,6 +258,48 @@ def test_point_stabilizer_walk_matches_whole_group_walk(group_cache, sel, brute)
         # the conjugacy test finds conjugates met late in the whole walk
         assert all(rec.contains(m) for m in members[:: max(1, len(members) // 7)])
         assert all(rec.contains(m) for m in members[-3:])
+
+
+def test_m22_prefix_walk_matches_whole_group_walk(group_cache):
+    # M22's walks run under the stabilizer H of a two-point prefix P, the
+    # least points y fixes first: a C5 fixes both points of P and seeds the
+    # walk with y, a C7 fixes only the first and a C11 neither, so y moves
+    # P, lies outside H and seeds nothing.  Each gives the whole-G walk's
+    # orbit length and normalizer, and finds conjugates met early and late
+    # in it (alt_7's prefix is two points too, and its classes test the
+    # non-conjugate pairs in test_conjugacy_test_matches_the_bundles).  The
+    # elements are short words in M22's generators: _sample_elements'
+    # breadth-first search takes seconds on a group this large
+    g = group_cache("m22")
+    a, b = g.gen_tables
+    cases = [((a,), 5, [True, True]), ((a, b), 7, [True, False]), ((a, a, b, b), 11, [False, False])]
+    for word, order, fixes_prefix in cases:
+        y = functools.reduce(compose_tables, word)
+        assert table_order(y) == order
+        rec = cyclic_orbit(g, y)
+        assert [y[p] == p for p in rec.points[0]] == fixes_prefix
+        members, chain = _whole_group_walk(g, y)
+        assert rec.length == len(members)
+        assert rec.normalizer.order == chain.order
+        assert all(rec.normalizer.contains_table(t) for t in chain.gen_tables)
+        assert all(rec.contains(m) for m in members[:: len(members) // 7])
+        assert all(rec.contains(m) for m in members[-3:])
+
+
+@pytest.mark.parametrize(
+    "sel, depth", [("m22", 2), ("m12", 2), ("psl2_31", 1), ("sz8", 1), ("sym_5", 1)]
+)
+def test_base_prefix_grows_while_its_orbit_stays_below_its_stabilizer(group_cache, sel, depth):
+    # a point b joins P while |P^G| |b^H| <= |H| / |b^H|: on M22 the pair
+    # orbit is 22 * 21 = 462 <= 20160 / 21 and a third point gives 9,240 >
+    # 960 / 20; on M12 132 <= 7920 / 11 and then 1,320 > 720 / 10.  PSL2(31)
+    # stops at 32 * 31 > 465 / 31, Sz(8) at 65 * 64 > 448 / 64 and Sym(5) at
+    # 5 * 4 > 24 / 4, though 5 * 4 <= 24.  These groups are 2-transitive,
+    # M22 and M12 3-transitive, so the orbit lengths, and the depth, are the
+    # same for every y
+    g = group_cache(sel)
+    for y in (g.identity_table(), *g.gen_tables):
+        assert len(cyclic_orbit(g, y).points[0]) == depth
 
 
 @pytest.mark.parametrize("sel", ["alt_7", "m11", "psu4_2"])

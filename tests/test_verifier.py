@@ -1093,13 +1093,15 @@ def test_claims_build_no_context_of_the_claim_group(monkeypatch):
 def test_m22_cyclic_conjugation_steps_are_bounded(monkeypatch):
     # m22_stabs meets two G-classes of cyclic subgroups, C5 (22,176
     # conjugates) and C11 (8,064).  Walked over all of M22 they took 60,480
-    # steps of the conjugation action (2 generators per conjugate).  Each
-    # walk now runs under a point stabilizer G_a, on every group it is made
-    # on, and takes 2,016 states for C5 and 4,032 for C11; a walk is made
-    # by normalizer and once per fixity call for each class it meets, so
-    # the claim takes 24,192 steps.  Each of the 4 walks of <y>'s conjugates
-    # is one orbit_stabilizer call on G, walking the 22 points, and one on
-    # G_a, so the claim builds 8 walk trees
+    # steps of the conjugation action (2 generators per conjugate), and
+    # 24,192 under a point stabilizer G_a = PSL3(4).  Each walk now runs
+    # under the stabilizer H of a two-point prefix (a, b): |(a, b)^G| = 462
+    # stays below |H| = 960, and a third point c with |c^H| = 20 would not.
+    # The walks take 96 states for C5 and 960 for C11; a walk is made by
+    # normalizer and once per fixity call for each class it meets, so the
+    # claim takes 4,224 steps.  Each of the 4 walks of <y>'s conjugates is
+    # two orbit_stabilizer calls on G, walking the 22 points and then the
+    # 462 pairs, and one on H, so the claim builds 12 walk trees
     steps = Counter()
     conjugation = fixitylab.enumeration.cyclic_conjugation
     trees = []
@@ -1124,8 +1126,8 @@ def test_m22_cyclic_conjugation_steps_are_bounded(monkeypatch):
     claim = next(c for c in load_claims(catalog) if c["id"] == "m22_stabs")
     assert run_claim(claim).verdict == "PASS"
     assert set(steps) == {5, 11}
-    assert sum(steps.values()) <= 24192
-    assert trees == [22, 2016, 22, 4032] * 2
+    assert sum(steps.values()) <= 4224
+    assert trees == [22, 462, 96, 22, 462, 960] * 2
 
 
 def test_orbit_record_matches_coset_action_normalizer_order(monkeypatch, group_cache):
