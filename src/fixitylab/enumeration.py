@@ -139,6 +139,7 @@ class GroupContext:
         self._compute_classes()
         self._compute_bundles()
         self._subgroup_classes: list[SubgroupClass] | None = None
+        self._pp_maps: dict[ImageTable, array] = {}
 
     # -- conjugation action on element indices --------------------------------
 
@@ -294,10 +295,36 @@ class GroupContext:
 
         return orbit_stabilizer(self.group, key, apply, chain.gen_tables)[:2]
 
-    def _compute_subgroup_classes(self) -> None:
+    def _pp_map(self, t: ImageTable) -> array:
+        """Conjugation by a member t on the numbered prime-power cyclic
+        subgroups (:attr:`_pp_numbering`): entry s is the subgroup of
+        t^-1 * e_rep[s] * t.  Built once per table and kept on the context as
+        a C int array, so that every saturation of the group shares it."""
+        m = self._pp_maps.get(t)
+        if m is None:
+            cyc_of, rep, _ = self._pp_numbering
+            rep_tables = [self.elements[i] for i in rep]
+            m = self._pp_maps[t] = array("I", map(cyc_of.__getitem__, self.conj_map(t, rep_tables)))
+        return m
+
+    def _compute_subgroup_classes(
+        self,
+        seeds: list[tuple[PermGroup, list[ImageTable]]],
+        avoid: frozenset[int] = frozenset(),
+        leaf_index: int = 1,
+    ) -> list[SubgroupClass]:
+        """The conjugacy classes of the subgroups that contain a conjugate of
+        a seed and meet no bundle in ``avoid`` (ids of bundles of prime
+        order), sorted by (order, canonical form); a seed is given as its
+        chain and its element tables.  A seed that meets an avoided bundle
+        is dropped, and so is every extension that does.  A class of index
+        at most ``leaf_index`` is kept but not extended; G itself is found
+        only as a seed.  With the seeds 1, G and one cyclic subgroup per
+        bundle, nothing avoided and ``leaf_index`` 1, this is the whole
+        lattice."""
         # Two shortcuts spare the saturation below chains whose result is
         # already known; neither changes which y is tried, in what order, or
-        # the chain built for a proper extension, so the lattice is the same.
+        # the chain built for a proper extension, so the classes are the same.
         # - Inherited generation: ``full`` marks the cyclic subgroups <y> with
         #   <A, y> = G.  A class first found as <P, y0> has a representative
         #   containing P's, so it starts from P's finished marks; N(A)
@@ -306,11 +333,18 @@ class GroupContext:
         # - Overgroups as ambient: a proper extension S already built from A
         #   contains <A, y> whenever it contains y, so extend_chain runs with
         #   ambient S (the smallest such S), whose known-order stop returns S
-        #   exactly when <A, y> = S: a duplicate, neither enumerated nor hashed.
-        #   Below S the stop never fires, so the chain is the one built
-        #   without an ambient.
+        #   exactly when <A, y> = S: a duplicate (or dropped with S), neither
+        #   enumerated nor hashed.  Below S the stop never fires, so the
+        #   chain is the one built without an ambient.
         n = self.n
         g = self.group
+        index = self.index
+        # the avoided elements: those of the classes of the avoided bundles
+        banned = bytearray(n)
+        for c, b in zip(self.classes, self.bundle_of_class):
+            if b in avoid:
+                for i in c.indices:
+                    banned[i] = 1
         records: list[dict] = []
         # every conjugate of every class, keyed by its sorted index tuple
         # (the class's canonical form is the least of them): several times
@@ -337,16 +371,10 @@ class GroupContext:
                 seen[key] = cid
             queue.append(cid)
 
-        # seeds: trivial subgroup, the whole group (when it is not the
-        # trivial one), one cyclic subgroup per bundle of element classes
-        add_class((0,), build_bsgs([], degree=g.degree))
-        if n > 1:
-            add_class(tuple(range(n)), g)
-        for b in self.bundles:
-            t = self.elements[b.rep_index]
-            key = tuple(sorted(self.index[tab] for tab in _cyclic_tables(t, g.degree)))
-            if key not in seen:
-                add_class(key, build_bsgs([t], degree=g.degree))
+        for chain, tables in seeds:
+            key = tuple(sorted(map(index.__getitem__, tables)))
+            if key not in seen and not (avoid and any(map(banned.__getitem__, key))):
+                add_class(key, chain)
 
         # saturate: extend each known class representative A by one y per
         # N_G(A)-orbit of cyclic subgroups <y> of prime-power order p^k with
@@ -356,7 +384,11 @@ class GroupContext:
         # M; the last y of z, z^p, z^(p^2), ... outside M has y^p in M, and
         # S = <M, y>.  Both conditions hold for all of <y>'s generators and
         # are kept by N(A), which fixes A; <A, y^h> = <A, y>^h for h in N(A),
-        # so one y per N(A)-orbit of roots suffices.
+        # so one y per N(A)-orbit of roots suffices.  A root of order p^k > p
+        # has its subgroup of order p in A, which avoids every avoided
+        # bundle; a root of prime order in an avoided bundle gives only
+        # dropped extensions and is never tried.  The avoided elements are a
+        # union of classes, so the roots left are still a union of N(A)-orbits.
         # N(A) acts on the subgroups through their least generators: h maps
         # subgroup s to the subgroup of h^-1 * e_rep[s] * h.  The subgroups are
         # numbered by least generator and orbit_partition walks the roots in
@@ -364,26 +396,15 @@ class GroupContext:
         # rep[orbit[0]] is the least generator of any subgroup in the orbit,
         # and the orbits come in increasing order of y.  The representatives,
         # and so the lattice's representative pins, depend on that order.
-        index = self.index
-        cyc_of, rep, root = self._pp_numbering
+        _, rep, root = self._pp_numbering
         n_cyc = len(rep)
-        rep_tables = [self.elements[i] for i in rep]
-        # each generator's map on the numbered subgroups, built once: N(A)'s
-        # generators begin with A's, and A's with its parent's.  The maps
-        # live for the whole saturation, so they are kept as C int arrays.
-        pp_maps: dict[ImageTable, array] = {}
-
-        def pp_map(t: ImageTable) -> array:
-            m = pp_maps.get(t)
-            if m is None:
-                m = pp_maps[t] = array("I", map(cyc_of.__getitem__, self.conj_map(t, rep_tables)))
-            return m
+        candidates = [s for s in range(n_cyc) if not banned[rep[s]]]
 
         while queue:
             cid = queue.popleft()
             rec = records[cid]
             chain = rec["chain"]
-            if chain.order == n:
+            if n // chain.order <= leaf_index:
                 continue
             fs, parent = rec["indices"], rec["parent"]
             # the parent was dequeued first, so its marks are final
@@ -392,8 +413,8 @@ class GroupContext:
             )
             # (index set, chain) of the proper extensions of A, by order
             overgroups: list[tuple[frozenset[int], PermGroup]] = []
-            maps = [pp_map(t) for t in rec["normalizer_gens"]]
-            roots = [s for s in range(n_cyc) if root[s] in fs and rep[s] not in fs]
+            maps = [self._pp_map(t) for t in rec["normalizer_gens"]]
+            roots = [s for s in candidates if root[s] in fs and rep[s] not in fs]
             for members in orbit_partition(n_cyc, maps, roots)[1]:
                 if any(map(full.__getitem__, members)):
                     continue
@@ -415,7 +436,7 @@ class GroupContext:
                         f"extension enumerated {len(fs2)} elements, BSGS order is {ext.order}"
                     )
                 key = tuple(sorted(fs2))
-                if key not in seen:
+                if key not in seen and not (avoid and any(map(banned.__getitem__, key))):
                     add_class(key, ext, cid)
                 insort(overgroups, (fs2, ext), key=lambda p: p[1].order)
 
@@ -437,17 +458,29 @@ class GroupContext:
                     f"subgroup class of order {c.order}: class size {c.class_size} "
                     f"* normalizer order {c.normalizer_order} != |G| = {n}"
                 )
-        self._subgroup_classes = out
+        return out
 
     def subgroup_classes(self, cap: int = SUBGROUP_CAP) -> list[SubgroupClass]:
-        """All conjugacy classes of subgroups, sorted by (order, canonical form)."""
-        if self.n > cap:
-            raise CapExceededError(
-                f"group order {self.n} exceeds subgroup-enumeration cap {cap}"
-            )
+        """All conjugacy classes of subgroups, sorted by (order, canonical
+        form): the classes above the seeds 1, G and one cyclic subgroup per
+        bundle, computed on first use and kept."""
+        check_subgroup_cap(self.n, cap)
         if self._subgroup_classes is None:
-            self._compute_subgroup_classes()
+            g = self.group
+            seeds = [(build_bsgs([], degree=g.degree), self.elements[:1])]
+            if self.n > 1:
+                seeds.append((g, self.elements))
+            for b in self.bundles:
+                t = self.elements[b.rep_index]
+                seeds.append((build_bsgs([t], degree=g.degree), _cyclic_tables(t, g.degree)))
+            self._subgroup_classes = self._compute_subgroup_classes(seeds)
         return self._subgroup_classes
+
+
+def check_subgroup_cap(n: int, cap: int) -> None:
+    """Refuse to saturate subgroups of a group of order n above ``cap``."""
+    if n > cap:
+        raise CapExceededError(f"group order {n} exceeds subgroup-enumeration cap {cap}")
 
 
 def as_context(g: PermGroup, element_cap: int = ELEMENT_CAP) -> GroupContext:

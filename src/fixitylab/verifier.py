@@ -3,8 +3,10 @@
 This module packages the checks that turn the library into a verification
 tool:
 
-  search_fixity_k        scan the subgroup lattice for coset actions of
-                         fixity exactly k
+  search_fixity_k        find the subgroup classes whose coset actions have
+                         fixity exactly k, saturating above subgroups of
+                         centralizers that the fixity bounds, never building
+                         the whole lattice
   check_structural_lemmas  normalizer-index bounds, TI property of four-point
                          stabilizers, Sylow containment for p >= 5
   classify_sylow3_orbits conclude which of five orbit shapes a Sylow
@@ -17,7 +19,7 @@ tool:
   check_psl2_family      reproduce the fixity-4 stabilizer rows of PSL2(q)
                          for an odd prime power q >= 17 by direct construction
                          of the quarter-torus and half-Borel subgroups (the
-                         small q are catalog lattice searches)
+                         small q are catalog search claims)
   check_order27_lemma    conjugation identity y^U = P'y in both nonabelian
                          groups of order 27
   run_claim_catalog      execute a JSON catalog of the above and report
@@ -52,9 +54,12 @@ from .cosets import (
 )
 from .enumeration import (
     SubgroupClass,
+    _cyclic_tables,
     _find_element_of_order,
     _normalized_by,
     as_context,
+    centralizer,
+    check_subgroup_cap,
     is_simple_group,
     normalizer,
     subgroup_closure,
@@ -68,12 +73,13 @@ from .errors import (
     MembershipError,
     PreconditionError,
 )
-from .ffield import p_part, prime_divisors, prime_power
+from .ffield import is_prime, p_part, prime_divisors, prime_power
 from .perm import (
     ImageTable,
     PermGroup,
     Permutation,
     _greedy_chain,
+    build_bsgs,
     compose_tables,
     conjugate_table,
     conjugator,
@@ -206,7 +212,7 @@ def match_descriptors(expected: list[str], groups: list[PermGroup]) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# lattice search
+# fixity-k search
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -221,19 +227,49 @@ class FixityHit:
 def search_fixity_k(g: PermGroup, k: int = 4, caps: Caps = DEFAULT_CAPS) -> list[FixityHit]:
     """All subgroup classes 1 < U < G whose coset action has fixity exactly k.
 
-    Classes are screened by the normalizer-formula counts of G's context
-    (one O(|U|) pass per class), then every candidate is counted again by
-    :func:`fixity` from its own walks of G's cyclic subgroups; the two
-    counts disagreeing is reported as a falsification.
+    Every x in U fixes the cosets Uc with c in C_G(x), so fixity <= k forces
+    |C_G(x) : C_U(x)| <= k for each x != 1 in U.  G's bundles of prime order
+    b_1, b_2, ... are taken by element order, then bundle index.  For each
+    b_j, with x its representative and H = C_G(x), H's subgroups above <x>
+    are saturated without extending a class of index <= k in H; the classes
+    of index <= k found (H when there is none) are the seeds, and every
+    subgroup of H above <x> of index <= k contains an H-conjugate of one.
+    G's classes above the seeds that meet none of b_1..b_(j-1) are the
+    candidates.  This is complete: conjugate U so that the x of the first
+    b_j it meets lies in it; then C_U(x) contains an H-conjugate of a seed,
+    every subgroup between that seed and U avoids b_1..b_(j-1), and the
+    saturation's root steps reach U up to G-conjugacy.  Every candidate of
+    run j meets b_j, so no class is a candidate in two runs.
+
+    Candidates are screened by the normalizer-formula counts of G's context
+    (one O(|U|) pass per class), then every one that passes is counted
+    again by :func:`fixity` from its own walks of G's cyclic subgroups; the
+    two counts disagreeing is reported as a falsification.
     Degree must exceed k, which also discards non-faithful actions: a kernel
     element would fix all cosets.  Results follow the deterministic
     (order, canonical form) class order.
     """
     ctx = as_context(g, caps.elements)
+    check_subgroup_cap(ctx.n, caps.subgroups)
+    primes = sorted(
+        (b.element_order, bid) for bid, b in enumerate(ctx.bundles) if is_prime(b.element_order)
+    )
+    candidates: list[SubgroupClass] = []
+    for j, (_, bid) in enumerate(primes):
+        x = ctx.elements[ctx.bundles[bid].rep_index]
+        h = centralizer(g, x, caps.elements)
+        h_ctx = as_context(h, caps.elements)
+        x_cyclic = (build_bsgs([x], degree=g.degree), _cyclic_tables(x, g.degree))
+        seeds = [
+            (sc.representative, [h_ctx.elements[i] for i in sc.indices])
+            for sc in h_ctx._compute_subgroup_classes([x_cyclic], leaf_index=k)
+            if h.order // sc.order <= k
+        ] or [(h, h_ctx.elements)]
+        candidates += ctx._compute_subgroup_classes(seeds, frozenset(b for _, b in primes[:j]))
+    candidates.sort(key=lambda sc: (sc.order, sc.canonical))
     hits: list[FixityHit] = []
-    for sc in ctx.subgroup_classes(caps.subgroups):
-        if sc.order == 1 or sc.order == ctx.n:
-            continue
+    for sc in candidates:
+        # every candidate contains an x != 1; G itself has degree 1
         degree = ctx.n // sc.order
         if degree <= k:
             continue
@@ -611,7 +647,7 @@ def check_psl2_family(q: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[dict], li
     conditions and the Sylow-3 case.  A PSL2(q) larger than the element
     cap raises CapExceededError, as :func:`evaluate_action` runs those
     checks only within it.
-    The small q are decided by the catalog's lattice-search claims instead.
+    The small q are decided by the catalog's search claims instead.
     """
     if q < 17 or q % 2 == 0 or not prime_power(q):
         raise PreconditionError(f"q = {q} is outside the covered family range")

@@ -13,9 +13,11 @@ instead:
                         kernel and cyclic complement J, x outside the kernel
 
 and ``normalizer_brute`` finds N_G(U) by scanning every element of G.
+``search_on_the_lattice`` is the fixity search that screens every class of
+G's whole subgroup lattice, which ``verifier.search_fixity_k`` must match.
 """
 
-from fixitylab.cosets import stabilizer_bundle_fixes
+from fixitylab.cosets import DEFAULT_CAPS, Caps, fixity, stabilizer_bundle_fixes
 from fixitylab.enumeration import ELEMENT_CAP, _cyclic_tables, _normalized_by, as_context
 from fixitylab.errors import FalsificationError, PreconditionError
 from fixitylab.perm import (
@@ -27,6 +29,7 @@ from fixitylab.perm import (
     orbit_walk,
     table_order,
 )
+from fixitylab.verifier import FixityHit
 
 
 def subgroup_from_tables(
@@ -113,3 +116,26 @@ def fix_frobenius(g: PermGroup, u: PermGroup, x: Permutation) -> int:
             f"|N_G(<x>)| = {ng_order} is not divisible by |J| = {b}"
         )
     return ng_order // b
+
+
+def search_on_the_lattice(g: PermGroup, k: int = 4, caps: Caps = DEFAULT_CAPS) -> list[FixityHit]:
+    """Every class 1 < U < G of G's whole subgroup lattice whose coset
+    action has fixity exactly k and degree above k, screened by the
+    normalizer-formula counts and confirmed by ``fixity``, in the lattice's
+    (order, canonical form) order."""
+    ctx = as_context(g, caps.elements)
+    hits = []
+    for sc in ctx.subgroup_classes(caps.subgroups):
+        degree = ctx.n // sc.order
+        if sc.order == 1 or degree <= k:
+            continue
+        fixes = stabilizer_bundle_fixes(ctx, sc.representative)
+        if (max(fixes) if fixes else 0) != k:
+            continue
+        rep = fixity(g, sc.representative, caps)
+        if rep.fixity != k:
+            raise FalsificationError(
+                f"screen says fixity {k}, the direct count {rep.fixity}, order {sc.order}"
+            )
+        hits.append(FixityHit(subgroup_class=sc, degree=degree, report=rep))
+    return hits

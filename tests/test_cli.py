@@ -189,6 +189,13 @@ def test_search(capsys):
     ]
 
 
+def test_search_above_the_subgroup_cap(capsys):
+    argv = ["search", "--group", "psl2_7", "--k", "4", "--subgroup-cap", "100"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: group order 168 exceeds subgroup-enumeration cap 100\n"
+
+
 def test_marks_row(capsys):
     code, out, _ = run(capsys, ["marks", "--group", "sym_4", "--stab-order", "6"])
     assert code == 0

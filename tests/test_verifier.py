@@ -64,7 +64,7 @@ from fixitylab.verifier import (
     search_fixity_k,
 )
 from fixitylab.zoo import GroupSpec, psl2_spec, resolve_group
-from oracles import normalizer_brute, subgroup_from_tables
+from oracles import normalizer_brute, search_on_the_lattice, subgroup_from_tables
 
 
 def _perm_mod(images):
@@ -189,6 +189,74 @@ def test_search_excludes_non_faithful(sym4):
     for h in search_fixity_k(sym4, 2):
         assert h.degree > 2
         assert h.report.fixity == 2
+
+
+def _search_rows(hits):
+    return [
+        (h.subgroup_class.order, h.subgroup_class.canonical, h.degree, h.report.fixity)
+        for h in hits
+    ]
+
+
+_CATALOG = Path(fixitylab.__file__).parent / "data" / "claims.json"
+_SEARCH_GROUPS = sorted({c["group"] for c in load_claims(_CATALOG) if c["mode"] == "search"})
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    sorted(
+        {(name, 4) for name in _SEARCH_GROUPS}
+        | {
+            (name, k)
+            for name in ("sym_4", "sym_5", "sym_6", "alt_6", "psl2_13")
+            for k in range(1, 7)
+        }
+    ),
+)
+def test_search_matches_the_whole_lattice(group_cache, name, k):
+    # the search above centralizer seeds finds, class for class, what
+    # screening every class of G's whole lattice finds: at k = 4 on the
+    # groups of the packaged search claims, and at k = 1..6 on five groups,
+    # two of them not simple
+    g = group_cache(name)
+    caps = Caps(subgroups=40_000)
+    assert _search_rows(search_fixity_k(g, k, caps)) == _search_rows(
+        search_on_the_lattice(g, k, caps)
+    )
+
+
+def test_search_records_fewer_classes_than_the_lattice(monkeypatch):
+    # the search never builds G's lattice, and the classes it records in G
+    # are far fewer than the lattice's 39 (m11) and 40 (alt_7)
+    recorded = Counter()
+    compute = GroupContext._compute_subgroup_classes
+
+    def counted(self, *args, **kwargs):
+        classes = compute(self, *args, **kwargs)
+        if self.group is g:
+            recorded[name] += len(classes)
+        return classes
+
+    monkeypatch.setattr(GroupContext, "_compute_subgroup_classes", counted)
+    for name, want, lattice in (("m11", 14, 39), ("alt_7", 21, 40)):
+        g = resolve_group(name)[1]
+        search_fixity_k(g, 4)
+        assert as_context(g)._subgroup_classes is None
+        assert recorded[name] == want < lattice
+
+
+def test_search_checks_the_subgroup_cap_first(monkeypatch):
+    # a group above the subgroup cap is refused before any centralizer is
+    # taken or any saturation runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search started before the cap check")
+
+    monkeypatch.setattr(fixitylab.verifier, "centralizer", refuse)
+    monkeypatch.setattr(GroupContext, "_compute_subgroup_classes", refuse)
+    g = resolve_group("psl2_7")[1]
+    message = "group order 168 exceeds subgroup-enumeration cap 100"
+    with pytest.raises(CapExceededError, match=message):
+        search_fixity_k(g, 4, Caps(subgroups=100))
 
 
 def test_structural_checks_precondition(sym4):
@@ -783,14 +851,16 @@ def test_lemmas_match_the_action_oracle(monkeypatch, group_cache):
     # the coset action and G.  In Sym(5) on the cosets of U = S3 x C2 the
     # witness's G-class meets U in two U-classes, so two carriers start the
     # walks to the four cosets; Sym(5) is not simple, and that action fails
-    # lemma (iv)
+    # lemma (iv).  Which member of a class stands for it decides the
+    # witness, and so that index: Sym(5)'s reports come from the whole
+    # lattice's representatives
     seen = _recording_lemmas(monkeypatch)
     catalog = Path(fixitylab.__file__).parent / "data" / "claims.json"
     results = run_claim_catalog(catalog)
     assert Counter(r.verdict for r in results) == {"PASS": 26, "SKIPPED": 10}
     assert len(seen) == 41
     forged = _forged_sym7_report(group_cache)
-    sym5 = [h.report for h in search_fixity_k(group_cache("sym_5"), 4)]
+    sym5 = [h.report for h in search_on_the_lattice(group_cache("sym_5"), 4)]
     seen += [(r, check_structural_lemmas(r)) for r in [forged, *sym5]]
     for report, checks in seen:
         assert asdict(checks) == asdict(_lemmas_on_the_action(report))
